@@ -33,7 +33,10 @@ def test_e9_phase_length_ablation(benchmark):
     instances = _instances()
 
     def run():
-        return {label: simulate(inst, Aggressive()) for label, inst in instances.items()}
+        return {
+            label: simulate(inst, Aggressive(), record_events=True)
+            for label, inst in instances.items()
+        }
 
     results = benchmark(run)
 

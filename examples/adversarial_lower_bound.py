@@ -24,7 +24,7 @@ def main() -> None:
     instance = construction.instance
     bounds = SingleDiskBounds(cache_size, fetch_time)
 
-    aggressive = simulate(instance, Aggressive())
+    aggressive = simulate(instance, Aggressive(), record_events=True)
     optimum = optimal_single_disk(instance)
 
     print(f"instance: {instance.describe()}")

@@ -23,7 +23,7 @@ def main() -> None:
     print(f"instance: {instance.describe()}\n")
 
     for algorithm in (Aggressive(), Conservative()):
-        result = simulate(instance, algorithm)
+        result = simulate(instance, algorithm, record_events=True)
         print(f"{result.policy_name:14s} stall={result.stall_time}  elapsed={result.elapsed_time}")
         print(render_gantt(result))
         print()

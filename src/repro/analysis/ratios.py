@@ -30,7 +30,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..algorithms.base import PrefetchAlgorithm
 from ..core.bounds import SingleDiskBounds
-from ..disksim.executor import SimulationResult, simulate
+from ..disksim.executor import simulate_with_engine
 from ..disksim.instance import ProblemInstance
 from ..errors import ConfigurationError
 from ..lp.service import OptimumService, SolverConfig
@@ -179,12 +179,13 @@ def _run_records(
     label = point if point is not None else instance.describe()
     records = []
     for algorithm in algorithms:
-        result: SimulationResult = simulate(instance, algorithm)
+        result, engine = simulate_with_engine(instance, algorithm)
         records.append(
             RunRecord.from_simulation(
                 result,
                 point=label,
                 algorithm_spec=algorithm.spec or result.policy_name,
+                engine=engine,
                 optimal_stall=optimal_stall,
                 optimal_elapsed=optimal_elapsed,
                 optimum_solve_seconds=solve_seconds,

@@ -101,7 +101,7 @@ class RunRecord:
     fetch_time: int = 0
     disks: int = 1
     layout: Optional[str] = None
-    engine: str = "indexed"
+    engine: str = "loop"
     optimal_stall: Optional[int] = None
     optimal_elapsed: Optional[int] = None
     #: Wall-clock seconds the optimum attached to this record cost to solve
@@ -124,7 +124,7 @@ class RunRecord:
         algorithm_spec: Optional[str] = None,
         workload: Optional[str] = None,
         layout: Optional[str] = None,
-        engine: str = "indexed",
+        engine: str = "loop",
         optimal_stall: Optional[int] = None,
         optimal_elapsed: Optional[int] = None,
         optimum_solve_seconds: Optional[float] = None,

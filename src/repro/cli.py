@@ -154,8 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulation engine (loop = the indexed event loop; "
                        "vector = the numpy batch kernel, falling back to loop "
                        "where uncovered; auto = vector when available)")
-    p_sim.add_argument("--gantt", action="store_true", help="print an ASCII Gantt chart")
-    p_sim.add_argument("--timeline", action="store_true", help="print the event timeline")
+    p_sim.add_argument("--gantt", action="store_true",
+                       help="print an ASCII Gantt chart (records the event log, "
+                       "so the run uses the loop engine)")
+    p_sim.add_argument("--timeline", action="store_true",
+                       help="print the event timeline (records the event log, "
+                       "so the run uses the loop engine)")
 
     p_cmp = sub.add_parser("compare", help="compare algorithms against the optimum")
     add_common(p_cmp)
@@ -442,7 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     instance = _make_instance(args)
     algorithm = make_algorithm(args.algorithm)
-    result, engine = simulate_with_engine(instance, algorithm, engine=args.engine)
+    result, engine = simulate_with_engine(
+        instance, algorithm, engine=args.engine, record_events=args.gantt or args.timeline
+    )
     print(f"instance: {instance.describe()}")
     print(f"algorithm: {result.policy_name}")
     if engine != args.engine:

@@ -80,8 +80,11 @@ def phase_breakdown(
     """Split a run's elapsed time across the Theorem 1 phases.
 
     Stall events are attributed to the phase of the request the processor was
-    waiting for; serve events to the phase of the request served.
+    waiting for; serve events to the phase of the request served.  The run
+    must have recorded its event log (``simulate(..., record_events=True)``);
+    :class:`~repro.errors.ConfigurationError` otherwise.
     """
+    events = result.event_log("phase_breakdown")
     instance = result.instance
     boundaries = phase_boundaries(
         instance.num_requests,
@@ -98,7 +101,7 @@ def phase_breakdown(
 
     elapsed = [0] * len(boundaries)
     stall = [0] * len(boundaries)
-    for event in result.events:
+    for event in events:
         if event.kind == EventKind.SERVE and event.request_index is not None:
             elapsed[phase_of(event.request_index)] += 1
         elif event.kind == EventKind.STALL and event.request_index is not None:

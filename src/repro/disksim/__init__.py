@@ -3,7 +3,7 @@
 This subpackage implements the Cao–Felten–Karlin–Li model used by the paper:
 request sequences, cache state with fetch reservations, disk layouts, schedule
 representations, the simulation engine and the schedule validator, plus the
-metrics and event log every experiment consumes.
+metrics every experiment consumes and the opt-in event log the charts read.
 """
 
 from .cache import CacheState

@@ -2,10 +2,17 @@
 
 The event log is a flat, time-ordered record of everything that happened
 during a run: requests served, stall periods, fetch starts/completions and
-evictions.  It exists for three reasons: the text Gantt renderer in
-:mod:`repro.viz` consumes it, tests use it to assert fine-grained behaviour
-(e.g. *"the fetch for b5 started exactly when r3 was served"*), and it makes
-simulator bugs visible without a debugger.
+evictions.  It exists for three reasons: the text Gantt chart and timeline in
+:mod:`repro.viz` and the phase breakdown in :mod:`repro.core.phases` consume
+it, tests use it to assert fine-grained behaviour (e.g. *"the fetch for b5
+started exactly when r3 was served"*), and it makes simulator bugs visible
+without a debugger.
+
+Recording is opt-in: ``simulate(..., record_events=True)`` attaches a log to
+the result, every other run leaves ``SimulationResult.events`` as ``None``
+and skips the per-event allocation (sweeps read only metrics and
+schedules).  Open request streams of the stepped kernel always record, so a
+service session's snapshot carries its log.
 """
 
 from __future__ import annotations

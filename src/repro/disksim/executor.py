@@ -6,7 +6,7 @@ This module implements the integer time model of the Cao et al. framework
 * :func:`simulate` — drive a *prefetching policy* (Aggressive, Conservative,
   Delay(d), ...) over a :class:`~repro.disksim.instance.ProblemInstance`,
   producing a :class:`SimulationResult` with the schedule the policy chose,
-  its metrics and a full event log.
+  its metrics and, when asked for (``record_events=True``), its event log.
 
 * :func:`execute_interval_schedule` — replay a position-anchored
   :class:`~repro.disksim.schedule.IntervalSchedule` (the output format of the
@@ -27,11 +27,11 @@ decision point, what to do when the needed block is absent, position
 barriers).  The loop consumes the runtime indices of
 :mod:`repro.disksim.index` — a :class:`~repro.disksim.index.SequenceIndex`
 built once per instance, plus an incremental
-:class:`~repro.disksim.index.MissTracker` and
-:class:`~repro.disksim.index.EvictionHeap` per run — so the derived queries
-policies are phrased in terms of (next missing block, furthest-future
-resident block) cost amortised O(log k) instead of a scan of the whole
-sequence.  Passing
+:class:`~repro.disksim.index.MissTracker` per run and an
+:class:`~repro.disksim.index.EvictionHeap` built on the first query that
+needs it — so the derived queries policies are phrased in terms of (next
+missing block, furthest-future resident block) cost amortised O(log k)
+instead of a scan of the whole sequence.  Passing
 ``engine="scan"`` selects the original scan-based query implementations,
 kept as the reference for the equivalence tests and the speed benchmark.
 
@@ -56,7 +56,16 @@ assume.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Protocol,
+    Tuple,
+    runtime_checkable,
+)
 
 from .._typing import INFINITY, BlockId, DiskId
 from ..errors import ConfigurationError, InvalidScheduleError, PolicyError
@@ -139,7 +148,9 @@ class PolicyView:
     idle.  The view exposes the handful of derived queries that the classical
     algorithms are phrased in terms of (next missing block, furthest-future
     resident block, ...), answered through the engine's runtime indices when
-    available and by the original sequence scans otherwise.
+    available and by the original sequence scans otherwise.  ``evictions``
+    is a provider rather than the heap itself, so an engine whose policy
+    never asks for a victim never builds one.
     """
 
     __slots__ = (
@@ -162,7 +173,7 @@ class PolicyView:
         cache: CacheState,
         busy_disks: FrozenSet[DiskId],
         misses: Optional[MissTracker] = None,
-        evictions: Optional[EvictionHeap] = None,
+        evictions: Optional[Callable[[], EvictionHeap]] = None,
     ) -> None:
         self.instance = instance
         self.time = time
@@ -268,8 +279,9 @@ class PolicyView:
         start = self.cursor if from_position is None else from_position
         seq = self.instance.sequence
         if self._evictions is not None and candidates is None and start >= self.cursor:
+            heap = self._evictions()
             if start == self.cursor:
-                return self._evictions.best(self.cursor, exclude)
+                return heap.best(self.cursor, exclude)
             # Judging from a future position: only blocks requested in the
             # window [cursor, start) have a different key there; re-key those
             # explicitly and take the heap's best over the rest (whose keys
@@ -277,9 +289,9 @@ class PolicyView:
             window = {
                 b
                 for b in seq.distinct_in_window(self.cursor, start)
-                if b in self._evictions and b not in exclude
+                if b in heap and b not in exclude
             }
-            rest = self._evictions.best(self.cursor, frozenset(exclude) | window)
+            rest = heap.best(self.cursor, frozenset(exclude) | window)
             best_block: Optional[BlockId] = None
             best_key: Optional[Tuple[int, str]] = None
             if rest is not None:
@@ -340,7 +352,9 @@ class SimulationResult:
     instance: ProblemInstance
     schedule: Schedule
     metrics: SimMetrics
-    events: EventLog
+    #: The run's event log; ``None`` unless the caller asked for it with
+    #: ``record_events=True`` (the vector kernel never records one).
+    events: Optional[EventLog]
     policy_name: str = ""
     #: Why the vector kernel was *not* used when the caller asked for
     #: ``engine="auto"`` or ``engine="vector"`` and the run fell back to the
@@ -357,6 +371,18 @@ class SimulationResult:
     def elapsed_time(self) -> int:
         """Total elapsed time (requests + stall) of the run."""
         return self.metrics.elapsed_time
+
+    def event_log(self, consumer: str) -> EventLog:
+        """The recorded event log, for ``consumer`` (named in the error).
+
+        Raises :class:`~repro.errors.ConfigurationError` when the run did not
+        record one, instead of letting the consumer read an empty run.
+        """
+        if self.events is None:
+            raise ConfigurationError(
+                f"{consumer} needs the run's event log; simulate with record_events=True"
+            )
+        return self.events
 
     def with_solve_seconds(self, seconds: float) -> "SimulationResult":
         """Copy with solver wall time recorded on the metrics.
@@ -376,12 +402,16 @@ class _EngineState:
     """Mutable engine internals shared by the execution entry points.
 
     With ``engine="loop"`` (the indexed event loop) the state owns the
-    per-instance :class:`SequenceIndex` (built once, cached across runs) and
-    an :class:`EvictionHeap` mirroring the resident set, maintained
-    incrementally by the fetch lifecycle methods below.  ``"vector"`` and
-    ``"auto"`` degrade to ``"loop"`` here: the event loop is the replay/
-    fallback engine the vector kernel defers to for anything it does not
-    cover.
+    per-instance :class:`SequenceIndex` (built once, cached across runs), a
+    :class:`MissTracker`, and an :class:`EvictionHeap` mirroring the resident
+    set.  The heap is built by :meth:`eviction_heap` on the first query that
+    needs it and from then on maintained incrementally by the fetch
+    lifecycle methods below, so policies that never ask for a
+    furthest-next-use victim (Conservative follows MIN's plan) never pay
+    for its per-serve upkeep.  ``"vector"`` and ``"auto"`` degrade to
+    ``"loop"`` here: the event loop is the replay/fallback engine the vector
+    kernel defers to for anything it does not cover.  ``events`` is an
+    :class:`EventLog` only when ``record_events`` is set.
     """
 
     #: True while the state belongs to an *open* request stream (set by the
@@ -389,7 +419,14 @@ class _EngineState:
     #: must then raise :class:`HorizonExhausted` instead of guessing.
     stream_open: bool = False
 
-    def __init__(self, instance: ProblemInstance, capacity: int, engine: str = "loop") -> None:
+    def __init__(
+        self,
+        instance: ProblemInstance,
+        capacity: int,
+        engine: str = "loop",
+        *,
+        record_events: bool = False,
+    ) -> None:
         engine = canonical_engine(engine)
         if engine in ("vector", "auto"):
             engine = "loop"
@@ -397,7 +434,7 @@ class _EngineState:
         self.cache = CacheState(capacity, instance.initial_cache)
         self.in_flight: Dict[DiskId, Tuple[BlockId, int]] = {}
         self.fetch_ops: List[TimedFetch] = []
-        self.events = EventLog()
+        self.events: Optional[EventLog] = EventLog() if record_events else None
         self.time = 0
         self.cursor = 0
         self.stall = 0
@@ -414,13 +451,24 @@ class _EngineState:
             self.miss_tracker: Optional[MissTracker] = self.index.make_miss_tracker(
                 instance.initial_cache
             )
-            self.evictions: Optional[EvictionHeap] = EvictionHeap(instance.sequence)
-            for block in instance.initial_cache:
-                self.evictions.add(block, 0)
         else:
             self.index = None
             self.miss_tracker = None
-            self.evictions = None
+        self.evictions: Optional[EvictionHeap] = None
+
+    def eviction_heap(self) -> EvictionHeap:
+        """The furthest-next-use heap of the loop engine, built on first use.
+
+        Seeding every resident block at the current cursor gives it exactly
+        the keys an eager heap maintained since the start would hold; in-flight
+        blocks join when their fetch completes, as they would have.
+        """
+        if self.evictions is None:
+            heap = EvictionHeap(self.instance.sequence)
+            for block in self.cache.resident:
+                heap.add(block, self.cursor)
+            self.evictions = heap
+        return self.evictions
 
     # -- fetch lifecycle ------------------------------------------------------------
 
@@ -432,9 +480,10 @@ class _EngineState:
                 self.cache.complete_fetch(block)
                 if self.evictions is not None:
                     self.evictions.add(block, self.cursor)
-                self.events.record(
-                    Event(finish, EventKind.FETCH_COMPLETE, block=block, disk=disk)
-                )
+                if self.events is not None:
+                    self.events.record(
+                        Event(finish, EventKind.FETCH_COMPLETE, block=block, disk=disk)
+                    )
                 del self.in_flight[disk]
 
     def earliest_completion(self) -> Optional[int]:
@@ -475,9 +524,10 @@ class _EngineState:
             TimedFetch(start_time=self.time, disk=disk, block=block, victim=victim)
         )
         self.fetches_per_disk[disk] = self.fetches_per_disk.get(disk, 0) + 1
-        if victim is not None:
-            self.events.record(Event(self.time, EventKind.EVICT, block=victim, disk=disk))
-        self.events.record(Event(self.time, EventKind.FETCH_START, block=block, disk=disk))
+        if self.events is not None:
+            if victim is not None:
+                self.events.record(Event(self.time, EventKind.EVICT, block=victim, disk=disk))
+            self.events.record(Event(self.time, EventKind.FETCH_START, block=block, disk=disk))
         self.peak_used = max(self.peak_used, self.cache.used_slots)
         if forced or (
             self.cursor < inst.num_requests and inst.sequence[self.cursor] == block
@@ -491,30 +541,31 @@ class _EngineState:
         gap = target_time - self.time
         if gap <= 0:
             return
-        self.events.record(
-            Event(
-                self.time,
-                EventKind.STALL,
-                block=waiting_for,
-                request_index=self.cursor,
-                duration=gap,
+        if self.events is not None:
+            self.events.record(
+                Event(
+                    self.time,
+                    EventKind.STALL,
+                    block=waiting_for,
+                    request_index=self.cursor,
+                    duration=gap,
+                )
             )
-        )
         self.stall += gap
         self.time = target_time
 
     def serve_current(self) -> None:
         """Serve the request at the cursor (takes one time unit)."""
-        block = self.instance.sequence[self.cursor]
-        self.events.record(
-            Event(
-                self.time,
-                EventKind.SERVE,
-                block=block,
-                request_index=self.cursor,
-                duration=1,
+        if self.events is not None:
+            self.events.record(
+                Event(
+                    self.time,
+                    EventKind.SERVE,
+                    block=self.instance.sequence[self.cursor],
+                    request_index=self.cursor,
+                    duration=1,
+                )
             )
-        )
         if self.evictions is not None:
             self.evictions.on_serve(self.cursor)
         self.time += 1
@@ -531,7 +582,7 @@ class _EngineState:
             cache=self.cache,
             busy_disks=frozenset(self.in_flight),
             misses=self.miss_tracker,
-            evictions=self.evictions,
+            evictions=self.eviction_heap if self.index is not None else None,
         )
 
     def metrics(self) -> SimMetrics:
@@ -586,8 +637,8 @@ def _default_forced_victim(state: _EngineState) -> Optional[BlockId]:
     """
     if state.cache.free_slots > 0:
         return None
-    if state.evictions is not None:
-        return state.evictions.best(state.cursor)
+    if state.index is not None:
+        return state.eviction_heap().best(state.cursor)
     seq = state.instance.sequence
     resident = state.cache.resident
     if not resident:
@@ -910,6 +961,7 @@ def simulate(
     policy: PrefetchPolicy,
     *,
     engine: str = "loop",
+    record_events: bool = False,
 ) -> SimulationResult:
     """Run ``policy`` over ``instance`` and return the resulting schedule and metrics.
 
@@ -929,8 +981,16 @@ def simulate(
     to the loop for instances/policies it does not cover); ``"auto"`` is
     vector-when-possible, loop otherwise.  All engines produce identical
     schedules and metrics — the equivalence suites assert this.
+
+    ``record_events=True`` also records the run's :class:`EventLog` (the
+    Gantt chart, the timeline and the phase breakdown read it); otherwise
+    ``result.events`` is ``None`` and the run skips one event object per
+    serve, stall, fetch and eviction.  The vector kernel records no log, so
+    asking for one runs ``"auto"`` and ``"vector"`` on the loop engine.
     """
-    result, _ = simulate_with_engine(instance, policy, engine=engine)
+    result, _ = simulate_with_engine(
+        instance, policy, engine=engine, record_events=record_events
+    )
     return result
 
 
@@ -939,6 +999,7 @@ def simulate_with_engine(
     policy: PrefetchPolicy,
     *,
     engine: str = "loop",
+    record_events: bool = False,
 ) -> Tuple[SimulationResult, str]:
     """Like :func:`simulate`, but also report which engine actually ran.
 
@@ -959,15 +1020,20 @@ def simulate_with_engine(
 
         if engine == "vector":
             _vector.require_numpy()
-        if _vector.numpy_available():
-            result = _vector.simulate_vector(instance, policy)
-            if result is not None:
-                return result, "vector"
-        reason = _vector.ineligibility_reason(instance, policy)
+        if record_events:
+            reason = "event log requested; the vector kernel records none"
+        else:
+            if _vector.numpy_available():
+                result = _vector.simulate_vector(instance, policy)
+                if result is not None:
+                    return result, "vector"
+            reason = _vector.ineligibility_reason(instance, policy)
         engine = "loop"
     from .stepped import SteppedSimulation
 
-    sim = SteppedSimulation.from_instance(instance, policy, engine=engine)
+    sim = SteppedSimulation.from_instance(
+        instance, policy, engine=engine, record_events=record_events
+    )
     result = sim.run_to_completion()
     if reason is not None:
         result = replace(result, engine_reason=reason)
@@ -992,7 +1058,7 @@ def execute_schedule(
     at its recorded start time (busy disk, victim absent, block already
     resident, capacity exceeded) or if the processor would need a block that
     the schedule never fetches in time (strict mode: no forced fetches are
-    injected).
+    injected).  Replays record no event log (``result.events`` is ``None``).
     """
     by_time: Dict[int, List[FetchDecision]] = {}
     for op in schedule.fetches:

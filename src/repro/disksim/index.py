@@ -31,7 +31,9 @@ structures that turn those queries into amortised O(log k) operations:
   when the cursor passes one of its uses, i.e. when that request is served
   (:meth:`EvictionHeap.on_serve`, O(1) via the sequence's next-use chain).
   One push per request plus one per residency change keeps maintenance at
-  O(n log k) over a whole run.
+  O(n log k) over a whole run.  The engine builds the heap on the first
+  query of a run that needs it, seeded from the resident set at that
+  cursor, so runs whose policy never asks (Conservative) pay nothing.
 
 All three are consulted through :class:`~repro.disksim.executor.PolicyView`;
 policies never touch them directly.
@@ -47,7 +49,7 @@ from .._typing import INFINITY, BlockId, DiskId
 from .disk import DiskLayout
 from .sequence import RequestSequence
 
-__all__ = ["SequenceIndex", "MissTracker", "EvictionHeap"]
+__all__ = ["SequenceIndex", "MissTracker", "EvictionHeap", "ReversedStr"]
 
 
 class SequenceIndex:
@@ -206,19 +208,23 @@ class MissTracker:
         return best
 
 
-class _ReversedStr:
-    """String wrapper with inverted ordering (turns heapq into a max-heap key)."""
+class ReversedStr:
+    """String wrapper with inverted ordering (turns heapq into a max-heap key).
+
+    Both furthest-next-use heaps — :class:`EvictionHeap` and the MIN paging
+    policy's — break next-use ties by the larger block string this way.
+    """
 
     __slots__ = ("value",)
 
     def __init__(self, value: str) -> None:
         self.value = value
 
-    def __lt__(self, other: "_ReversedStr") -> bool:
+    def __lt__(self, other: "ReversedStr") -> bool:
         return self.value > other.value
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, _ReversedStr) and self.value == other.value
+        return isinstance(other, ReversedStr) and self.value == other.value
 
 
 class EvictionHeap:
@@ -244,7 +250,7 @@ class EvictionHeap:
         # counter settles the (pathological) tie of two distinct blocks with
         # identical ``str`` and next use without comparing raw block ids,
         # which may be of incomparable types.
-        self._heap: List[Tuple[int, _ReversedStr, int, BlockId]] = []
+        self._heap: List[Tuple[int, ReversedStr, int, BlockId]] = []
         self._resident: Set[BlockId] = set()
         self._counter = 0
 
@@ -261,7 +267,7 @@ class EvictionHeap:
         self._resident.add(block)
         next_use = self._sequence.next_use_from(cursor, block)
         self._counter += 1
-        heappush(self._heap, (-next_use, _ReversedStr(str(block)), self._counter, block))
+        heappush(self._heap, (-next_use, ReversedStr(str(block)), self._counter, block))
 
     def discard(self, block: BlockId) -> None:
         """Mark ``block`` no longer resident (its heap entry dies lazily)."""
@@ -280,7 +286,7 @@ class EvictionHeap:
             next_use = self._sequence.next_use_chain(position)
             self._counter += 1
             heappush(
-                self._heap, (-next_use, _ReversedStr(str(block)), self._counter, block)
+                self._heap, (-next_use, ReversedStr(str(block)), self._counter, block)
             )
 
     def best(self, cursor: int, exclude: Iterable[BlockId] = ()) -> Optional[BlockId]:
@@ -288,7 +294,7 @@ class EvictionHeap:
         ``(next_use_from(cursor, b), str(b))``, or ``None``."""
         exclude_set = exclude if isinstance(exclude, (set, frozenset)) else set(exclude)
         heap = self._heap
-        stash: List[Tuple[int, _ReversedStr, int, BlockId]] = []
+        stash: List[Tuple[int, ReversedStr, int, BlockId]] = []
         found: Optional[BlockId] = None
         while heap:
             stored_next_use, _, _, block = heap[0]

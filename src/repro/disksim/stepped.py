@@ -38,9 +38,10 @@ Snapshots
 ---------
 :meth:`SteppedSimulation.snapshot` returns a plain dict that is JSON-safe
 whenever block identifiers are (strings or integers): instance parameters,
-the fed requests, every engine counter, the event log, and the policy object
-pickled (base64) so mid-run policy state — Conservative's plan cursor,
-LRU's recency map — survives a daemon restart byte-exactly.
+the fed requests, every engine counter, the event log (``None`` for a batch
+run that records none), and the policy object pickled (base64) so mid-run
+policy state — Conservative's plan cursor, LRU's recency map — survives a
+daemon restart byte-exactly.
 """
 
 from __future__ import annotations
@@ -178,7 +179,8 @@ class _SteppedEngineState(_EngineState):
     """
 
     def __init__(self, instance: ProblemInstance, capacity: int) -> None:
-        super().__init__(instance, capacity, engine="scan")
+        # Streams always record: a session's snapshot carries its event log.
+        super().__init__(instance, capacity, engine="scan", record_events=True)
 
     def view(self) -> PolicyView:
         return SteppedPolicyView(
@@ -234,9 +236,12 @@ class SteppedSimulation:
         policy: PrefetchPolicy,
         *,
         engine: str = "loop",
+        record_events: bool = False,
     ) -> "SteppedSimulation":
         """Batch form: the whole sequence is known, nothing can be fed."""
-        state = _EngineState(instance, instance.cache_size, engine=engine)
+        state = _EngineState(
+            instance, instance.cache_size, engine=engine, record_events=record_events
+        )
         return cls(instance, policy, state, stream=None, policy_ready=False)
 
     @classmethod
@@ -473,7 +478,7 @@ class SteppedSimulation:
                     }
                     for op in state.fetch_ops
                 ],
-                "events": [
+                "events": None if state.events is None else [
                     {
                         "time": event.time,
                         "kind": event.kind.value,
@@ -549,9 +554,10 @@ class SteppedSimulation:
             )
             for op in engine["fetch_ops"]
         ]
-        events = EventLog()
-        for entry in engine["events"]:
-            events.record(
+        if engine["events"] is None:
+            state.events = None
+        else:
+            state.events = EventLog([
                 Event(
                     time=int(entry["time"]),
                     kind=EventKind(entry["kind"]),
@@ -564,8 +570,8 @@ class SteppedSimulation:
                     ),
                     duration=int(entry["duration"]),
                 )
-            )
-        state.events = events
+                for entry in engine["events"]
+            ])
         state.time = int(engine["time"])
         state.cursor = int(engine["cursor"])
         state.stall = int(engine["stall"])

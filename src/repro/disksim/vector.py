@@ -22,9 +22,11 @@ identifiers whose string forms collide — transparently falls back to the
 loop engine, per item, inside :func:`run_batch`.  The produced
 :class:`~repro.disksim.metrics.SimMetrics` and
 :class:`~repro.disksim.schedule.Schedule` are identical to the loop engine's
-(the vector equivalence suite asserts this byte-for-byte); only the
-:class:`~repro.disksim.events.EventLog` is left empty, as materialising one
-Python event object per serve would defeat the point of the kernel.
+(the vector equivalence suite asserts this byte-for-byte).  The kernel
+records no :class:`~repro.disksim.events.EventLog` (``result.events`` is
+``None``), as materialising one Python event object per serve would defeat
+the point of the kernel; a caller that needs the log passes
+``record_events=True``, which runs the loop engine instead.
 
 numpy is an *optional* dependency for this engine: :func:`numpy_available`
 probes for it once, and :func:`require_numpy` raises a
@@ -40,7 +42,6 @@ from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 from .._typing import BlockId
 from ..errors import ConfigurationError
-from .events import EventLog
 from .instance import ProblemInstance
 from .metrics import SimMetrics
 from .schedule import Schedule, TimedFetch
@@ -615,8 +616,9 @@ def simulate_vector(
     This is the ``engine="vector"`` entry point used by
     :func:`repro.disksim.executor.simulate_with_engine`: a ``None`` return
     tells the dispatcher to fall back to the loop engine without having spent
-    a duplicate simulation.  The returned result carries an *empty* event
-    log; schedule and metrics are identical to the loop engine's.
+    a duplicate simulation.  The returned result carries no event log
+    (``events=None``); schedule and metrics are identical to the loop
+    engine's.
     """
     np = _numpy()
     if np is None:
@@ -631,6 +633,6 @@ def simulate_vector(
         instance=instance,
         schedule=schedule,
         metrics=metrics,
-        events=EventLog(),
+        events=None,
         policy_name=job.policy_name,
     )

@@ -91,7 +91,7 @@ def replay_workload(
         statuses[str(summary["status"])] += 1
         chunks_fed += 1
     result = session.finish()
-    offline = simulate(instance, make_algorithm(algorithm))
+    offline = simulate(instance, make_algorithm(algorithm), record_events=True)
     match = (
         result.schedule == offline.schedule
         and result.metrics == offline.metrics

@@ -29,8 +29,10 @@ def render_gantt(result: SimulationResult, *, max_width: int = 200) -> str:
     """Render a simulated run as an ASCII Gantt chart.
 
     Runs longer than ``max_width`` time units are truncated on the right (a
-    marker shows how many units were cut).
+    marker shows how many units were cut).  The run must have recorded its
+    event log (``simulate(..., record_events=True)``).
     """
+    events = result.event_log("render_gantt")
     horizon = result.elapsed_time
     truncated = 0
     if horizon > max_width:
@@ -42,7 +44,7 @@ def render_gantt(result: SimulationResult, *, max_width: int = 200) -> str:
         d: ["."] * horizon for d in range(result.instance.num_disks)
     }
 
-    for event in result.events:
+    for event in events:
         if event.kind == EventKind.SERVE:
             if event.time < horizon:
                 cpu_row[event.time] = "s"

@@ -16,13 +16,17 @@ __all__ = ["render_timeline", "cache_occupancy_trace"]
 
 
 def render_timeline(result: SimulationResult, *, limit: int | None = None) -> str:
-    """One line per event: time, kind, block/disk/request involved."""
+    """One line per event: time, kind, block/disk/request involved.
+
+    The run must have recorded its event log (``record_events=True``).
+    """
+    log = result.event_log("render_timeline")
     lines: List[str] = [
         f"run of {result.policy_name!r} on {result.instance.describe()}",
         f"stall={result.stall_time} elapsed={result.elapsed_time} "
         f"fetches={result.metrics.num_fetches}",
     ]
-    events = list(result.events)
+    events = list(log)
     if limit is not None:
         events = events[:limit]
     for event in events:
@@ -38,8 +42,8 @@ def render_timeline(result: SimulationResult, *, limit: int | None = None) -> st
             lines.append(f"  t={event.time:<4d} arrive  {event.block} from disk {event.disk}")
         elif event.kind == EventKind.EVICT:
             lines.append(f"  t={event.time:<4d} evict   {event.block} (for disk {event.disk})")
-    if limit is not None and len(result.events) > limit:
-        lines.append(f"  ... ({len(result.events) - limit} more events)")
+    if limit is not None and len(log) > limit:
+        lines.append(f"  ... ({len(log) - limit} more events)")
     return "\n".join(lines)
 
 
@@ -48,11 +52,13 @@ def cache_occupancy_trace(result: SimulationResult) -> List[Tuple[int, int]]:
 
     Occupancy counts resident plus in-flight blocks, i.e. reserved cache
     slots; the maximum over the trace equals
-    ``result.metrics.peak_cache_used``.
+    ``result.metrics.peak_cache_used``.  The run must have recorded its
+    event log (``record_events=True``).
     """
+    events = result.event_log("cache_occupancy_trace")
     occupancy = len(result.instance.initial_cache)
     trace: List[Tuple[int, int]] = [(0, occupancy)]
-    for event in result.events:
+    for event in events:
         if event.kind == EventKind.EVICT:
             occupancy -= 1
             trace.append((event.time, occupancy))

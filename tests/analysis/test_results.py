@@ -6,11 +6,16 @@ import json
 
 import pytest
 
-from repro.algorithms import Aggressive, make_algorithm
-from repro.analysis.ratios import AlgorithmMeasurement, RatioReport, measure_ratios
+from repro.algorithms import Aggressive, ParallelAggressive, make_algorithm
+from repro.analysis.ratios import (
+    AlgorithmMeasurement,
+    RatioReport,
+    measure_parallel_stall,
+    measure_ratios,
+)
 from repro.analysis.results import RUN_RECORD_COLUMNS, ResultSet, RunRecord, safe_ratio
 from repro.disksim import ProblemInstance, simulate
-from repro.workloads import single_disk_example, uniform_random
+from repro.workloads import parallel_disk_example, single_disk_example, uniform_random
 
 
 def _record(**overrides) -> RunRecord:
@@ -147,6 +152,14 @@ class TestAnalysisDataclassRoundTrips:
         results = report.to_result_set()
         assert results.points() == ["paper"]
         assert results.ratios_for("aggressive")["paper"] == pytest.approx(13 / 11)
+
+    def test_ratio_records_name_the_engine_that_ran(self):
+        """Ratio records carry the realised engine, never the legacy alias."""
+        single = measure_ratios(single_disk_example(), [Aggressive()])
+        parallel = measure_parallel_stall(parallel_disk_example(), [ParallelAggressive()])
+        assert [r.engine for r in single.records + parallel.records] == ["loop", "loop"]
+        result = simulate(single_disk_example(), Aggressive())
+        assert RunRecord.from_simulation(result, point="p").engine == "loop"
 
     def test_report_measurements_derive_from_records(self):
         report = measure_ratios(single_disk_example(), [Aggressive()])

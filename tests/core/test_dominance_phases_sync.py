@@ -21,6 +21,7 @@ from repro.core import (
 from repro.disksim import ProblemInstance, RequestSequence, simulate
 from repro.errors import ConfigurationError
 from repro.workloads import parallel_disk_example, single_disk_example
+from repro.workloads.spec import build_workload_instance
 
 SEQ = RequestSequence(["a", "b", "c", "d", "a", "b", "e", "c"])
 INST = ProblemInstance.single_disk(SEQ, cache_size=3, fetch_time=2)
@@ -91,8 +92,23 @@ class TestPhases:
         covered = sum(hi - lo for lo, hi in boundaries)
         assert covered == 25
 
+    def test_phase_breakdown_of_an_auto_engine_run(self):
+        """``auto`` would pick the vector kernel, which records no log: the
+        breakdown must refuse such a run, and ``record_events=True`` runs the
+        loop engine so the phases cover the whole elapsed time."""
+        instance = build_workload_instance(
+            "zipf:n=60,blocks=20,seed=1", cache_size=4, fetch_time=3, disks=1, layout="striped"
+        )
+        with pytest.raises(ConfigurationError, match="record_events=True"):
+            phase_breakdown(simulate(instance, Aggressive(), engine="auto"))
+        result = simulate(instance, Aggressive(), engine="auto", record_events=True)
+        breakdown = phase_breakdown(result)
+        assert result.elapsed_time == 97
+        assert sum(breakdown.elapsed_per_phase) == result.elapsed_time
+        assert sum(breakdown.stall_per_phase) == result.stall_time
+
     def test_phase_breakdown_sums_to_elapsed(self):
-        result = simulate(INST, Aggressive())
+        result = simulate(INST, Aggressive(), record_events=True)
         breakdown = phase_breakdown(result)
         assert sum(breakdown.elapsed_per_phase) == result.elapsed_time
         assert sum(breakdown.stall_per_phase) == result.stall_time

@@ -57,7 +57,7 @@ class TestSimulate:
             assert result.elapsed_time == small_cold_instance.num_requests + result.stall_time
 
     def test_event_log_consistency(self, small_warm_instance):
-        result = simulate(small_warm_instance, Aggressive())
+        result = simulate(small_warm_instance, Aggressive(), record_events=True)
         serves = result.events.serves()
         assert len(serves) == small_warm_instance.num_requests
         assert result.events.total_stall() == result.stall_time

@@ -71,7 +71,7 @@ def _stream_result(instance, spec, *, chunk, snapshot_every=None):
 
 def _assert_matches_batch(instance, spec, *, chunk, snapshot_every=None):
     streamed = _stream_result(instance, spec, chunk=chunk, snapshot_every=snapshot_every)
-    batch = simulate(instance, make_algorithm(spec))
+    batch = simulate(instance, make_algorithm(spec), record_events=True)
     assert streamed.schedule == batch.schedule
     assert streamed.metrics == batch.metrics
     assert list(streamed.events) == list(batch.events)
@@ -158,6 +158,24 @@ def test_advance_statuses():
     assert sim.advance(max_events=1) == SteppedSimulation.BUDGET
     assert sim.advance() == SteppedSimulation.COMPLETE
     assert sim.advance() == SteppedSimulation.COMPLETE  # idempotent
+
+
+@pytest.mark.parametrize("record_events", [False, True])
+def test_batch_snapshot_keeps_whether_the_log_is_recorded(record_events):
+    """A batch run snapshotted mid-run resumes with (or without) its log."""
+    instance = random_instance(3)
+    sim = SteppedSimulation.from_instance(
+        instance, make_algorithm("aggressive"), record_events=record_events
+    )
+    assert sim.advance(max_events=5) == SteppedSimulation.BUDGET
+    revived = SteppedSimulation.restore(json.loads(json.dumps(sim.snapshot())))
+    result = revived.run_to_completion()
+    batch = simulate(instance, make_algorithm("aggressive"), record_events=True)
+    assert (result.schedule, result.metrics) == (batch.schedule, batch.metrics)
+    if record_events:
+        assert list(result.events) == list(batch.events)
+    else:
+        assert result.events is None
 
 
 def test_time_never_advances_while_paused():

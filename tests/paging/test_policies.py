@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.disksim import RequestSequence
 from repro.errors import ConfigurationError
-from repro.paging import FIFO, LRU, BeladyMIN, min_fault_count, run_paging
+from repro.paging import FIFO, LRU, BeladyMIN, EvictionPolicy, min_fault_count, run_paging
 
 
 class TestRunPaging:
@@ -93,3 +93,49 @@ def test_property_min_is_optimal_among_policies(blocks, cache_size):
     assert min_faults <= run_paging(seq, cache_size, FIFO()).faults
     # faults are at least the number of distinct blocks beyond the (empty) cache
     assert min_faults >= min(len(set(blocks)), 1)
+
+
+class _ScanMIN(EvictionPolicy):
+    """Reference MIN: scan every resident block on each fault.
+
+    The rule ``BeladyMIN``'s heap must reproduce exactly: furthest next use
+    strictly after the fault, ties broken by the larger block string.
+    """
+
+    name = "MIN"
+
+    def reset(self, sequence, cache_size):
+        self._sequence = sequence
+
+    def choose_victim(self, position, resident, requested):
+        seq = self._sequence
+        return max(resident, key=lambda b: (seq.next_use_from(position + 1, b), str(b)))
+
+
+@st.composite
+def _paging_cases(draw):
+    """A sequence, a cache size and a warm cache.
+
+    Up to twelve block names, so string order ("b10" < "b2") differs from
+    numeric order; the warm cache may hold blocks the sequence never
+    requests ("w*"), and every block runs out of further uses near the end,
+    so victims often tie on next use and the string tie-break decides.
+    """
+    num_blocks = draw(st.integers(min_value=1, max_value=12))
+    indices = draw(st.lists(st.integers(0, num_blocks - 1), min_size=1, max_size=60))
+    cache_size = draw(st.integers(min_value=1, max_value=8))
+    pool = [f"b{i}" for i in range(num_blocks)] + [f"w{i}" for i in range(4)]
+    warm = draw(st.lists(st.sampled_from(pool), unique=True, max_size=cache_size))
+    return [f"b{i}" for i in indices], cache_size, warm
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_paging_cases())
+@example(case=(["b0", "b1", "b0", "b2"], 3, ["w0", "w2", "w1"]))
+@example(case=(["b1", "b2", "b10", "b3", "b1"], 2, ["b10", "b9"]))
+def test_property_heap_min_equals_scan_rule(case):
+    """MIN's lazy heap picks exactly the scan rule's victims, fault by fault."""
+    sequence, cache_size, warm = case
+    assert run_paging(sequence, cache_size, BeladyMIN(), warm) == run_paging(
+        sequence, cache_size, _ScanMIN(), warm
+    )

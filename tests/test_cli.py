@@ -63,6 +63,20 @@ class TestCommands:
         assert "stall_time" in out
         assert "legend" in out
 
+    def test_simulate_timeline_and_gantt_on_the_auto_engine(self, capsys):
+        """The chart and timeline record the run's events, so ``auto`` runs
+        the loop engine instead of printing an empty run."""
+        code = main(
+            ["simulate", "-w", "zipf:n=60,blocks=20,seed=1", "-k", "4", "-F", "3",
+             "-a", "aggressive", "--engine", "auto", "--gantt", "--timeline"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "engine: loop (requested auto)" in out
+        assert sum(" serve " in line for line in out.splitlines()) == 60
+        cpu_row = next(line for line in out.splitlines() if line.startswith("cpu"))
+        assert cpu_row.count("s") == 60
+
     def test_compare_command(self, capsys):
         code = main(
             [
