@@ -48,10 +48,6 @@ class Aggressive(PrefetchAlgorithm):
         if self.tiebreak != "high":
             self.name = f"aggressive[tiebreak={self.tiebreak}]"
 
-    def supports_streaming(self, instance) -> bool:
-        """Stateless per-decision rule over the view: streaming-exact."""
-        return True
-
     def decide(self, view: PolicyView) -> List[FetchDecision]:
         if not view.is_idle(0):
             return []

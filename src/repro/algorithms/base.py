@@ -54,22 +54,6 @@ class PrefetchAlgorithm(ABC):
     def decide(self, view: PolicyView) -> List[FetchDecision]:
         """Fetches to initiate at this decision point."""
 
-    def supports_streaming(self, instance: ProblemInstance) -> bool:
-        """Whether ``decide`` is exact under bounded lookahead (open streams).
-
-        The stepped kernel (:mod:`repro.disksim.stepped`) runs a streaming
-        algorithm while requests are still arriving, guaranteeing its
-        decisions equal the eventual batch run's.  That requires ``decide``
-        to consult only the policy view — no sequence-derived precomputation
-        at reset — and to tolerate the view's horizon guards.  The default is
-        ``False``: such algorithms (Conservative's MIN replay, Belady-backed
-        demand fetching) run in deferred mode, executing only once the
-        stream closes.  ``instance`` lets composite algorithms answer per
-        instance (Combination delegates to whichever component its selection
-        rule picks).
-        """
-        return False
-
     # -- conveniences ------------------------------------------------------------------
 
     @property

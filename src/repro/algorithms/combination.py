@@ -102,15 +102,6 @@ class Combination(PrefetchAlgorithm):
         """The delegate chosen for the current run (None before ``reset``)."""
         return self._delegate
 
-    def supports_streaming(self, instance: ProblemInstance) -> bool:
-        """Streams iff the component selected for ``instance`` streams.
-
-        The selection rule reads only ``cache_size`` and ``fetch_time``,
-        which are fixed for a session, so the answer cannot change as
-        requests arrive.
-        """
-        return self._select(instance).supports_streaming(instance)
-
     def on_reset(self, instance: ProblemInstance) -> None:
         self._delegate = self._select(instance)
         self._delegate.reset(instance)

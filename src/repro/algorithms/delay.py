@@ -62,10 +62,6 @@ class Delay(PrefetchAlgorithm):
         self.d = d
         self.name = f"delay({d})"
 
-    def supports_streaming(self, instance) -> bool:
-        """Stateless per-decision rule over the view: streaming-exact."""
-        return True
-
     def decide(self, view: PolicyView) -> List[FetchDecision]:
         if not view.is_idle(0):
             return []

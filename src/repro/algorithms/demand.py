@@ -80,15 +80,6 @@ class DemandFetch(PrefetchAlgorithm):
         self._fed = 0
         self._miss_at = -1
 
-    def supports_streaming(self, instance: ProblemInstance) -> bool:
-        """Streaming-exact iff the eviction backend is future-blind.
-
-        LRU and FIFO derive victims from the access history alone; Belady's
-        MIN reads the future of the sequence, so ``demand`` / ``demand:evict=min``
-        must wait for the stream to close (deferred mode).
-        """
-        return isinstance(self._policy, (LRU, FIFO))
-
     def _feed_accesses(self, view: PolicyView) -> None:
         """Report served positions to the policy's ``on_access`` hook.
 

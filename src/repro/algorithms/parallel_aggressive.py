@@ -69,10 +69,6 @@ class ParallelAggressive(PrefetchAlgorithm):
         if knobs:
             self.name = f"parallel-aggressive[{','.join(knobs)}]"
 
-    def supports_streaming(self, instance: ProblemInstance) -> bool:
-        """Stateless per-decision rule over the view: streaming-exact."""
-        return True
-
     def decide(self, view: PolicyView) -> List[FetchDecision]:
         decisions: List[FetchDecision] = []
         # Track blocks promised in this decision round so two disks never pick

@@ -33,7 +33,6 @@ from .reporting import (
 from .results import RUN_RECORD_COLUMNS, ResultSet, RunRecord, safe_ratio
 from .runner import (
     ExperimentPoint,
-    ExperimentRun,
     ExperimentSpec,
     evaluate_instances,
     instance_fingerprint,
@@ -65,7 +64,6 @@ __all__ = [
     "ResultSet",
     "safe_ratio",
     "ExperimentPoint",
-    "ExperimentRun",
     "ExperimentSpec",
     "evaluate_instances",
     "instance_fingerprint",

@@ -60,7 +60,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..algorithms.registry import canonicalize_algorithm_spec, make_algorithm
 from ..disksim.executor import canonical_engine, simulate_with_engine
 from ..disksim.instance import ProblemInstance
-from ..disksim.vector import numpy_available, require_numpy, run_batch
+from ..disksim.vector import VECTOR_FAMILIES, numpy_available, require_numpy, run_batch
 from ..errors import ConfigurationError, PointEvaluationError
 from ..lp.canonical import instance_fingerprint as _canonical_fingerprint
 from ..lp.service import OptimumRecord, OptimumService, SolverConfig
@@ -82,7 +82,6 @@ from .store import RunStore, SweepProgress, store_path_for
 __all__ = [
     "ExperimentSpec",
     "ExperimentPoint",
-    "ExperimentRun",
     "instance_fingerprint",
     "point_cache_key",
     "prepare_sweep",
@@ -435,10 +434,6 @@ def _run_task(task: Tuple[str, object]):
 # vector batch planning
 # ---------------------------------------------------------------------------------
 
-#: Algorithm families the vector kernel covers (single-disk plans only);
-#: everything else falls back to the loop engine.
-_VECTOR_FAMILIES = frozenset({"aggressive", "delay", "combination"})
-
 #: A same-shape group smaller than this is not worth a stacked kernel pass
 #: (the numpy setup overhead eats the win); its points run as ordinary
 #: per-point tasks instead.
@@ -459,7 +454,7 @@ def _vector_eligible(point: ExperimentPoint) -> bool:
     if point.disks != 1:
         return False
     family = canonicalize_algorithm_spec(point.algorithm).split(":", 1)[0]
-    return family in _VECTOR_FAMILIES
+    return family in VECTOR_FAMILIES
 
 
 def _vector_bucket_key(point: ExperimentPoint) -> Tuple[object, ...]:
@@ -535,11 +530,6 @@ def _plan_execution_units(pending):
 # ---------------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------------
-
-#: Backwards-compatible name: runner invocations return the unified
-#: :class:`~repro.analysis.results.ResultSet` model.
-ExperimentRun = ResultSet
-
 
 def _execute_points(
     points: Sequence[ExperimentPoint],

@@ -5,8 +5,8 @@ runtime; this package proves them at the *import-graph* level, before
 anything runs.  A small checker framework (:mod:`repro.checks.base`) hosts
 a battery of repo-specific rules (:mod:`repro.checks.rules`): determinism
 (no hidden RNG or wall-clock state in kernel code, ordered fingerprints),
-error discipline in the spec grammars, engine parity between the vector
-kernel and the planner, registry hygiene, and float-equality.  Findings
+error discipline in the spec grammars, registry hygiene, and
+float-equality.  Findings
 (:mod:`repro.checks.findings`) are gated against a committed baseline
 (:mod:`repro.checks.baseline`) so new rules can land against imperfect
 trees while every new violation fails CI.

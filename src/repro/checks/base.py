@@ -8,8 +8,7 @@ A *checker* is one named rule over the package's ASTs.  Two shapes exist:
   local properties of one file.
 * :class:`ProjectChecker` — cross-module: ``check_project(modules)``
   receives every parsed module of the run at once, for invariants that
-  only exist *between* files (the vector kernel's family coverage versus
-  the planner's eligibility set, registry declarations versus the factory
+  only exist *between* files (registry declarations versus the factory
   definitions they call).
 
 Rules register themselves with :func:`register_checker`; the run harness
@@ -152,7 +151,7 @@ class Checker:
 
 
 class ProjectChecker(Checker):
-    """Base class of cross-module rules (engine parity, registry hygiene).
+    """Base class of cross-module rules (registry hygiene).
 
     The harness calls :meth:`check_project` once with every parsed module;
     ``scope`` still filters which modules count as *this rule's inputs* and

@@ -8,6 +8,6 @@ package once, so ``repro check`` always sees the complete battery.
 
 from __future__ import annotations
 
-from . import determinism, discipline, floats, hygiene, parity
+from . import determinism, discipline, floats, hygiene
 
-__all__ = ["determinism", "discipline", "floats", "hygiene", "parity"]
+__all__ = ["determinism", "discipline", "floats", "hygiene"]

@@ -29,16 +29,9 @@ Commands
 ``bench``     — run the repository microbenchmarks; ``bench engine`` measures
                 loop/scan/vector-batch throughput and, with ``--gate``,
                 enforces the stored perf floor (exit 1 on regression).
-``serve``     — run the resident prefetch service: a multi-tenant HTTP
-                daemon where each session is a resumable stepped simulation
-                (feed requests incrementally, query upcoming decisions and
-                projected stall); SIGTERM flushes session snapshots so a
-                restarted server resumes every tenant, and ``--replay``
-                streams a workload spec through an in-process service and
-                verifies it against the offline batch run.
 ``check``     — run the AST invariant lint over the package source: the
-                determinism, error-discipline, engine-parity, registry-hygiene
-                and float-equality rules, gated against a committed baseline
+                determinism, error-discipline, registry-hygiene and
+                float-equality rules, gated against a committed baseline
                 (exit 1 on any new finding; ``--list-rules`` shows the
                 battery, ``--json`` writes the findings artifact).
 ``coordinator``—serve a grid over HTTP to pull-based workers (the
@@ -329,30 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="gate floor file (default with --gate: "
                                 "./BENCH_engine_floor.json if present)")
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the resident multi-tenant prefetch service (HTTP front end "
-        "over the stepped simulation kernel)",
-    )
-    p_serve.add_argument("--host", default="127.0.0.1",
-                         help="interface to bind the HTTP server on")
-    p_serve.add_argument("--port", type=int, default=8642,
-                         help="TCP port to listen on (0 picks a free port)")
-    p_serve.add_argument("--state-dir", default=".repro-service",
-                         help="directory of session snapshots and journals; a "
-                         "restarted server resumes every session found here")
-    p_serve.add_argument("--replay", default=None, metavar="WORKLOAD",
-                         help="instead of serving, stream this workload spec "
-                         "through an in-process session chunk by chunk and "
-                         "verify the outcome against the offline batch run "
-                         "(exit 1 on mismatch)")
-    p_serve.add_argument("--chunk", type=int, default=64,
-                         help="requests per feed batch under --replay")
-    p_serve.add_argument("--algorithm", "-a", default="aggressive",
-                         help="algorithm spec for the --replay session")
-    p_serve.add_argument("--cache-size", "-k", type=int, default=16)
-    p_serve.add_argument("--fetch-time", "-F", type=int, default=8)
-
     p_coord = sub.add_parser(
         "coordinator",
         help="serve a grid to pull-based 'repro worker' processes "
@@ -419,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser(
         "check",
         help="run the AST invariant lint (determinism, error discipline, "
-        "engine parity, registry hygiene, float equality)",
+        "registry hygiene, float equality)",
     )
     p_check.add_argument("paths", nargs="*", default=None,
                          help="files or directories to check (default: the "
@@ -768,52 +737,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import signal
-    import threading
-
-    from .service import PrefetchService, make_server, replay_workload
-
-    if args.replay is not None:
-        report = replay_workload(
-            args.replay,
-            algorithm=args.algorithm,
-            cache_size=args.cache_size,
-            fetch_time=args.fetch_time,
-            chunk=args.chunk,
-        )
-        print(report.describe())
-        return 0 if report.match else 1
-
-    state_dir = Path(args.state_dir)
-    service = PrefetchService(state_dir=state_dir)
-    restored = service.load_all()
-    if restored:
-        print(f"restored {len(restored)} session(s): {', '.join(restored)}")
-    server = make_server(service, args.host, args.port)
-
-    def _request_shutdown(signum, frame) -> None:
-        # serve_forever runs in this (main) thread; shutdown() blocks until
-        # the loop exits, so it must be issued from a helper thread.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _request_shutdown)
-    signal.signal(signal.SIGINT, _request_shutdown)
-    host, port = server.server_address[0], server.server_address[1]
-    print(
-        f"prefetch service listening on http://{host}:{port} (state: {state_dir})",
-        flush=True,
-    )
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()
-        written = service.save_all()
-        service.close()
-        print(f"saved {len(written)} session snapshot(s) to {state_dir}")
-    return 0
-
-
 def _cmd_coordinator(args: argparse.Namespace) -> int:
     import signal
     import time as time_module
@@ -875,7 +798,7 @@ def _cmd_coordinator(args: argparse.Namespace) -> int:
         except CoordinatorShutdown:
             # Every result received so far is already in the store; flushing
             # the manifest (reconcile) makes the same command resume exactly
-            # the remaining points — the `repro serve` SIGTERM contract.
+            # the remaining points.
             progress = prepare_sweep(spec, store)
             print(f"coordinator stopping: {progress.describe()}", flush=True)
             print("manifest flushed; re-run the same grid to resume")
@@ -978,7 +901,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "lowerbound": _cmd_lowerbound,
         "bounds": _cmd_bounds,
         "bench": _cmd_bench,
-        "serve": _cmd_serve,
         "check": _cmd_check,
         "coordinator": _cmd_coordinator,
         "worker": _cmd_worker,

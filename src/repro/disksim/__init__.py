@@ -11,7 +11,6 @@ from .disk import DiskLayout
 from .events import Event, EventKind, EventLog
 from .executor import (
     FetchDecision,
-    HorizonExhausted,
     PolicyView,
     PrefetchPolicy,
     SimulationResult,
@@ -26,8 +25,6 @@ from .instance import ProblemInstance
 from .metrics import SimMetrics
 from .schedule import IntervalFetch, IntervalSchedule, Schedule, TimedFetch
 from .sequence import RequestSequence
-from .stepped import SteppedPolicyView, SteppedSimulation
-from .stream import StreamSequence
 from .vector import (
     BatchOutcome,
     ineligibility_reason,
@@ -45,11 +42,7 @@ __all__ = [
     "EventKind",
     "EventLog",
     "FetchDecision",
-    "HorizonExhausted",
     "PolicyView",
-    "SteppedPolicyView",
-    "SteppedSimulation",
-    "StreamSequence",
     "ineligibility_reason",
     "PrefetchPolicy",
     "SimulationResult",

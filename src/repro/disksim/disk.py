@@ -136,11 +136,6 @@ class DiskLayout:
         """A copy of the explicit block->disk mapping."""
         return dict(self._mapping)
 
-    @property
-    def default_disk(self) -> DiskId:
-        """Disk assigned to blocks absent from the explicit mapping."""
-        return self._default_disk
-
     def disk_of(self, block: BlockId) -> DiskId:
         """Disk on which ``block`` resides."""
         return self._mapping.get(block, self._default_disk)

@@ -11,8 +11,7 @@ without a debugger.
 Recording is opt-in: ``simulate(..., record_events=True)`` attaches a log to
 the result, every other run leaves ``SimulationResult.events`` as ``None``
 and skips the per-event allocation (sweeps read only metrics and
-schedules).  Open request streams of the stepped kernel always record, so a
-service session's snapshot carries its log.
+schedules).
 """
 
 from __future__ import annotations

@@ -67,7 +67,7 @@ from typing import (
     runtime_checkable,
 )
 
-from .._typing import INFINITY, BlockId, DiskId
+from .._typing import BlockId, DiskId
 from ..errors import ConfigurationError, InvalidScheduleError, PolicyError
 from .cache import CacheState
 from .events import Event, EventKind, EventLog
@@ -78,7 +78,6 @@ from .schedule import IntervalSchedule, Schedule, TimedFetch
 
 __all__ = [
     "FetchDecision",
-    "HorizonExhausted",
     "PolicyView",
     "PrefetchPolicy",
     "SimulationResult",
@@ -89,18 +88,6 @@ __all__ = [
     "execute_interval_schedule",
 ]
 
-
-class HorizonExhausted(Exception):
-    """A policy query's answer depends on requests beyond the fed horizon.
-
-    Raised only while a :class:`~repro.disksim.stepped.SteppedSimulation` runs
-    an *open* stream: the guarded policy view (and the forced-victim helper
-    below) raise it when a query cannot be answered exactly from the prefix
-    fed so far.  The stepped kernel catches it, commits nothing for the
-    affected decision, and pauses until more requests arrive.  It never
-    escapes to policies or callers, hence a plain :class:`Exception` rather
-    than a :class:`~repro.errors.ReproError`.
-    """
 
 _ENGINES = ("loop", "scan", "vector", "auto")
 _ENGINE_ALIASES = {"indexed": "loop"}
@@ -414,11 +401,6 @@ class _EngineState:
     :class:`EventLog` only when ``record_events`` is set.
     """
 
-    #: True while the state belongs to an *open* request stream (set by the
-    #: stepped kernel): scan queries whose answer depends on unseen requests
-    #: must then raise :class:`HorizonExhausted` instead of guessing.
-    stream_open: bool = False
-
     def __init__(
         self,
         instance: ProblemInstance,
@@ -643,19 +625,6 @@ def _default_forced_victim(state: _EngineState) -> Optional[BlockId]:
     resident = state.cache.resident
     if not resident:
         return None
-    if state.stream_open:
-        # Open stream: a resident block with no use inside the fed horizon
-        # has true next use >= horizon, i.e. beyond every known position.  A
-        # single such block wins outright (matching what the full sequence
-        # would yield); two or more are indistinguishable until more requests
-        # arrive, so the stepped kernel must pause.
-        unknown = [b for b in resident if seq.next_use_from(state.cursor, b) == INFINITY]
-        if len(unknown) > 1:
-            raise HorizonExhausted(
-                "forced-victim choice depends on requests beyond the fed horizon"
-            )
-        if len(unknown) == 1:
-            return unknown[0]
     return max(resident, key=lambda b: (seq.next_use_from(state.cursor, b), str(b)))
 
 
@@ -688,27 +657,18 @@ class _Driver(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def _advance_loop(
-    state: _EngineState, driver: _Driver, max_steps: Optional[int] = None
-) -> bool:
-    """Run the event loop until every *currently known* request is served.
+def _run_event_loop(state: _EngineState, driver: _Driver) -> None:
+    """Drive the clock from the first request to the last, then finalise.
 
     One iteration per decision point: complete due fetches, let the driver
     issue new ones, then either serve the request at the cursor or stall
     until the event (fetch completion or barrier expiry) that unblocks it.
-    The request count is re-read every iteration so a growing
-    :class:`~repro.disksim.stream.StreamSequence` extends the loop in place.
-    Returns ``True`` when the cursor reached the end of the known sequence,
-    ``False`` when ``max_steps`` decision points were executed first.
     """
     seq = state.instance.sequence
+    n = state.instance.num_requests
     first_look = state.first_look_resident
-    steps = 0
 
-    while state.cursor < state.instance.num_requests:
-        if max_steps is not None and steps >= max_steps:
-            return False
-        steps += 1
+    while state.cursor < n:
         state.complete_due_fetches()
         driver.decision_point(state)
 
@@ -748,12 +708,6 @@ def _advance_loop(
         # The block is absent, not in flight, and its disk is idle.
         driver.on_absent(state, block)
 
-    return True
-
-
-def _run_event_loop(state: _EngineState, driver: _Driver) -> None:
-    """Drive the clock from the first request to the last, then finalise."""
-    _advance_loop(state, driver)
     driver.finish(state)
     state.drain_in_flight()
 
@@ -1029,12 +983,12 @@ def simulate_with_engine(
                     return result, "vector"
             reason = _vector.ineligibility_reason(instance, policy)
         engine = "loop"
-    from .stepped import SteppedSimulation
-
-    sim = SteppedSimulation.from_instance(
-        instance, policy, engine=engine, record_events=record_events
+    state = _EngineState(
+        instance, instance.cache_size, engine=engine, record_events=record_events
     )
-    result = sim.run_to_completion()
+    policy.reset(instance)
+    _run_event_loop(state, _PolicyDriver(policy))
+    result = state.result(getattr(policy, "name", type(policy).__name__))
     if reason is not None:
         result = replace(result, engine_reason=reason)
     return result, engine

@@ -80,12 +80,9 @@ class RequestSequence(Sequence[BlockId]):
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RequestSequence):
-            # tuple() so list-backed StreamSequence storage compares by content
-            # regardless of which operand is the stream (tuple(t) is identity
-            # for tuples, so the plain/plain case stays O(1) + compare).
-            return tuple(self._requests) == tuple(other._requests)
+            return self._requests == other._requests
         if isinstance(other, (tuple, list)):
-            return tuple(self._requests) == tuple(other)
+            return self._requests == tuple(other)
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -50,6 +50,7 @@ if TYPE_CHECKING:  # imported lazily at runtime (executor imports this module)
     from .executor import SimulationResult
 
 __all__ = [
+    "VECTOR_FAMILIES",
     "BatchOutcome",
     "ineligibility_reason",
     "numpy_available",
@@ -101,6 +102,13 @@ class _Plan:
     kind: str  # "aggressive" | "delay"
     tiebreak: str = "high"
     d: int = 0
+
+
+#: Registry families whose policies :func:`_resolve_plan` maps to a kernel
+#: plan on a single-disk instance.  The sweep planner's pre-screen reads this
+#: set; a behavioural test checks it against the planner for every
+#: registered family.
+VECTOR_FAMILIES = frozenset({"aggressive", "delay", "combination"})
 
 
 def _resolve_plan(instance: ProblemInstance, policy: Any, _depth: int = 0) -> Optional[_Plan]:

@@ -4,9 +4,8 @@ The remote execution backend (:mod:`repro.analysis.remote`) fans a grid's
 tasks out to pull-based worker processes.  This module is the server half:
 a :class:`SweepCoordinator` ledger that hands out *leases* on task chunks
 and collects their results, plus a stdlib ``ThreadingHTTPServer`` front end
-(the same pattern as :mod:`repro.service.server` — JSON in, JSON out, all
-state serialised behind the ledger's own lock so handler threads stay
-naive).
+(JSON in, JSON out, all state serialised behind the ledger's own lock so
+handler threads stay naive).
 
 Lease lifecycle
 ---------------
@@ -346,6 +345,17 @@ class CoordinatorHTTPServer(ThreadingHTTPServer):
         self.started_unix = time.time()  # repro: allow(determinism-clock) -- /health uptime metadata, not result state
 
 
+def _chunk_field(body: Dict[str, Any]) -> int:
+    """The ``chunk`` index of a worker POST (``-1``, an unknown chunk, if absent)."""
+    value = body.get("chunk", -1)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(
+            f"field 'chunk' must be an integer chunk index, got {value!r}"
+        ) from None
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Request handler translating the worker protocol onto the ledger."""
 
@@ -363,11 +373,23 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if code == 400:
+            # The request body may be unread (bad Content-Length), so the
+            # connection cannot carry another request.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ConfigurationError(
+                f"Content-Length header {header!r} is not a non-negative integer"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -411,7 +433,7 @@ class _Handler(BaseHTTPRequestHandler):
             if path == "/heartbeat":
                 return coordinator.heartbeat(
                     worker,
-                    int(body.get("chunk", -1)),
+                    _chunk_field(body),
                     str(body.get("lease", "")),
                     str(body.get("run", "")),
                 )
@@ -424,7 +446,7 @@ class _Handler(BaseHTTPRequestHandler):
                     ) from exc
                 return coordinator.complete_chunk(
                     worker,
-                    int(body.get("chunk", -1)),
+                    _chunk_field(body),
                     str(body.get("lease", "")),
                     str(body.get("run", "")),
                     payload,

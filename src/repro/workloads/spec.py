@@ -97,10 +97,6 @@ __all__ = [
 # parameter schema
 # ---------------------------------------------------------------------------------
 
-#: Backwards-compatible aliases: the schema machinery now lives in
-#: :mod:`repro.specs`, shared with the algorithm registry.
-_coerce_bool = coerce_bool
-
 
 @dataclass(frozen=True)
 class WorkloadDef:
@@ -258,7 +254,7 @@ _def(
         ParamSpec("zipf_n", int, 80, "requests in the Zipf phase"),
         ParamSpec("zipf_blocks", int, 30, "distinct blocks in the Zipf phase"),
         ParamSpec("skew", float, 1.0, "Zipf exponent"),
-        ParamSpec("interleave", _coerce_bool, False, "merge phases in random order"),
+        ParamSpec("interleave", coerce_bool, False, "merge phases in random order"),
         ParamSpec("seed", int, 0, "RNG seed"),
     ],
     example="mixed:interleave=true,seed=3",

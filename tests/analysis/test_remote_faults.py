@@ -11,6 +11,10 @@ to a ``backend="serial"`` run of the same grid.
 
 from __future__ import annotations
 
+import base64
+import contextlib
+import http.client
+import json
 import sqlite3
 import threading
 import time
@@ -30,7 +34,7 @@ from repro.errors import (
     CoordinatorShutdown,
     WorkerTransportError,
 )
-from repro.service.coordinator import SweepCoordinator
+from repro.service.coordinator import SweepCoordinator, make_coordinator_server
 
 # ---------------------------------------------------------------------------------
 # helpers
@@ -235,6 +239,156 @@ class TestSweepCoordinator:
     def test_rejects_nonpositive_lease_timeout(self):
         with pytest.raises(ConfigurationError, match="lease timeout"):
             SweepCoordinator(lease_timeout=0)
+
+
+# ---------------------------------------------------------------------------------
+# coordinator HTTP routes (real sockets)
+# ---------------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _serving(coordinator):
+    """Serve ``coordinator`` on a free port; yields the port, then shuts down."""
+    server = make_coordinator_server(coordinator, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+@pytest.fixture(scope="module")
+def coordinator_port():
+    """A served coordinator holding one chunk that no test leases."""
+    coordinator = SweepCoordinator(lease_timeout=10.0)
+    coordinator.submit([(b"p0", 1)])
+    with _serving(coordinator) as port:
+        yield port
+
+
+def _raw_request(port, method, path, body=b"", headers=None):
+    """Send one request with exactly these bytes and headers.
+
+    Returns ``(status, decoded JSON body, response headers)``.
+    """
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        connection.putrequest(method, path)
+        for name, value in (headers or {"Content-Length": str(len(body))}).items():
+            connection.putheader(name, value)
+        connection.endheaders(body or None)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read()), response.headers
+    finally:
+        connection.close()
+
+
+class TestCoordinatorHTTP:
+    @pytest.mark.parametrize(
+        "path, body, named",
+        [
+            ("/heartbeat", b'{"chunk": "abc"}', "chunk"),
+            ("/complete", b'{"chunk": [1]}', "chunk"),
+            ("/lease", b"{not json", "JSON"),
+            ("/lease", b"[1, 2]", "JSON object"),
+            ("/complete", b'{"chunk": 0, "payload": "a"}', "base64"),
+        ],
+        ids=["chunk-not-int", "chunk-is-list", "not-json", "not-object", "payload-not-base64"],
+    )
+    def test_malformed_body_is_a_400(self, coordinator_port, path, body, named):
+        status, payload, _headers = _raw_request(coordinator_port, "POST", path, body)
+        assert status == 400
+        assert named in payload["error"]
+
+    def test_malformed_content_length_is_a_400(self, coordinator_port):
+        status, payload, headers = _raw_request(
+            coordinator_port, "POST", "/lease", headers={"Content-Length": "zz"}
+        )
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+        # The body was never read, so the connection cannot be reused.
+        assert headers["Connection"] == "close"
+
+    def test_negative_content_length_is_a_400(self, coordinator_port):
+        """Reading a negative length would block until the client hangs up."""
+        status, payload, _headers = _raw_request(
+            coordinator_port, "POST", "/lease", headers={"Content-Length": "-5"}
+        )
+        assert status == 400
+        assert "'-5'" in payload["error"]
+
+    def test_absent_chunk_is_an_unknown_chunk_not_a_400(self, coordinator_port):
+        status, payload, _headers = _raw_request(
+            coordinator_port, "POST", "/heartbeat", b'{"worker": "w"}'
+        )
+        assert (status, payload) == (200, {"state": "ok", "valid": False})
+
+    @pytest.mark.parametrize("method", ["GET", "POST"])
+    def test_unknown_route_is_a_404(self, coordinator_port, method):
+        status, payload, _headers = _raw_request(coordinator_port, method, "/nowhere", b"{}")
+        assert status == 404
+        assert "/nowhere" in payload["error"]
+
+    def test_worker_transport_sees_rejection_not_outage(self, coordinator_port):
+        from repro.analysis.remote import _Transport
+
+        transport = _Transport(
+            f"http://127.0.0.1:{coordinator_port}", backoff_base=0.01,
+            backoff_cap=0.02, max_retries=2, sleep=lambda _s: None,
+        )
+        with pytest.raises(ConfigurationError, match="rejected /heartbeat: HTTP 400"):
+            transport.post("/heartbeat", {"worker": "w", "chunk": "abc"})
+
+    def test_health_and_status_read_the_ledger(self, coordinator_port):
+        status, health, _headers = _raw_request(coordinator_port, "GET", "/health")
+        assert status == 200
+        assert health["ok"] is True and health["uptime_seconds"] >= 0
+        status, ledger, _headers = _raw_request(coordinator_port, "GET", "/status")
+        assert status == 200
+        assert health["state"] == ledger["state"] == "running"
+        assert ledger["chunks"] == {"total": 1, "pending": 1, "leased": 0, "done": 0}
+        assert ledger["tasks"] == {"total": 1, "done": 0}
+
+    def test_lease_heartbeat_complete_round_trip(self):
+        """One chunk through the worker protocol, every step over the socket."""
+        coordinator = SweepCoordinator(lease_timeout=10.0)
+        run = coordinator.submit([(b"chunk-0", 3)])
+        with _serving(coordinator) as port:
+
+            def post(path, fields):
+                status, payload, _headers = _raw_request(
+                    port, "POST", path, json.dumps(fields).encode()
+                )
+                assert status == 200, payload
+                return payload
+
+            lease = post("/lease", {"worker": "w1"})
+            assert lease["state"] == "lease"
+            assert (lease["chunk"], lease["run"], lease["tasks"]) == (0, run, 3)
+            assert base64.b64decode(lease["payload"]) == b"chunk-0"
+            ticket = {"worker": "w1", "chunk": 0, "lease": lease["lease"], "run": run}
+            assert post("/heartbeat", ticket) == {"state": "ok", "valid": True}
+            assert post("/lease", {"worker": "w2"}) == {"state": "idle"}
+
+            result = dict(ticket, payload=base64.b64encode(b"result-0").decode("ascii"))
+            receipt = post("/complete", result)
+            assert receipt["accepted"] and not receipt["stale_lease"]
+            assert receipt["run_state"] == "done"
+            # A retried delivery is acknowledged but discarded.
+            assert post("/complete", result) == {
+                "state": "ok", "accepted": False, "reason": "duplicate",
+            }
+            assert post("/heartbeat", ticket) == {"state": "ok", "valid": False}
+            assert post("/lease", {"worker": "w1"}) == {"state": "done"}
+
+            _status, ledger, _headers = _raw_request(port, "GET", "/status")
+            assert ledger["state"] == "done"
+            assert ledger["duplicate_completions"] == 1
+            assert ledger["workers"]["w1"]["completed_tasks"] == 3
+        assert list(coordinator.results()) == [b"result-0"]
 
 
 # ---------------------------------------------------------------------------------

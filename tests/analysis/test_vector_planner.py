@@ -9,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.disksim.vector as vector_module
+from helpers import family_spec, random_instance
+from repro.algorithms import make_algorithm
+from repro.algorithms.registry import available_algorithms
 from repro.analysis.runner import (
     MAX_VECTOR_BATCH,
     MIN_VECTOR_BATCH,
@@ -17,7 +20,7 @@ from repro.analysis.runner import (
     point_cache_key,
     run_experiments,
 )
-from repro.disksim import numpy_available
+from repro.disksim import ineligibility_reason, numpy_available
 from repro.errors import ConfigurationError
 
 needs_numpy = pytest.mark.skipif(
@@ -130,6 +133,17 @@ def test_ineligible_points_run_per_point():
             kinds.setdefault(point.algorithm, set()).add(kind)
     assert kinds["aggressive"] == {"simbatch"}
     assert kinds["conservative"] == {"sim"}
+
+
+@needs_numpy
+@pytest.mark.parametrize("family", available_algorithms())
+def test_prescreen_buckets_exactly_the_families_the_kernel_plans(family):
+    """The runner stacks a single-disk family into a kernel batch exactly when
+    the vector planner has a plan for it."""
+    spec = family_spec(family)
+    units = _plan_execution_units(_pending(_spec(algorithms=(spec,))))
+    planned = ineligibility_reason(random_instance(0), make_algorithm(spec)) is None
+    assert {kind for kind, _items in units} == ({"simbatch"} if planned else {"sim"})
 
 
 # -- runner equivalence ------------------------------------------------------------

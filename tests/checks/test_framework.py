@@ -63,8 +63,8 @@ class TestCheckConfig:
         assert config.is_enabled("determinism-rng")
 
     def test_only_restricts(self):
-        config = CheckConfig(only=frozenset({"engine-parity"}))
-        assert config.is_enabled("engine-parity")
+        config = CheckConfig(only=frozenset({"registry-hygiene"}))
+        assert config.is_enabled("registry-hygiene")
         assert not config.is_enabled("determinism-rng")
 
     def test_unknown_rule_rejected(self):
@@ -144,7 +144,6 @@ class TestRegistry:
             "determinism-clock",
             "fingerprint-order",
             "spec-error-discipline",
-            "engine-parity",
             "registry-hygiene",
             "float-equality",
         }

@@ -24,7 +24,7 @@ class TestSelfClean:
         report = run_checks()
         assert report.ok, "\n" + report.format_text()
         assert report.files_checked > 50
-        assert len(report.rules_run) == 7
+        assert len(report.rules_run) == 6
 
     def test_default_root_is_the_package(self):
         assert default_check_root().name == "repro"
@@ -82,7 +82,7 @@ class TestCliCheck:
         assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "determinism-rng" in out
-        assert "engine-parity" in out
+        assert "registry-hygiene" in out
 
     def test_default_target_is_own_source(self, capsys):
         assert main(["check"]) == 0

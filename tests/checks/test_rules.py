@@ -334,58 +334,6 @@ class TestSpecErrorDiscipline:
         assert findings == []
 
 
-class TestEngineParity:
-    RUNNER_OK = """
-        _VECTOR_FAMILIES = frozenset({"aggressive", "delay"})
-    """
-    VECTOR_OK = """
-        def _resolve_plan(instance, policy):
-            if type(policy) is Aggressive:
-                return "aggressive"
-            if type(policy) is Delay:
-                return "delay"
-            return None
-    """
-
-    def test_matching_sets_pass(self, tmp_path):
-        findings = check_project(
-            "engine-parity",
-            {"analysis/runner.py": self.RUNNER_OK, "disksim/vector.py": self.VECTOR_OK},
-            tmp_path,
-        )
-        assert findings == []
-
-    def test_drift_flagged_both_directions(self, tmp_path):
-        findings = check_project(
-            "engine-parity",
-            {
-                "analysis/runner.py": '_VECTOR_FAMILIES = frozenset({"aggressive", "conservative"})',
-                "disksim/vector.py": self.VECTOR_OK,
-            },
-            tmp_path,
-        )
-        assert len(findings) == 1
-        message = findings[0].message
-        assert "delay" in message and "conservative" in message
-
-    def test_missing_anchor_flagged(self, tmp_path):
-        findings = check_project(
-            "engine-parity",
-            {"analysis/runner.py": "x = 1", "disksim/vector.py": self.VECTOR_OK},
-            tmp_path,
-        )
-        assert len(findings) == 1
-        assert "_VECTOR_FAMILIES" in findings[0].message
-
-    def test_partial_scan_silent(self, tmp_path):
-        findings = check_project(
-            "engine-parity",
-            {"analysis/runner.py": self.RUNNER_OK},
-            tmp_path,
-        )
-        assert findings == []
-
-
 class TestRegistryHygiene:
     def test_lambda_schema_mismatch_flagged(self, tmp_path):
         findings = check_project(

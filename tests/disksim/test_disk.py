@@ -31,6 +31,11 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             DiskLayout(2, {}, default_disk=3)
 
+    def test_unmapped_blocks_live_on_the_default_disk(self):
+        layout = DiskLayout(3, {"a": 0}, default_disk=2)
+        assert layout.disk_of("a") == 0
+        assert layout.disk_of("never-mapped") == 2
+
 
 class TestPlacements:
     def test_striped_round_robin(self):

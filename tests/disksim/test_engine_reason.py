@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import random_instance
+from helpers import family_spec, random_instance
 from repro.algorithms import make_algorithm
+from repro.algorithms.registry import available_algorithms
 from repro.disksim import ineligibility_reason, numpy_available, simulate_with_engine
+from repro.disksim.vector import VECTOR_FAMILIES
 
 
 def test_loop_engine_sets_no_reason():
@@ -37,13 +39,20 @@ def test_auto_on_parallel_instance_reports_reason():
 
 
 @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
-def test_ineligibility_reason_matches_plan_coverage():
+@pytest.mark.parametrize("family", available_algorithms())
+def test_ineligibility_reason_matches_plan_coverage(family):
+    """A family gets a kernel plan on a single-disk instance exactly when
+    it is in the exported covered set the sweep planner pre-screens with."""
     instance = random_instance(0)
-    # Conservative has no vector kernel plan; Aggressive does.
-    reason = ineligibility_reason(instance, make_algorithm("conservative"))
-    assert reason is not None and "no vector kernel plan" in reason
-    assert ineligibility_reason(instance, make_algorithm("aggressive")) is None
+    reason = ineligibility_reason(instance, make_algorithm(family_spec(family)))
+    if family in VECTOR_FAMILIES:
+        assert reason is None
+    else:
+        assert reason is not None and "no vector kernel plan" in reason
 
+
+@pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+def test_ineligibility_reason_on_parallel_instance():
     parallel = random_instance(151, parallel=True)
     assert (
         ineligibility_reason(parallel, make_algorithm("parallel-aggressive"))

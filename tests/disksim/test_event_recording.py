@@ -16,33 +16,11 @@ import random
 
 import pytest
 
+from helpers import ANY_LAYOUT_SPECS, REGISTRY_SPECS
 from repro.algorithms import ParallelAggressive, make_algorithm
 from repro.algorithms.registry import available_algorithms
 from repro.disksim import DiskLayout, ProblemInstance, simulate, simulate_with_engine
 from repro.disksim.executor import _EngineState
-
-SINGLE_DISK_SPECS = (
-    "aggressive",
-    "aggressive:tiebreak=low",
-    "combination",
-    "conservative",
-    "delay:d=0",
-    "delay:d=3",
-    "demand",
-    "demand:evict=lru",
-    "demand:evict=fifo",
-    "parallel-aggressive",
-    "parallel-aggressive:tiebreak=low",
-    "parallel-aggressive:order=desc",
-    "parallel-conservative",
-    "parallel-conservative:order=desc",
-)
-
-#: Single-disk algorithms reject striped blocks, so the parallel battery
-#: runs the specs that take any layout.
-PARALLEL_SPECS = tuple(
-    spec for spec in SINGLE_DISK_SPECS if spec.startswith(("demand", "parallel-"))
-)
 
 #: Prefix of the SHA-256 over the event logs each spec records on the
 #: battery (:func:`_log_digest`): the reference every change to the loop
@@ -117,16 +95,16 @@ def _log_digest(logs):
 
 
 def test_every_registry_algorithm_is_covered():
-    names = {spec.split(":")[0] for spec in SINGLE_DISK_SPECS}
+    names = {spec.split(":")[0] for spec in REGISTRY_SPECS}
     assert names == set(available_algorithms())
-    assert set(REFERENCE_LOGS) == {(False, s) for s in SINGLE_DISK_SPECS} | {
-        (True, s) for s in PARALLEL_SPECS
+    assert set(REFERENCE_LOGS) == {(False, s) for s in REGISTRY_SPECS} | {
+        (True, s) for s in ANY_LAYOUT_SPECS
     }
 
 
 @pytest.mark.parametrize(
     "parallel, spec",
-    [(False, s) for s in SINGLE_DISK_SPECS] + [(True, s) for s in PARALLEL_SPECS],
+    [(False, s) for s in REGISTRY_SPECS] + [(True, s) for s in ANY_LAYOUT_SPECS],
 )
 def test_recording_changes_nothing_and_log_matches_reference(parallel, spec):
     logs = []

@@ -32,6 +32,23 @@ class TestBasics:
     def test_hashable(self):
         assert hash(SEQ) == hash(RequestSequence(list(SEQ)))
 
+    def test_equality_with_lists_and_tuples_is_symmetric(self):
+        items = ["a", "b", "a", "c", "b", "a"]
+        assert items == SEQ and SEQ == items
+        assert tuple(items) == SEQ and SEQ == tuple(items)
+        assert ["a", "b"] != SEQ and SEQ != ("a", "b")
+
+    def test_other_types_compare_unequal(self):
+        assert SEQ.__eq__("abacba") is NotImplemented
+        assert SEQ != "abacba"
+        assert SEQ != frozenset(SEQ)
+
+    def test_slices_compare_and_hash_by_content(self):
+        part = SEQ[1:4]
+        same = RequestSequence(["b", "a", "c"])
+        assert part == same and hash(part) == hash(same)
+        assert len({part, same, SEQ}) == 2
+
     def test_empty_rejected_by_default(self):
         with pytest.raises(InvalidSequenceError):
             RequestSequence([])

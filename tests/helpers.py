@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
+from repro.algorithms.registry import ALGORITHM_REGISTRY
 from repro.disksim import DiskLayout, ProblemInstance
 from repro.workloads import uniform_random, zipf
 
@@ -61,3 +62,37 @@ def random_instance(seed: int, *, parallel: bool = False, max_disks: int = 4) ->
         layout=layout,
         initial_cache=warm,
     )
+
+
+#: One spec per registry family and option variant.  Every family runs on a
+#: single disk, so single-disk batteries run them all.
+REGISTRY_SPECS = (
+    "aggressive",
+    "aggressive:tiebreak=low",
+    "combination",
+    "conservative",
+    "delay:d=0",
+    "delay:d=3",
+    "demand",
+    "demand:evict=lru",
+    "demand:evict=fifo",
+    "parallel-aggressive",
+    "parallel-aggressive:tiebreak=low",
+    "parallel-aggressive:order=desc",
+    "parallel-conservative",
+    "parallel-conservative:order=desc",
+)
+
+#: Single-disk algorithms reject striped blocks, so parallel-disk batteries
+#: run the specs that take any layout.
+ANY_LAYOUT_SPECS = tuple(
+    spec for spec in REGISTRY_SPECS if spec.startswith(("demand", "parallel-"))
+)
+
+
+def family_spec(name: str) -> str:
+    """The bare family name, or its catalog example when a parameter is required."""
+    definition = ALGORITHM_REGISTRY[name]
+    if any(param.required for param in definition.params):
+        return definition.example
+    return name

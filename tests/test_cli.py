@@ -42,6 +42,12 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_serve_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
+
     def test_simulate_command(self, capsys):
         code = main(
             [
@@ -449,32 +455,6 @@ class TestBenchCommand:
         vector_text = vector_json.read_text()
         assert '"vector"' in vector_text
         assert vector_text.replace('"vector"', '"loop"') == loop_text
-
-
-class TestServeCommand:
-    def test_replay_matches_offline(self, capsys):
-        code = main(
-            ["serve", "--replay", "multiclient:clients=5,n=150,shared=8,shared_frac=0.3",
-             "-a", "aggressive", "--chunk", "40", "-k", "6", "-F", "3"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "matches offline batch run" in out
-        assert "150 requests" in out
-
-    def test_replay_deferred_policy(self, capsys):
-        code = main(
-            ["serve", "--replay", "multiclient:clients=5,n=150,shared=8,shared_frac=0.3",
-             "-a", "conservative", "--chunk", "40", "-k", "6", "-F", "3"]
-        )
-        assert code == 0
-        assert "deferred" in capsys.readouterr().out
-
-    def test_replay_bad_workload_exits_cleanly(self, capsys):
-        code = main(["serve", "--replay", "definitely-not-a-workload"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err.startswith("error:")
 
 
 class TestSweepWatch:
