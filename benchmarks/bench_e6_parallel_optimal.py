@@ -13,7 +13,7 @@ demand fetching) give the context of how much the optimal schedule saves.
 
 from __future__ import annotations
 
-from repro.analysis import brute_force_optimal_stall, format_table
+from repro.analysis import RunStore, brute_force_optimal_stall, format_table, store_path_for
 from repro.disksim import DiskLayout, ProblemInstance, RequestSequence
 from repro.lp import OptimumService
 from repro.workloads import uniform_random
@@ -54,12 +54,15 @@ def test_e6_parallel_optimal_stall(benchmark, tmp_path):
     results = benchmark(run)
 
     # The records carry the Theorem 4 stall; the extra-memory guarantee is
-    # read off the optimum records, served from the run's shared disk cache
+    # read off the optimum records, served from the run's store
     # (fingerprint lookups, no re-solve).
-    service = OptimumService(tmp_path / "optima")
+    with RunStore(store_path_for(tmp_path)) as store:
+        service = OptimumService(store=store)
+        optima = {label: service.optimum(instance) for label, instance in instances.items()}
+    assert service.solves == 0
     rows = []
     for label, instance in instances.items():
-        optimum_record = service.optimum(instance)
+        optimum_record = optima[label]
         baseline_stalls = {
             spec: next(
                 r for r in results if r.point == f"{label} alg={spec}"

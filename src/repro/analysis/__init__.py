@@ -41,7 +41,7 @@ from .runner import (
     run_experiments,
     sweep_key_for,
 )
-from .store import ImportReport, RunStore, SweepProgress, store_path_for
+from .store import RunStore, SweepProgress, store_path_for
 from .sweep import SweepPoint, run_sweep
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "make_backend",
     "RunStore",
     "SweepProgress",
-    "ImportReport",
     "store_path_for",
     "point_cache_key",
     "prepare_sweep",

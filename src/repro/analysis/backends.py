@@ -1,12 +1,11 @@
 """Pluggable execution backends for the batched experiment runner.
 
 The runner (:mod:`repro.analysis.runner`) evaluates a grid of independent
-tasks — algorithm simulations and LP optimum solves — and used to hard-wire
-one ``ProcessPoolExecutor`` path for them.  This module turns execution into
-a small subsystem of its own:
+tasks — algorithm simulations and LP optimum solves — through one small
+contract:
 
-* :class:`ExecutionBackend` — the contract: ``map(fn, items)`` applies a
-  picklable module-level callable to every item and yields the results **in
+* :class:`ExecutionBackend` — ``map(fn, items)`` applies a picklable
+  module-level callable to every item and yields the results **in
   submission order** as they become available.  Order-preservation is what
   lets the runner guarantee byte-identical JSON across all backends.
 * :class:`SerialBackend` — in-process, zero-overhead reference executor.
@@ -15,21 +14,18 @@ a small subsystem of its own:
   start-up would dominate.
 * :class:`ProcessPoolBackend` — a ``ProcessPoolExecutor`` for CPU-bound
   fan-out (the default for ``workers > 1``).
-* :class:`~repro.analysis.remote.RemoteBackend` — serves chunks to
-  pull-based ``repro worker`` processes over HTTP (the distributed sweep
-  fabric; resolved lazily so the common backends carry no import cost).
 * **Adaptive chunking** — the process backend batches items into chunks
   sized by :func:`adaptive_chunk_size` (derived from the task count and
   the worker count), amortising per-task IPC overhead on large grids while
   keeping every worker busy on small ones; the thread backend shares
   memory, so it schedules per item.
 
-Backends are addressed by name (``serial | thread | process | remote |
-auto``)
-through :func:`make_backend`, which is what ``ExperimentSpec(backend=...)``
-and the CLI ``--backend`` option resolve through.  ``auto`` preserves the
-historical runner semantics: serial at ``workers <= 1``, process fan-out
-otherwise.
+The pool backends scope their executors to each ``map`` call, so a backend
+holds no resources between calls.  Backends are addressed by name
+(``auto | serial | thread | process``) through :func:`make_backend`, which
+is what ``ExperimentSpec(backend=...)`` and the CLI ``--backend`` option
+resolve through.  ``auto`` preserves the historical runner semantics:
+serial at ``workers <= 1``, process fan-out otherwise.
 """
 
 from __future__ import annotations
@@ -88,15 +84,8 @@ class ExecutionBackend(ABC):
     picklable when the backend crosses a process boundary.
     """
 
-    #: Registry name of the backend (``serial``/``thread``/``process``/
-    #: ``remote``).
+    #: Registry name of the backend (``serial``/``thread``/``process``).
     name: str = "abstract"
-
-    #: Whether this backend's workers run in detached processes that may not
-    #: share the parent's filesystem.  The runner consults this before
-    #: handing workers a path to its run store: with detached workers the
-    #: parent persists every result itself.
-    detached_workers: bool = False
 
     def __init__(self, workers: int = 0):
         self.workers = max(1, int(workers))
@@ -104,14 +93,6 @@ class ExecutionBackend(ABC):
     @abstractmethod
     def map(self, fn: Callable[[_T], _R], items: Sequence[_T]) -> Iterator[_R]:
         """Apply ``fn`` to every item, yielding results in submission order."""
-
-    def close(self) -> None:
-        """Release any long-lived resources (sockets, servers); idempotent.
-
-        The pool backends scope their executors to each ``map`` call, so
-        this is a no-op for them; the remote backend tears its HTTP server
-        down here.
-        """
 
 
 class SerialBackend(ExecutionBackend):
@@ -168,7 +149,7 @@ class ProcessPoolBackend(_PoolBackend):
 
 
 #: Names accepted by :func:`make_backend` (and the CLI ``--backend`` option).
-BACKEND_NAMES = ("auto", "serial", "thread", "process", "remote")
+BACKEND_NAMES = ("auto", "serial", "thread", "process")
 
 _BACKENDS = {
     SerialBackend.name: SerialBackend,
@@ -195,14 +176,5 @@ def resolve_backend_name(name: str, workers: int) -> str:
 
 
 def make_backend(name: str, workers: int = 0) -> ExecutionBackend:
-    """Build the :class:`ExecutionBackend` named ``name`` with ``workers``.
-
-    ``remote`` is imported lazily (its module pulls in the HTTP coordinator)
-    and constructed socket-free — callers decide when to ``start()`` serving.
-    """
-    resolved = resolve_backend_name(name, workers)
-    if resolved == "remote":
-        from .remote import RemoteBackend
-
-        return RemoteBackend(workers)
-    return _BACKENDS[resolved](workers)
+    """Build the :class:`ExecutionBackend` named ``name`` with ``workers``."""
+    return _BACKENDS[resolve_backend_name(name, workers)](workers)

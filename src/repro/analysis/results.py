@@ -238,7 +238,7 @@ class RunRecord:
             layout=payload.get("layout"),
             algorithm=str(payload["algorithm"]),
             algorithm_spec=str(payload["algorithm_spec"]),
-            engine=str(payload.get("engine", "indexed")),
+            engine=str(payload.get("engine", "loop")),
             metrics=SimMetrics.from_dict(payload["metrics"]),
             optimal_stall=payload.get("optimal_stall"),
             optimal_elapsed=payload.get("optimal_elapsed"),

@@ -13,10 +13,8 @@ are executed:
 
 * **Pluggable execution** — points are independent, so they run on any
   :mod:`~repro.analysis.backends` executor (``serial``/``thread``/
-  ``process``/``remote``, selected by ``ExperimentSpec(backend=...)`` or
-  the CLI ``--backend``; ``auto`` fans out over processes when
-  ``workers > 1``, and ``remote`` serves chunks to pull-based ``repro
-  worker`` processes).
+  ``process``, selected by ``ExperimentSpec(backend=...)`` or the CLI
+  ``--backend``; ``auto`` fans out over processes when ``workers > 1``).
   Determinism is preserved by construction: a point is regenerated from its
   spec inside the worker (all workload generators take explicit seeds), and
   results are collected in grid order regardless of completion order, so
@@ -114,8 +112,8 @@ class ExperimentSpec:
     emitted there (no duplicate points).
 
     ``backend`` selects the execution backend (``auto | serial | thread |
-    process | remote``; ``auto`` means serial at ``workers <= 1`` and
-    process fan-out otherwise).  ``compute_optimum=True`` additionally solves every point's
+    process``; ``auto`` means serial at ``workers <= 1`` and process
+    fan-out otherwise).  ``compute_optimum=True`` additionally solves every point's
     instance optimum through the optimum service (one deduplicated solve
     per instance, method ``optimum_method`` for multi-disk instances) and
     attaches ``optimal_stall``/``optimal_elapsed``/solve wall time to every
@@ -284,8 +282,7 @@ def point_cache_key(point: ExperimentPoint) -> str:
     """Store key of a point: instance identity x canonical algorithm x engine.
 
     The algorithm identity is the *canonical* spec, so ``delay:3`` and
-    ``delay:d=3`` share entries; likewise the engine is canonicalized, so
-    ``engine="indexed"`` and ``engine="loop"`` share entries.
+    ``delay:d=3`` share entries.
     """
     algorithm = canonicalize_algorithm_spec(point.algorithm)
     engine = canonical_engine(point.engine)
@@ -598,13 +595,7 @@ def _execute_points(
             request_optimum(position, point)
 
     identities = list(needs_optimum)
-    # Detached workers (the remote backend) may not share the parent's
-    # filesystem, and letting them open the store would also race their
-    # nondeterministic solve_seconds against the parent's; the parent
-    # persists every optimum itself via ``optimum.store`` below.
-    store_path = (
-        None if store is None or backend.detached_workers else str(store.path)
-    )
+    store_path = None if store is None else str(store.path)
     # On the serial backend the parent's own service (open store connection,
     # in-memory cache, `solves` accounting) is right there — route the
     # solves through it directly instead of opening a store per task.
@@ -735,44 +726,26 @@ def prepare_sweep(
     return store.sweep_progress(sweep_key)
 
 
-def _resolve_backend_arg(
-    backend, default_name: str, workers: int
-) -> Tuple[ExecutionBackend, Optional[ExecutionBackend]]:
-    """Resolve a backend argument (name or instance) to ``(backend, owned)``.
-
-    A caller-provided :class:`ExecutionBackend` instance is used as-is and
-    stays the caller's to close (``owned`` is None) — this is how ``repro
-    coordinator`` threads an already-serving :class:`RemoteBackend` through
-    the runner.  A name builds a backend the runner owns and closes.
-    """
-    if isinstance(backend, ExecutionBackend):
-        return backend, None
-    owned = make_backend(backend or default_name, workers)
-    return owned, owned
-
-
 def run_experiments(
     spec: ExperimentSpec,
     *,
     workers: int = 0,
-    backend=None,
+    backend: Optional[str] = None,
     cache_dir=None,
     store: Optional[RunStore] = None,
     optimum_config: Optional[SolverConfig] = None,
 ) -> ResultSet:
     """Run the full grid of ``spec`` and return its ordered :class:`ResultSet`.
 
-    ``backend`` (default: the spec's) and ``workers`` select the execution
-    backend — pass a name, or a live :class:`ExecutionBackend` instance
-    (e.g. a serving :class:`~repro.analysis.remote.RemoteBackend`), which
-    remains the caller's to close; output order (and therefore the JSON/CSV
+    ``backend`` (a backend name; default: the spec's) and ``workers``
+    select the execution backend; output order (and therefore the JSON/CSV
     documents) is identical across all backends.  ``cache_dir`` opens the
     run store at ``<cache_dir>/runs.sqlite`` (``store`` passes one in
     directly), which persists every record and optimum, registers the sweep
     manifest, and makes warmed re-runs pure lookups.  ``optimum_config``
     overrides the solver configuration derived from ``spec.optimum_method``.
     """
-    backend_obj, owned_backend = _resolve_backend_arg(backend, spec.backend, workers)
+    backend_obj = make_backend(backend or spec.backend, workers)
     owned_store = None
     if store is None and cache_dir is not None:
         store = owned_store = RunStore(store_path_for(cache_dir))
@@ -805,8 +778,6 @@ def run_experiments(
             optimum_requests=optimum_requests,
         )
     finally:
-        if owned_backend is not None:
-            owned_backend.close()
         if owned_store is not None:
             owned_store.close()
 
@@ -816,7 +787,7 @@ def evaluate_instances(
     algorithms: Sequence[str],
     *,
     workers: int = 0,
-    backend="auto",
+    backend: str = "auto",
     engine: str = "loop",
     cache_dir=None,
     store: Optional[RunStore] = None,
@@ -848,7 +819,7 @@ def evaluate_instances(
         for label, instance in labeled_instances
         for algorithm in algorithms
     ]
-    backend_obj, owned_backend = _resolve_backend_arg(backend, "auto", workers)
+    backend_obj = make_backend(backend, workers)
     owned_store = None
     if store is None and cache_dir is not None:
         store = owned_store = RunStore(store_path_for(cache_dir))
@@ -868,7 +839,5 @@ def evaluate_instances(
             optimum_requests=optimum_requests,
         )
     finally:
-        if owned_backend is not None:
-            owned_backend.close()
         if owned_store is not None:
             owned_store.close()

@@ -1,16 +1,13 @@
 """The SQLite-backed run store: durable, queryable, concurrent-writer safe.
 
-Experiment persistence used to be thousands of tiny per-point JSON files
-(one ``<sha>.json`` per simulation under the cache directory, one per
-optimum under ``optima/``) — unscalable for large grids and opaque to
-queries.  :class:`RunStore` replaces that with **one** SQLite file that is
-the shared persistence layer of the whole experiment pipeline:
+:class:`RunStore` is **one** SQLite file that is the shared persistence
+layer of the whole experiment pipeline:
 
 * **Runs** — every :class:`~repro.analysis.results.RunRecord` is stored
   under its point cache key with the identity columns (workload, algorithm
   spec, layout, engine, ``k``/``F``/``D``) indexed for querying, and the
-  record body as the same canonical sorted-key JSON the legacy per-point
-  files held, so the byte-identical emission contract survives.
+  record body as canonical sorted-key JSON, so the byte-identical emission
+  contract survives.
 * **Optima** — :class:`~repro.lp.service.OptimumRecord` s keyed by their
   canonical instance fingerprint; the optimum service reads and writes them
   through the duck-typed ``get_optimum``/``put_optimum`` pair.
@@ -19,22 +16,24 @@ the shared persistence layer of the whole experiment pipeline:
   land, and :meth:`reconcile_sweep` re-derives completion from the stored
   runs, so a killed sweep loses no progress accounting.  ``repro sweep
   --resume`` reads :meth:`sweep_progress` to report exactly what remains.
-* **Operations** — :meth:`stats`, :meth:`gc` and :meth:`import_json_cache`
-  (the migration path from legacy JSON cache directories) back the
-  ``repro store`` CLI subcommand.
+* **Operations** — :meth:`stats` and :meth:`gc` back the ``repro store``
+  CLI subcommand.
 
 Concurrency: the database runs in WAL mode with a generous busy timeout;
 every writer (the runner's parent process, pool workers persisting optima,
 a second concurrent sweep) opens its own connection and transactions are
 short single-statement batches, so concurrent writers serialize cleanly.
 Writers of the same key write identical bytes (records are content-keyed),
-which makes racing upserts idempotent.
+which makes racing upserts idempotent.  The switch to WAL mode itself
+bypasses SQLite's busy handler, so opening retries it until the timeout
+runs out: processes that open a fresh file at the same moment all succeed.
 """
 
 from __future__ import annotations
 
 import json
 import sqlite3
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,7 +47,6 @@ from .results import RunRecord
 __all__ = [
     "RunStore",
     "SweepProgress",
-    "ImportReport",
     "STORE_FILENAME",
     "store_path_for",
 ]
@@ -128,22 +126,6 @@ class SweepProgress:
         return f"{self.name!r}: {self.done}/{self.total} points complete, {self.remaining} remaining"
 
 
-@dataclass(frozen=True)
-class ImportReport:
-    """Outcome of a JSON-cache migration: what was imported and skipped."""
-
-    runs: int
-    optima: int
-    skipped: int
-
-    def describe(self) -> str:
-        """One-line import summary for CLI reporting."""
-        return (
-            f"imported {self.runs} run record(s) and {self.optima} optimum "
-            f"record(s), skipped {self.skipped} unreadable file(s)"
-        )
-
-
 class RunStore:
     """One SQLite file holding runs, optima and sweep manifests.
 
@@ -158,46 +140,35 @@ class RunStore:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
             self._conn = sqlite3.connect(self.path, timeout=timeout)
-            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._enable_wal(timeout)
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute(f"PRAGMA busy_timeout={int(timeout * 1000)}")
             with self._conn:
                 self._conn.executescript(_SCHEMA)
-            self._migrate_legacy_engines()
         except sqlite3.Error as exc:
             # Surface as a library error so the CLI exits cleanly instead of
             # dumping a traceback when the file is corrupt or not SQLite.
             raise StoreError(f"cannot open run store at {self.path}: {exc}") from exc
 
-    def _migrate_legacy_engines(self) -> None:
-        """Rename the legacy ``'indexed'`` engine label to ``'loop'`` in place.
+    def _enable_wal(self, timeout: float) -> None:
+        """Switch the database to WAL mode, waiting out concurrent openers.
 
-        Rows written before the engine axis grew the ``vector`` path carry
-        ``engine='indexed'`` in both the indexed column and the JSON body.
-        Per-engine stats and queries group by the canonical name, so the
-        store rewrites such rows once at open time (idempotent: later opens
-        find nothing to do).  A body that no longer parses keeps its bytes
-        — only the column is fixed — matching ``get_run``'s treatment of
-        corrupt rows as cache misses.
+        ``PRAGMA journal_mode=WAL`` answers SQLITE_BUSY at once, without
+        calling the busy handler, while another connection holds the lock
+        it needs (two processes opening a fresh file together).  Retry it
+        until ``timeout`` runs out, then let the error surface.
         """
-        rows = self._conn.execute(
-            "SELECT key, record FROM runs WHERE engine = 'indexed'"
-        ).fetchall()
-        if not rows:
-            return
-        updates = []
-        for key, body in rows:
+        deadline = time.monotonic() + timeout
+        while True:
             try:
-                payload = json.loads(body)
-                payload["engine"] = "loop"
-                body = json.dumps(payload, sort_keys=True)
-            except (json.JSONDecodeError, TypeError, ValueError):
-                pass
-            updates.append((body, key))
-        with self._conn:
-            self._conn.executemany(
-                "UPDATE runs SET engine = 'loop', record = ? WHERE key = ?", updates
-            )
+                (mode,) = self._conn.execute("PRAGMA journal_mode=WAL").fetchone()
+                break
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.005)
+        if mode.lower() != "wal":
+            raise sqlite3.OperationalError(f"journal mode is {mode!r}, not 'wal'")
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -251,9 +222,8 @@ class RunStore:
     def put_runs(self, items: Iterable[Tuple[str, RunRecord]]) -> None:
         """Upsert a batch of ``(key, record)`` pairs in one transaction.
 
-        The record body is canonical sorted-key JSON — the same bytes the
-        legacy per-point cache files held — so identical content written by
-        racing runs is idempotent.
+        The record body is canonical sorted-key JSON, so identical content
+        written by racing runs is idempotent.
         """
         rows = [
             (
@@ -289,9 +259,8 @@ class RunStore:
         """Records matching the given identity columns (indexed lookups).
 
         ``algorithm`` matches either the resolved name or the spec string;
-        ``engine`` accepts any canonical engine name or alias (querying for
-        ``"indexed"`` finds the migrated ``"loop"`` rows).  Results come
-        back in deterministic (key) order.
+        ``engine`` must be a known engine name.  Results come back in
+        deterministic (key) order.
         """
         clauses, params = [], []
         if workload is not None:
@@ -477,7 +446,7 @@ class RunStore:
                 ),
             }
             # One ``runs_engine_<name>`` column per engine that produced at
-            # least one stored record (post-migration: never 'indexed').
+            # least one stored record.
             for name, num in self._conn.execute(
                 "SELECT engine, COUNT(*) FROM runs GROUP BY engine ORDER BY engine"
             ).fetchall():
@@ -512,33 +481,3 @@ class RunStore:
                 "points_removed": points_removed,
                 "reclaimed_bytes": max(0, before - self.path.stat().st_size),
             }
-
-    def import_json_cache(self, directory) -> ImportReport:
-        """Migrate a legacy per-point JSON cache directory into the store.
-
-        ``<directory>/*.json`` files are parsed as run records (the file
-        stem is the point cache key) and ``<directory>/optima/*.json`` as
-        optimum records; each is re-serialized canonically, so every
-        imported record round-trips byte-for-byte through
-        :class:`~repro.analysis.results.RunRecord`.  Unreadable files are
-        counted and skipped, never fatal.
-        """
-        directory = Path(directory)
-        runs, optima, skipped = [], [], 0
-        for path in sorted(directory.glob("*.json")):
-            try:
-                runs.append((path.stem, RunRecord.from_json_dict(json.loads(path.read_text()))))
-            except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-                skipped += 1
-        optima_dir = directory / "optima"
-        if optima_dir.is_dir():
-            for path in sorted(optima_dir.glob("*.json")):
-                try:
-                    optima.append(OptimumRecord.from_json_dict(json.loads(path.read_text())))
-                except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    skipped += 1
-        if runs:
-            self.put_runs(runs)
-        for record in optima:
-            self.put_optimum(record)
-        return ImportReport(runs=len(runs), optima=len(optima), skipped=skipped)

@@ -84,10 +84,7 @@ class UnseededRandomChecker(Checker):
         "random.* or numpy.random.* module-state calls, no default_rng()/"
         "Random() that is unseeded or seeded from a possibly-None parameter"
     )
-    scope = (
-        "disksim/", "algorithms/", "lp/", "workloads/", "core/", "service/",
-        "analysis/remote.py",
-    )
+    scope = ("disksim/", "algorithms/", "lp/", "workloads/", "core/")
 
     def check(self, module: ModuleUnderCheck) -> Iterator[Finding]:
         """Flag global-state RNG calls and unseeded generator construction."""
@@ -182,10 +179,7 @@ class WallClockChecker(Checker):
         "simulation/algorithm/LP kernel code must not read wall clocks "
         "(time.time, datetime.now); perf_counter timing metadata is exempt"
     )
-    scope = (
-        "disksim/", "algorithms/", "lp/", "core/", "service/",
-        "analysis/remote.py",
-    )
+    scope = ("disksim/", "algorithms/", "lp/", "core/")
 
     #: Dotted call names that read the wall clock.
     _CLOCK_CALLS = frozenset(

@@ -16,9 +16,8 @@ Commands
                 solved once per instance, dispatched interleaved with the
                 simulations and persisted in the run store
                 (``<cache-dir>/runs.sqlite``).
-``store``     — operate the SQLite run store: ``stats`` (what it holds),
-                ``gc`` (drop finished sweep manifests, compact the file),
-                ``import`` (migrate a legacy per-point JSON cache directory).
+``store``     — operate the SQLite run store: ``stats`` (what it holds) and
+                ``gc`` (drop finished sweep manifests, compact the file).
 ``workloads`` — print the typed workload catalog: every registered spec name,
                 its parameter schema and an example spec, plus the layouts.
 ``algorithms``— print the typed algorithm catalog: every registered algorithm,
@@ -34,17 +33,6 @@ Commands
                 float-equality rules, gated against a committed baseline
                 (exit 1 on any new finding; ``--list-rules`` shows the
                 battery, ``--json`` writes the findings artifact).
-``coordinator``—serve a grid over HTTP to pull-based workers (the
-                distributed sweep fabric): chunks are leased out with
-                deadlines and heartbeats, expired leases re-issued, every
-                result persisted in the run store by the coordinator
-                itself; SIGTERM flushes the sweep manifest so the same
-                command resumes where it stopped.
-``worker``    — attach one pull worker to a running coordinator: lease
-                chunks, evaluate them through the standard runner entry
-                points, POST results back; retries transient transport
-                errors with capped exponential backoff and exits cleanly
-                when the sweep is done or the coordinator goes away.
 
 Workload and algorithm specs share the grammar ``name[:key=value,...]``
 (``zipf:n=200,blocks=50,skew=0.8``, ``delay:d=3``, ``demand:evict=lru``) so
@@ -83,7 +71,7 @@ from .analysis.results import ResultSet
 from .core.bounds import SingleDiskBounds
 from .disksim.executor import simulate, simulate_with_engine
 from .disksim.instance import ProblemInstance
-from .errors import ConfigurationError, CoordinatorShutdown, ReproError
+from .errors import ConfigurationError, ReproError
 from .viz.gantt import render_gantt
 from .viz.timeline import render_timeline
 from .workloads import theorem2_sequence
@@ -138,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(LAYOUT_BUILDERS),
                        help="block placement when --disks > 1")
 
-    _ENGINE_CHOICES = ["auto", "loop", "indexed", "scan", "vector"]
+    _ENGINE_CHOICES = ["auto", "loop", "scan", "vector"]
 
     p_sim = sub.add_parser("simulate", help="run one algorithm and print metrics")
     add_common(p_sim)
@@ -196,8 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", default="auto", choices=BACKEND_NAMES,
                        help="execution backend for the grid points "
                        "(auto = serial at workers<=1, process fan-out otherwise)")
-        p.add_argument("--engine", default="loop",
-                       choices=["auto", "loop", "indexed", "scan", "vector"],
+        p.add_argument("--engine", default="loop", choices=_ENGINE_CHOICES,
                        help="simulation engine; vector/auto let the planner "
                        "stack same-shape points into batched kernel passes "
                        "(uncovered points fall back to the loop engine)")
@@ -224,9 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "point is complete (requires --cache-dir)")
     p_sweep.add_argument("--watch-interval", type=float, default=2.0,
                          help="seconds between --watch polls")
-    p_sweep.add_argument("--coordinator", default=None, metavar="URL",
-                         help="with --watch: also poll this coordinator's "
-                         "/status endpoint and print per-worker lease progress")
 
     p_ratios = sub.add_parser(
         "ratios",
@@ -240,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_store = sub.add_parser(
-        "store", help="operate the SQLite run store (stats, gc, import)"
+        "store", help="operate the SQLite run store (stats, gc)"
     )
     store_sub = p_store.add_subparsers(dest="store_command", required=True)
 
@@ -263,14 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         "gc", help="drop finished sweep manifests and compact the database"
     )
     add_store_location(p_store_gc)
-
-    p_store_import = store_sub.add_parser(
-        "import", help="migrate a legacy per-point JSON cache directory into the store"
-    )
-    p_store_import.add_argument("json_cache_dir",
-                                help="directory of legacy <key>.json result files "
-                                "(with an optional optima/ subdirectory)")
-    add_store_location(p_store_import)
 
     p_wl = sub.add_parser(
         "workloads", help="list the workload catalog and parameter schemas"
@@ -321,69 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench_engine.add_argument("--floor", default=None,
                                 help="gate floor file (default with --gate: "
                                 "./BENCH_engine_floor.json if present)")
-
-    p_coord = sub.add_parser(
-        "coordinator",
-        help="serve a grid to pull-based 'repro worker' processes "
-        "(distributed sweep fabric; results persist in the run store)",
-    )
-    add_grid_options(p_coord, name_default="cli-coordinator")
-    p_coord.add_argument("--host", default="127.0.0.1",
-                         help="interface to bind the coordinator on")
-    p_coord.add_argument("--port", type=int, default=0,
-                         help="TCP port to listen on (0 picks a free port)")
-    p_coord.add_argument("--lease-timeout", type=float, default=30.0,
-                         help="seconds a leased chunk may go without a "
-                         "heartbeat before it is re-issued to another worker")
-    p_coord.add_argument("--chunk-size", type=int, default=None,
-                         help="tasks per leased chunk (default: adaptive, "
-                         "sized like the process pool's)")
-    p_coord.add_argument("--linger", type=float, default=1.0,
-                         help="seconds to keep serving after completion so "
-                         "attached workers observe the 'done' state")
-    p_coord.add_argument("--optimum", action="store_true",
-                         help="also compute every point's LP optimum "
-                         "(the ratios pipeline) through the workers")
-    p_coord.add_argument("--method", default="auto",
-                         choices=["auto", "milp", "lp-rounding"],
-                         help="optimum method for multi-disk instances "
-                         "(with --optimum)")
-
-    p_worker = sub.add_parser(
-        "worker",
-        help="attach one pull worker to a running 'repro coordinator'",
-    )
-    p_worker.add_argument("--coordinator", required=True, metavar="URL",
-                          help="base URL the coordinator printed, "
-                          "e.g. http://127.0.0.1:8643")
-    p_worker.add_argument("--id", default=None,
-                          help="worker name shown in coordinator status "
-                          "(default: a pid-derived name)")
-    p_worker.add_argument("--poll-interval", type=float, default=0.25,
-                          help="seconds between lease polls while idle")
-    p_worker.add_argument("--backoff-base", type=float, default=0.25,
-                          help="first retry delay on transport errors")
-    p_worker.add_argument("--backoff-cap", type=float, default=4.0,
-                          help="ceiling on the exponential retry delay")
-    p_worker.add_argument("--max-retries", type=int, default=6,
-                          help="transport retries before giving the coordinator "
-                          "up for gone")
-    p_worker.add_argument("--fault-kill-after", type=int, default=None,
-                          metavar="N",
-                          help="fault injection: die (lease held) when the "
-                          "N+1-th chunk is leased — test/smoke harness only")
-    p_worker.add_argument("--fault-drop-completions", type=int, default=0,
-                          metavar="N",
-                          help="fault injection: swallow the first N completion "
-                          "POSTs so their leases expire")
-    p_worker.add_argument("--fault-duplicate-completions", type=int, default=0,
-                          metavar="N",
-                          help="fault injection: send the first N completions "
-                          "twice")
-    p_worker.add_argument("--fault-delay", type=float, default=0.0,
-                          metavar="SECONDS",
-                          help="fault injection: stall before every completion "
-                          "POST")
 
     p_check = sub.add_parser(
         "check",
@@ -512,20 +425,6 @@ def _run_grid_command(args: argparse.Namespace, **extra) -> ResultSet:
     """
     spec = _grid_spec(args, **extra)
     store = None
-    backend = None
-    if args.backend == "remote":
-        # The remote backend needs attached workers; serve on a free port and
-        # tell the operator where to point them.  `repro coordinator` is the
-        # full-featured front end (lease timeouts, SIGTERM resume, linger).
-        from .analysis.remote import RemoteBackend
-
-        backend = RemoteBackend(args.workers)
-        url = backend.start()
-        print(
-            f"serving grid on {url} "
-            f"(attach workers with: repro worker --coordinator {url})",
-            flush=True,
-        )
     try:
         if args.resume:
             if args.cache_dir is None:
@@ -537,13 +436,10 @@ def _run_grid_command(args: argparse.Namespace, **extra) -> ResultSet:
         run = run_experiments(
             spec,
             workers=args.workers,
-            backend=backend,
             cache_dir=None if store is not None else args.cache_dir,
             store=store,
         )
     finally:
-        if backend is not None:
-            backend.close()
         if store is not None:
             store.close()
     print(
@@ -555,45 +451,13 @@ def _run_grid_command(args: argparse.Namespace, **extra) -> ResultSet:
     return run
 
 
-def _coordinator_status(url: str) -> Optional[dict]:
-    """One tolerant GET of a coordinator's ``/status`` (None when unreachable)."""
-    import urllib.request
-
-    try:
-        with urllib.request.urlopen(url.rstrip("/") + "/status", timeout=5) as response:
-            return json_module.loads(response.read().decode("utf-8"))
-    except (OSError, ValueError):
-        return None
-
-
-def _format_worker_lines(status: dict) -> List[str]:
-    """Per-worker lease-progress lines of a coordinator status payload."""
-    lines = []
-    for name, stats in status.get("workers", {}).items():
-        active = stats.get("active_chunk")
-        holding = f"chunk {active}" if active is not None else "idle"
-        lines.append(
-            f"  worker {name}: {holding} "
-            f"({stats.get('completed_chunks', 0)} chunks / "
-            f"{stats.get('completed_tasks', 0)} tasks done)"
-        )
-    reissued = status.get("reissued_leases", 0)
-    duplicates = status.get("duplicate_completions", 0)
-    if reissued or duplicates:
-        lines.append(
-            f"  leases re-issued: {reissued}, duplicate completions: {duplicates}"
-        )
-    return lines
-
-
 def _watch_sweep(args: argparse.Namespace) -> int:
     """Poll the grid's sweep manifest until every point is complete.
 
     The watcher is read-mostly: each poll re-registers the manifest (a
     no-op once it exists) and reconciles it against the records other
-    processes have written, so it converges no matter which worker — or
-    how many — is actually executing the sweep.  With ``--coordinator`` it
-    additionally shows each attached worker's lease progress.
+    processes have written, so it converges no matter which process — or
+    how many — is actually executing the sweep.
     """
     import time as time_module
 
@@ -604,13 +468,6 @@ def _watch_sweep(args: argparse.Namespace) -> int:
         while True:
             progress = prepare_sweep(spec, store)
             print(f"watch {progress.describe()}", flush=True)
-            if args.coordinator is not None:
-                status = _coordinator_status(args.coordinator)
-                if status is None:
-                    print("  (coordinator unreachable)", flush=True)
-                else:
-                    for line in _format_worker_lines(status):
-                        print(line, flush=True)
             if progress.complete:
                 print("sweep complete")
                 return 0
@@ -644,7 +501,7 @@ def _store_db_path(args: argparse.Namespace) -> Path:
 
 def _cmd_store(args: argparse.Namespace) -> int:
     path = _store_db_path(args)
-    if args.store_command != "import" and not path.exists():
+    if not path.exists():
         raise ConfigurationError(f"no run store at {path}")
     with RunStore(path) as store:
         if args.store_command == "stats":
@@ -657,16 +514,13 @@ def _cmd_store(args: argparse.Namespace) -> int:
                     json_module.dumps(stats, indent=2, sort_keys=True) + "\n"
                 )
                 print(f"wrote JSON to {args.json_path}")
-        elif args.store_command == "gc":
+        else:  # gc
             outcome = store.gc()
             print(
                 f"removed {outcome['sweeps_removed']} finished sweep manifest(s) "
                 f"({outcome['points_removed']} point rows), reclaimed "
                 f"{outcome['reclaimed_bytes']} bytes"
             )
-        else:  # import
-            report = store.import_json_cache(args.json_cache_dir)
-            print(report.describe())
     return 0
 
 
@@ -737,112 +591,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_coordinator(args: argparse.Namespace) -> int:
-    import signal
-    import time as time_module
-
-    from .analysis.remote import RemoteBackend
-
-    if args.backend not in ("auto", "remote"):
-        raise ConfigurationError(
-            f"repro coordinator always executes on the remote backend; "
-            f"drop --backend {args.backend}"
-        )
-    if args.cache_dir is None:
-        raise ConfigurationError(
-            "repro coordinator needs --cache-dir (the run store that makes a "
-            "stopped sweep resumable)"
-        )
-    args.backend = "remote"
-    extra = (
-        {"compute_optimum": True, "optimum_method": args.method}
-        if args.optimum
-        else {}
-    )
-    spec = _grid_spec(args, **extra)
-    backend = RemoteBackend(
-        args.workers,
-        host=args.host,
-        port=args.port,
-        lease_timeout=args.lease_timeout,
-        chunk_size=args.chunk_size,
-    )
-    url = backend.start()
-    print(
-        f"coordinator serving {spec.name!r} on {url} "
-        f"(attach workers with: repro worker --coordinator {url})",
-        flush=True,
-    )
-
-    def _request_shutdown(signum, frame) -> None:
-        # The map iterator runs in this thread; flipping the flag is enough —
-        # results() observes it and raises CoordinatorShutdown.
-        backend.request_shutdown()
-
-    import threading
-
-    if threading.current_thread() is threading.main_thread():
-        # Signal handlers are only installable from the main thread (tests
-        # drive this command from worker threads; there, the in-process
-        # request_shutdown() hook is the equivalent control surface).
-        signal.signal(signal.SIGTERM, _request_shutdown)
-        signal.signal(signal.SIGINT, _request_shutdown)
-    store = RunStore(store_path_for(args.cache_dir))
-    try:
-        if args.resume:
-            _report_resume(spec, store)
-        try:
-            run = run_experiments(
-                spec, workers=args.workers, backend=backend, store=store
-            )
-        except CoordinatorShutdown:
-            # Every result received so far is already in the store; flushing
-            # the manifest (reconcile) makes the same command resume exactly
-            # the remaining points.
-            progress = prepare_sweep(spec, store)
-            print(f"coordinator stopping: {progress.describe()}", flush=True)
-            print("manifest flushed; re-run the same grid to resume")
-            return 0
-        print(
-            f"coordinator {run.name!r}: {len(run.records)} points "
-            f"({run.cached_points} cached, {run.simulated_points} simulated, "
-            f"{run.optimum_requests} optimum requests, backend={run.backend})"
-        )
-        _write_outputs(run, args)
-        # Keep serving briefly so polling workers observe 'done' and exit
-        # cleanly instead of burning their transport retries.
-        time_module.sleep(args.linger)
-        return 0
-    finally:
-        backend.close()
-        store.close()
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from .analysis.remote import FaultPlan, run_worker
-
-    plan = FaultPlan(
-        drop_completions=args.fault_drop_completions,
-        duplicate_completions=args.fault_duplicate_completions,
-        delay_seconds=args.fault_delay,
-        kill_after_chunks=args.fault_kill_after,
-    )
-    report = run_worker(
-        args.coordinator,
-        worker_id=args.id,
-        poll_interval=args.poll_interval,
-        backoff_base=args.backoff_base,
-        backoff_cap=args.backoff_cap,
-        max_retries=args.max_retries,
-        fault_plan=plan,
-    )
-    print(report.describe())
-    # Losing the coordinator (or dying to an injected fault) is a normal
-    # teardown path for a pull worker, not an error: held leases expire and
-    # the work lands elsewhere.
-    return 0
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     from .checks import Baseline, CheckConfig, all_checkers, run_checks
 
@@ -902,8 +650,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "bounds": _cmd_bounds,
         "bench": _cmd_bench,
         "check": _cmd_check,
-        "coordinator": _cmd_coordinator,
-        "worker": _cmd_worker,
     }
     try:
         return handlers[args.command](args)

@@ -90,26 +90,23 @@ __all__ = [
 
 
 _ENGINES = ("loop", "scan", "vector", "auto")
-_ENGINE_ALIASES = {"indexed": "loop"}
 
 
 def canonical_engine(engine: str) -> str:
-    """Resolve an engine name (or alias) to its canonical form.
+    """Validate an engine name and return it.
 
-    ``"loop"`` is the indexed event loop (the historical name ``"indexed"``
-    is accepted as an alias), ``"scan"`` the scan-query reference
-    implementation, ``"vector"`` the numpy struct-of-arrays batch engine and
-    ``"auto"`` picks the fastest applicable engine at run time (vector when
-    numpy is importable and the instance/policy is covered, loop otherwise).
-    Raises :class:`~repro.errors.ConfigurationError` for anything else.
+    ``"loop"`` is the indexed event loop, ``"scan"`` the scan-query
+    reference implementation, ``"vector"`` the numpy struct-of-arrays batch
+    engine and ``"auto"`` picks the fastest applicable engine at run time
+    (vector when numpy is importable and the instance/policy is covered,
+    loop otherwise).  Raises :class:`~repro.errors.ConfigurationError` for
+    anything else.
     """
-    name = _ENGINE_ALIASES.get(engine, engine)
-    if name not in _ENGINES:
-        choices = _ENGINES + tuple(_ENGINE_ALIASES)
+    if engine not in _ENGINES:
         raise ConfigurationError(
-            f"unknown engine {engine!r}; expected one of {choices}"
+            f"unknown engine {engine!r}; expected one of {_ENGINES}"
         )
-    return name
+    return engine
 
 
 @dataclass(frozen=True)
@@ -926,8 +923,8 @@ def simulate(
     produces a feasible schedule; such fetches are counted in
     ``metrics.num_demand_fetches``.
 
-    ``engine`` selects the implementation: ``"loop"`` (default; historical
-    alias ``"indexed"``) runs the event loop over the precomputed
+    ``engine`` selects the implementation: ``"loop"`` (default) runs the
+    event loop over the precomputed
     :class:`SequenceIndex`/:class:`EvictionHeap`; ``"scan"`` re-derives every
     query by scanning the sequence, exactly as the seed engine did;
     ``"vector"`` runs the numpy struct-of-arrays kernel of

@@ -19,8 +19,6 @@ __all__ = [
     "SolverError",
     "StoreError",
     "InfeasibleError",
-    "CoordinatorShutdown",
-    "WorkerTransportError",
 ]
 
 
@@ -74,26 +72,6 @@ class SolverError(ReproError):
 
 class StoreError(ReproError):
     """The run store could not be opened (missing, corrupt, not a database)."""
-
-
-class CoordinatorShutdown(ReproError):
-    """A distributed-sweep coordinator was asked to stop mid-run.
-
-    Raised out of :meth:`repro.analysis.remote.RemoteBackend.map` when a
-    shutdown is requested (SIGTERM on ``repro coordinator``) while results
-    are still outstanding.  Every result received before the shutdown has
-    already been persisted, so catching this and reconciling the sweep
-    manifest loses no progress.
-    """
-
-
-class WorkerTransportError(ReproError):
-    """A sweep worker exhausted its transport retries against the coordinator.
-
-    Raised by the worker-side HTTP transport after its capped exponential
-    backoff schedule ran out; the worker loop treats it as "coordinator
-    gone" and exits (leases it held simply expire and are re-issued).
-    """
 
 
 class InfeasibleError(SolverError):

@@ -11,15 +11,13 @@ infrastructure service instead of an ad-hoc call:
   through :mod:`repro.lp.canonical` (SHA-256 over the normalized instance
   plus the solver configuration), so equivalent instances produced by any
   code path share one optimum.
-* **Layered cache** — an in-memory map per service plus up to two durable
-  layers: a duck-typed *store* (any object with
-  ``get_optimum(fingerprint)``/``put_optimum(record)`` — in practice the
-  SQLite :class:`~repro.analysis.store.RunStore`, which is concurrent-
-  writer safe by construction) and/or a legacy JSON disk cache (one file
-  per fingerprint, written atomically via ``os.replace``).  Both are safe
-  between serial runs and pool workers: concurrent writers of the same
-  fingerprint write identical bytes, and a torn read is treated as a miss
-  and re-solved.
+* **Layered cache** — an in-memory map per service plus an optional
+  durable *store* (any object with ``get_optimum(fingerprint)``/
+  ``put_optimum(record)`` — in practice the SQLite
+  :class:`~repro.analysis.store.RunStore`, which is concurrent-writer safe
+  by construction).  It is safe between serial runs and pool workers:
+  concurrent writers of the same fingerprint write identical bytes, and an
+  unreadable record is treated as a miss and re-solved.
 * **One solver policy** — :class:`SolverConfig` pins the method
   (``auto | milp | lp-rounding``), the extra-cache allowance, the MILP time
   limit and whether the dominance-pruned single-disk model is used, and is
@@ -39,10 +37,7 @@ optima through the same service.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Dict, Mapping, Optional
 
 from ..disksim.instance import ProblemInstance
@@ -180,29 +175,19 @@ def compute_optimum_record(instance: ProblemInstance, config: SolverConfig) -> O
 class OptimumService:
     """Facade over optimum computation: fingerprint, look up, solve, store.
 
-    One service instance pins one :class:`SolverConfig`.  ``cache_dir``
-    enables the legacy JSON disk cache (one ``<fingerprint>.json`` per
-    optimum, atomic writes); ``store`` plugs in a durable record store —
-    any object exposing ``get_optimum(fingerprint)`` and
-    ``put_optimum(record)``, in practice the runner's SQLite
-    :class:`~repro.analysis.store.RunStore`.  Without either the service
-    still deduplicates in memory, so repeated algorithms over the same
-    instance within a process solve one LP.  ``solves`` counts the LP
+    One service instance pins one :class:`SolverConfig`.  ``store`` plugs
+    in a durable record store — any object exposing
+    ``get_optimum(fingerprint)`` and ``put_optimum(record)``, in practice
+    the runner's SQLite :class:`~repro.analysis.store.RunStore`.  Without
+    one the service still deduplicates in memory, so repeated algorithms
+    over the same instance within a process solve one LP.  ``solves`` counts the LP
     computations actually performed by *this* service object — the
     "re-running is a 100% cache hit" acceptance tests assert it stays 0 on
     warmed caches.
     """
 
-    def __init__(
-        self,
-        cache_dir: Optional[os.PathLike] = None,
-        config: Optional[SolverConfig] = None,
-        store=None,
-    ):
+    def __init__(self, config: Optional[SolverConfig] = None, store=None):
         self.config = config or SolverConfig()
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        if self.cache_dir is not None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.record_store = store
         self._memory: Dict[str, OptimumRecord] = {}
         self.solves = 0
@@ -215,50 +200,24 @@ class OptimumService:
 
     # -- cache ----------------------------------------------------------------------
 
-    def _path(self, fingerprint: str) -> Path:
-        return self.cache_dir / f"{fingerprint}.json"
-
     def lookup(self, fingerprint: str) -> Optional[OptimumRecord]:
-        """The cached record under ``fingerprint``: memory, then store, then disk."""
+        """The cached record under ``fingerprint``: memory, then the store."""
         record = self._memory.get(fingerprint)
-        if record is not None:
-            return record
-        if self.record_store is not None:
+        if record is None and self.record_store is not None:
             record = self.record_store.get_optimum(fingerprint)
             if record is not None:
                 self._memory[fingerprint] = record
-                return record
-        if self.cache_dir is None:
-            return None
-        path = self._path(fingerprint)
-        try:
-            payload = json.loads(path.read_text())
-            record = OptimumRecord.from_json_dict(payload)
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-            # Missing, torn or pre-format entries are misses, never fatal.
-            return None
-        self._memory[fingerprint] = record
         return record
 
     def store(self, record: OptimumRecord) -> None:
-        """Cache ``record`` in memory and in every durable layer.
+        """Cache ``record`` in memory and in the durable store, if any.
 
         The record store serializes concurrent writers itself (SQLite
-        transactions); the JSON layer writes to a process-unique temporary
-        file first and publishes it with ``os.replace``, so a concurrent
-        reader sees either the previous state or the complete record —
-        never a torn file — and concurrent writers of the same fingerprint
-        are idempotent.
+        transactions), and writers of the same fingerprint are idempotent.
         """
         self._memory[record.fingerprint] = record
         if self.record_store is not None:
             self.record_store.put_optimum(record)
-        if self.cache_dir is None:
-            return
-        path = self._path(record.fingerprint)
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        tmp.write_text(json.dumps(record.as_json_dict(), sort_keys=True))
-        os.replace(tmp, path)
 
     def cached_optimum(self, instance: ProblemInstance) -> Optional[OptimumRecord]:
         """The cached optimum of ``instance``, or None without solving."""

@@ -37,12 +37,16 @@ def _block_names(num_blocks: int, prefix: str = "x") -> List[BlockId]:
 
 
 def _rng(seed: int) -> np.random.Generator:
+    """The seeded generator every workload draws from (strict about ``seed``)."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(seed)
 
 
 def _zipf_weights(count: int, skew: float) -> np.ndarray:
     """Normalised Zipf weights: rank ``j`` (1-based) has weight ``1/j^skew``."""
-    weights = 1.0 / np.power(np.arange(1, count + 1, dtype=float), skew)
+    with np.errstate(over="ignore"):  # a huge skew sends j^skew to inf: weight 0
+        weights = 1.0 / np.power(np.arange(1, count + 1, dtype=float), skew)
     return weights / weights.sum()
 
 
@@ -73,8 +77,8 @@ def zipf(
     """
     if num_requests < 1 or num_blocks < 1:
         raise ConfigurationError("num_requests and num_blocks must be positive")
-    if skew < 0:
-        raise ConfigurationError("skew must be non-negative")
+    if not skew >= 0:  # also rejects NaN
+        raise ConfigurationError(f"skew must be non-negative, got {skew}")
     rng = _rng(seed)
     names = _block_names(num_blocks, prefix)
     picks = rng.choice(num_blocks, size=num_requests, p=_zipf_weights(num_blocks, skew))
@@ -220,8 +224,8 @@ def multiclient_streams(
         raise ConfigurationError("shared_fraction must lie in [0, 1]")
     if shared_fraction > 0 and shared_blocks == 0:
         raise ConfigurationError("shared_fraction > 0 needs shared_blocks >= 1")
-    if skew < 0:
-        raise ConfigurationError("skew must be non-negative")
+    if not skew >= 0:  # also rejects NaN
+        raise ConfigurationError(f"skew must be non-negative, got {skew}")
     rng = _rng(seed)
     private_weights = _zipf_weights(blocks_per_client, skew)
     shared_names = [f"{prefix}_sh{j}" for j in range(shared_blocks)]

@@ -19,11 +19,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Sequence
 
-import numpy as np
-
 from .._typing import BlockId
 from ..disksim.sequence import RequestSequence
 from ..errors import ConfigurationError, InvalidSequenceError
+from .synthetic import _rng
 
 __all__ = [
     "file_scan_trace",
@@ -52,7 +51,7 @@ def file_scan_trace(
     """
     if num_files < 1 or blocks_per_file < 1 or rescans < 1:
         raise ConfigurationError("num_files, blocks_per_file and rescans must be positive")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     hot_blocks = [f"meta{j}" for j in range(max(1, num_files // 2))]
     requests: List[BlockId] = []
     for _ in range(rescans):
@@ -121,14 +120,15 @@ def save_trace(sequence: RequestSequence | Sequence[BlockId], path: str | Path) 
 def load_trace(path: str | Path) -> RequestSequence:
     """Read a request sequence from the one-block-per-line text format.
 
-    A missing or unreadable file raises
+    A missing, unreadable or non-UTF-8 file raises
     :class:`~repro.errors.ConfigurationError` naming the path — the same
     strict-configuration contract the spec registry gives every other bad
-    parameter — instead of leaking a raw :class:`OSError`.
+    parameter — instead of leaking a raw :class:`OSError` or
+    :class:`UnicodeDecodeError`.
     """
     try:
         text = Path(path).read_text(encoding="utf8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read trace file {path}: {exc}") from exc
     requests = [
         line.strip()

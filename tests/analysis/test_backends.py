@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from pathlib import Path
 
 import pytest
@@ -24,7 +23,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 #: Every real backend the byte-identical-JSON equivalence suite runs; the
 #: catalog-sync meta-test pins it to BACKEND_NAMES so a new backend cannot
 #: ship without joining the equivalence property.
-EQUIVALENCE_BACKENDS = ("serial", "thread", "process", "remote")
+EQUIVALENCE_BACKENDS = ("serial", "thread", "process")
 
 
 def _square(value: int) -> int:
@@ -37,37 +36,6 @@ def _maybe_boom(value: int) -> int:
     if value == 13:
         raise ValueError("unlucky task")
     return value
-
-
-def _run_with_backend(name: str, spec: ExperimentSpec, *, workers: int, cache_dir=None):
-    """Run ``spec`` on backend ``name`` (spinning up workers for ``remote``)."""
-    if name != "remote":
-        return run_experiments(spec, workers=workers, backend=name, cache_dir=cache_dir)
-    from repro.analysis.remote import RemoteBackend, run_worker
-
-    backend = RemoteBackend(workers, chunk_size=2, lease_timeout=10.0)
-    url = backend.start()
-    worker_kwargs = dict(
-        poll_interval=0.01, backoff_base=0.01, backoff_cap=0.05, max_retries=3
-    )
-    threads = [
-        threading.Thread(
-            target=run_worker, args=(url,), kwargs=worker_kwargs, daemon=True
-        )
-        for _ in range(max(2, workers))
-    ]
-    for thread in threads:
-        thread.start()
-    try:
-        return run_experiments(
-            spec, workers=workers, backend=backend, cache_dir=cache_dir
-        )
-    finally:
-        # Workers exit on the coordinator's 'done' state; join before closing
-        # the server so none burns its transport retries on a dead socket.
-        for thread in threads:
-            thread.join(timeout=30)
-        backend.close()
 
 
 class TestAdaptiveChunking:
@@ -102,7 +70,7 @@ class TestFactory:
         assert isinstance(make_backend("process", 4), ProcessPoolBackend)
 
     def test_unknown_backend_rejected_with_alternatives(self):
-        with pytest.raises(ConfigurationError, match="serial, thread, process, remote"):
+        with pytest.raises(ConfigurationError, match="serial, thread, process$"):
             make_backend("mpi", 4)
 
     def test_spec_rejects_unknown_backend_at_construction(self):
@@ -114,19 +82,7 @@ class TestFactory:
 
     def test_every_advertised_name_is_constructible(self):
         for name in BACKEND_NAMES:
-            assert make_backend(name, 2).name in (
-                "serial", "thread", "process", "remote"
-            )
-
-    def test_remote_backend_constructs_socket_free(self):
-        backend = make_backend("remote", 2)
-        assert backend.name == "remote"
-        assert backend.detached_workers
-        # No server bound until start(): asking for the URL is an error, and
-        # close() on a never-started backend is a clean no-op.
-        with pytest.raises(ConfigurationError, match="call start"):
-            backend.url
-        backend.close()
+            assert make_backend(name, 2).name in ("serial", "thread", "process")
 
 
 class TestMapContract:
@@ -165,7 +121,7 @@ class TestBackendEquivalence:
     def test_plain_grid_is_byte_identical_across_backends(self):
         spec = self._spec()
         runs = {
-            name: _run_with_backend(name, spec, workers=2)
+            name: run_experiments(spec, workers=2, backend=name)
             for name in EQUIVALENCE_BACKENDS
         }
         documents = {run.to_json() for run in runs.values()}
@@ -183,7 +139,7 @@ class TestBackendEquivalence:
             seeds=(None,), compute_optimum=True,
         )
         runs = [
-            _run_with_backend(name, spec, workers=2, cache_dir=tmp_path / name)
+            run_experiments(spec, workers=2, backend=name, cache_dir=tmp_path / name)
             for name in EQUIVALENCE_BACKENDS
         ]
         documents = {run.to_json(columns) for run in runs}

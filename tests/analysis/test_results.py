@@ -27,7 +27,7 @@ def _record(**overrides) -> RunRecord:
         point="unit-test",
         algorithm_spec="delay:d=2",
         workload="uniform:n=30,blocks=10,seed=2",
-        engine="indexed",
+        engine="loop",
     )
     defaults.update(overrides)
     return RunRecord.from_simulation(result, **defaults)
@@ -154,7 +154,7 @@ class TestAnalysisDataclassRoundTrips:
         assert results.ratios_for("aggressive")["paper"] == pytest.approx(13 / 11)
 
     def test_ratio_records_name_the_engine_that_ran(self):
-        """Ratio records carry the realised engine, never the legacy alias."""
+        """Ratio records carry the engine that actually ran."""
         single = measure_ratios(single_disk_example(), [Aggressive()])
         parallel = measure_parallel_stall(parallel_disk_example(), [ParallelAggressive()])
         assert [r.engine for r in single.records + parallel.records] == ["loop", "loop"]

@@ -1,4 +1,4 @@
-"""Tests for the SQLite run store: persistence, manifest, migration, concurrency."""
+"""Tests for the SQLite run store: persistence, manifest, concurrency."""
 
 from __future__ import annotations
 
@@ -55,7 +55,7 @@ def _record(**overrides) -> RunRecord:
 
 
 #: Hypothesis strategy over structurally valid run records (identity fields,
-#: metrics, optional optimum) for the migration property test.
+#: metrics, optional optimum) for the round-trip property test.
 _records = st.builds(
     _record,
     point=st.text(min_size=1, max_size=20),
@@ -80,6 +80,23 @@ _records = st.builds(
 
 
 class TestRunPersistence:
+    @settings(max_examples=25, deadline=None)
+    @given(records=st.lists(_records, min_size=1, max_size=6))
+    def test_round_trip_preserves_records_byte_for_byte(self, tmp_path_factory, records):
+        """Property: a stored record reads back as the same canonical bytes."""
+        directory = tmp_path_factory.mktemp("round-trip")
+        expected = {
+            f"key{index}": json.dumps(record.to_json_dict(), sort_keys=True)
+            for index, record in enumerate(records)
+        }
+        with RunStore(directory / "runs.sqlite") as store:
+            store.put_runs(
+                (f"key{index}", record) for index, record in enumerate(records)
+            )
+            for key, payload in expected.items():
+                stored = store.get_run(key)
+                assert json.dumps(stored.to_json_dict(), sort_keys=True) == payload
+
     def test_round_trip_is_equality(self, tmp_path):
         with RunStore(tmp_path / "s.sqlite") as store:
             record = _record()
@@ -144,105 +161,7 @@ class TestRunPersistence:
             assert store.count_optima() == 1
 
 
-class TestMigration:
-    @settings(max_examples=25, deadline=None)
-    @given(records=st.lists(_records, min_size=1, max_size=6))
-    def test_json_cache_import_preserves_records_byte_for_byte(
-        self, tmp_path_factory, records
-    ):
-        """Property: legacy JSON cache -> SQLite keeps every record intact.
-
-        The legacy cache wrote ``json.dumps(record.to_json_dict(),
-        sort_keys=True)`` per point; after import, re-serializing the stored
-        record must reproduce those bytes exactly.
-        """
-        directory = tmp_path_factory.mktemp("legacy")
-        expected = {}
-        for index, record in enumerate(records):
-            key = f"key{index}"
-            payload = json.dumps(record.to_json_dict(), sort_keys=True)
-            (directory / f"{key}.json").write_text(payload)
-            expected[key] = payload
-        with RunStore(directory / "runs.sqlite") as store:
-            report = store.import_json_cache(directory)
-            assert report.runs == len(records) and report.skipped == 0
-            for key, payload in expected.items():
-                stored = store.get_run(key)
-                assert json.dumps(stored.to_json_dict(), sort_keys=True) == payload
-
-    def test_import_covers_optima_and_skips_garbage(self, tmp_path):
-        (tmp_path / "good.json").write_text(
-            json.dumps(_record().to_json_dict(), sort_keys=True)
-        )
-        (tmp_path / "bad.json").write_text("{torn")
-        optima = tmp_path / "optima"
-        optima.mkdir()
-        optimum = OptimumRecord(
-            fingerprint="fp", stall_time=0, elapsed_time=10, lp_lower_bound=10.0,
-            method_used="single-disk-exact", solve_seconds=0.2, solver_key="sk",
-        )
-        (optima / "fp.json").write_text(json.dumps(optimum.as_json_dict(), sort_keys=True))
-        (optima / "torn.json").write_text("")
-        with RunStore(tmp_path / "runs.sqlite") as store:
-            report = store.import_json_cache(tmp_path)
-            assert (report.runs, report.optima, report.skipped) == (1, 1, 2)
-            assert store.get_optimum("fp") == optimum
-            assert "imported 1 run record" in report.describe()
-
-    def test_imported_cache_feeds_a_sweep_without_resimulation(self, tmp_path):
-        """End-to-end migration: a legacy-format cache warms a new-style run."""
-        spec = _spec(cache_sizes=(4,), seeds=(0,), algorithms=("aggressive",))
-        legacy = tmp_path / "legacy"
-        legacy.mkdir()
-        baseline = run_experiments(spec)
-        for point, record in zip(spec.points(), baseline.records):
-            (legacy / f"{point_cache_key(point)}.json").write_text(
-                json.dumps(record.to_json_dict(), sort_keys=True)
-            )
-        cache_dir = tmp_path / "cache"
-        with RunStore(store_path_for(cache_dir)) as store:
-            store.import_json_cache(legacy)
-        rerun = run_experiments(spec, cache_dir=cache_dir)
-        assert rerun.cached_points == len(rerun.records)
-        assert rerun.to_json() == baseline.to_json()
-
-
 class TestEngineColumn:
-    def test_legacy_indexed_rows_migrate_to_loop_on_reopen(self, tmp_path):
-        """Rows stored under the legacy ``'indexed'`` label backfill to ``'loop'``.
-
-        Both the indexed column and the JSON body are rewritten, and the
-        stored bytes stay canonical (sorted-key dump of the record).
-        """
-        path = tmp_path / "s.sqlite"
-        with RunStore(path) as store:
-            store.put_run("k", _record(engine="indexed"))
-        with RunStore(path) as store:
-            record = store.get_run("k")
-            assert record.engine == "loop"
-            engine, body = store._conn.execute(
-                "SELECT engine, record FROM runs WHERE key = 'k'"
-            ).fetchone()
-            assert engine == "loop"
-            assert json.loads(body)["engine"] == "loop"
-            assert json.dumps(record.to_json_dict(), sort_keys=True) == body
-            # Idempotent: a third open finds nothing left to migrate.
-        with RunStore(path) as store:
-            assert store.get_run("k").engine == "loop"
-
-    def test_migration_leaves_corrupt_bodies_alone(self, tmp_path):
-        path = tmp_path / "s.sqlite"
-        with RunStore(path) as store:
-            store.put_run("k", _record(engine="indexed"))
-            with store._conn:
-                store._conn.execute("UPDATE runs SET record = '{torn'")
-        with RunStore(path) as store:
-            engine, body = store._conn.execute(
-                "SELECT engine, record FROM runs WHERE key = 'k'"
-            ).fetchone()
-            assert engine == "loop" and body == "{torn"
-            assert store.get_run("k") is None  # still a cache miss
-
     def test_query_runs_engine_filter_and_alias(self, tmp_path):
         from repro.errors import ConfigurationError
 
@@ -256,10 +175,10 @@ class TestEngineColumn:
             )
             assert len(store.query_runs(engine="loop")) == 1
             assert len(store.query_runs(engine="vector")) == 2
-            # The legacy alias addresses the canonical rows.
-            assert len(store.query_runs(engine="indexed")) == 1
-            with pytest.raises(ConfigurationError, match="unknown engine"):
-                store.query_runs(engine="warp")
+            # The retired "indexed" alias is an unknown engine like any other.
+            for unknown in ("indexed", "warp"):
+                with pytest.raises(ConfigurationError, match="unknown engine"):
+                    store.query_runs(engine=unknown)
 
     def test_stats_reports_per_engine_counts(self, tmp_path):
         path = tmp_path / "s.sqlite"
@@ -269,18 +188,13 @@ class TestEngineColumn:
                     ("a", _record(engine="loop")),
                     ("b", _record(engine="vector")),
                     ("c", _record(engine="vector")),
-                    ("d", _record(engine="indexed")),
                 ]
             )
+        with RunStore(path) as store:
             stats = store.stats()
             assert stats["runs_engine_loop"] == 1
             assert stats["runs_engine_vector"] == 2
-            assert stats["runs_engine_indexed"] == 1  # written post-open
-        with RunStore(path) as store:  # ... and folded in at the next open
-            stats = store.stats()
-            assert stats["runs_engine_loop"] == 2
-            assert stats["runs_engine_vector"] == 2
-            assert "runs_engine_indexed" not in stats
+            assert "runs_engine_scan" not in stats
 
 
 class TestSweepManifest:
@@ -403,6 +317,37 @@ class TestResume:
 
 
 class TestConcurrentWriters:
+    def test_concurrent_openers_of_a_fresh_store_all_succeed(self, tmp_path):
+        """Stress: 4-8 threads opening one fresh file at once never fail.
+
+        Switching a fresh database to WAL mode bypasses SQLite's busy
+        handler; without retrying the switch, several of these trials
+        raised ``StoreError: database is locked`` at once.
+        """
+        for trial in range(200):
+            path = tmp_path / f"fresh{trial}.sqlite"
+            openers = 4 + trial % 5
+            barrier = threading.Barrier(openers)
+            errors = []
+
+            def open_store():
+                try:
+                    barrier.wait(timeout=30)
+                    RunStore(path).close()
+                except Exception as exc:  # pragma: no cover - failure reporting
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=open_store) for _ in range(openers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive(), f"trial {trial}: an opener hung"
+            assert not errors, f"trial {trial} ({openers} openers): {errors[0]}"
+            with RunStore(path) as store:
+                (mode,) = store._conn.execute("PRAGMA journal_mode").fetchone()
+                assert mode == "wal"
+
     def test_two_process_pool_sweeps_share_one_store(self, tmp_path):
         """Stress: two pool-backed sweeps race on one store without damage."""
         overlapping = _spec(name="racer-a")

@@ -1,6 +1,6 @@
 """Indexed engine vs the scan reference: byte-identical results.
 
-The indexed engine (``engine="indexed"``, the default) must be a pure
+The indexed engine (``engine="loop"``, the default) must be a pure
 performance transformation of the seed's scan engine: on every instance and
 policy the :class:`Schedule` (every fetch, start time, disk, victim) and the
 :class:`SimMetrics` must match exactly.  These tests sweep well over 200
@@ -49,7 +49,7 @@ PARALLEL_FACTORIES = (
 
 def _assert_equivalent(instance, policy_factory, seed):
     scan = simulate(instance, policy_factory(seed), engine="scan")
-    indexed = simulate(instance, policy_factory(seed), engine="indexed")
+    indexed = simulate(instance, policy_factory(seed), engine="loop")
     assert indexed.schedule == scan.schedule, f"schedules diverge (seed {seed})"
     assert indexed.metrics == scan.metrics, f"metrics diverge (seed {seed})"
 
@@ -106,7 +106,7 @@ def test_replay_equivalence(seed):
     instance = random_instance(seed)
     result = simulate(instance, Aggressive())
     replay_scan = execute_schedule(instance, result.schedule, engine="scan")
-    replay_indexed = execute_schedule(instance, result.schedule, engine="indexed")
+    replay_indexed = execute_schedule(instance, result.schedule, engine="loop")
     assert replay_indexed.schedule == replay_scan.schedule
     assert replay_indexed.metrics == replay_scan.metrics
     assert replay_indexed.metrics.stall_time == result.metrics.stall_time

@@ -85,7 +85,7 @@ class TestArchitectureGuide:
         readme = (ROOT / "README.md").read_text(encoding="utf8")
         assert "--resume" in readme
         assert "runs.sqlite" in readme
-        for subcommand in ("repro store stats", "repro store gc", "repro store import"):
+        for subcommand in ("repro store stats", "repro store gc"):
             assert subcommand in readme, f"README misses {subcommand}"
 
     def test_readme_documents_the_ratio_flow(self):

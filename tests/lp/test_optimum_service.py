@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.lp.service as service_module
+from repro.analysis.store import RunStore
 from repro.disksim import DiskLayout, ProblemInstance
 from repro.errors import ConfigurationError
 from repro.lp import (
@@ -98,37 +99,35 @@ class TestServiceCaching:
         assert service.solves == 1
         assert first == second
 
-    def test_disk_cache_is_shared_across_service_objects(self, tmp_path):
-        instance = _instance(6, n=16, blocks=6, k=3)
-        writer = OptimumService(tmp_path)
-        record = writer.optimum(instance)
-        assert writer.solves == 1
-
-        reader = OptimumService(tmp_path)
-        hit = reader.optimum(instance)
-        assert reader.solves == 0
-        assert hit == record
-
     def test_warmed_cache_never_resolves(self, tmp_path, monkeypatch):
         instance = _instance(7, n=16, blocks=6, k=3)
-        OptimumService(tmp_path).optimum(instance)
+        with RunStore(tmp_path / "runs.sqlite") as store:
+            OptimumService(store=store).optimum(instance)
 
         def boom(*_args, **_kwargs):  # pragma: no cover - must not run
             raise AssertionError("warmed cache must not re-solve the LP")
 
         monkeypatch.setattr(service_module, "compute_optimum_record", boom)
-        record = OptimumService(tmp_path).optimum(instance)
+        with RunStore(tmp_path / "runs.sqlite") as store:
+            service = OptimumService(store=store)
+            record = service.optimum(instance)
+        assert service.solves == 0
         assert record.elapsed_time >= record.num_requests
 
     def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
         instance = _instance(8, n=16, blocks=6, k=3)
-        service = OptimumService(tmp_path)
-        record = service.optimum(instance)
-        service._path(record.fingerprint).write_text("{not json")
-        fresh = OptimumService(tmp_path)
-        again = fresh.optimum(instance)
-        assert fresh.solves == 1
-        assert again.stall_time == record.stall_time
+        with RunStore(tmp_path / "runs.sqlite") as store:
+            record = OptimumService(store=store).optimum(instance)
+            with store._conn:
+                store._conn.execute("UPDATE optima SET record = '{not json'")
+            fresh = OptimumService(store=store)
+            again = fresh.optimum(instance)
+            assert fresh.solves == 1
+            assert again.stall_time == record.stall_time
+            # The re-solve rewrote the row: the next service reads it back.
+            healed = OptimumService(store=store)
+            assert healed.optimum(instance) == again
+            assert healed.solves == 0
 
     def test_record_round_trips_through_json(self):
         service = OptimumService()

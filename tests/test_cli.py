@@ -42,11 +42,24 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_serve_is_not_a_command(self, capsys):
+    @pytest.mark.parametrize(
+        "argv, rejected",
+        [
+            (["serve"], "serve"),
+            (["coordinator"], "coordinator"),
+            (["worker", "--coordinator", "http://127.0.0.1:1"], "worker"),
+            (["sweep", "--backend", "remote"], "remote"),
+            (["ratios", "--backend", "remote"], "remote"),
+            (["sweep", "--engine", "indexed"], "indexed"),
+            (["simulate", "--engine", "indexed"], "indexed"),
+            (["store", "import", "old-cache"], "import"),
+        ],
+    )
+    def test_removed_commands_and_choices_are_rejected(self, capsys, argv, rejected):
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["serve"])
+            main(argv)
         assert excinfo.value.code == 2
-        assert "invalid choice: 'serve'" in capsys.readouterr().err
+        assert f"invalid choice: '{rejected}'" in capsys.readouterr().err
 
     def test_simulate_command(self, capsys):
         code = main(
@@ -268,7 +281,7 @@ class TestCommands:
         assert code == 2
         assert "--resume needs --cache-dir" in err
 
-    def test_store_stats_gc_import(self, capsys, tmp_path):
+    def test_store_stats_and_gc(self, capsys, tmp_path):
         import json as json_module
 
         cache = tmp_path / "cache"
@@ -287,23 +300,6 @@ class TestCommands:
         assert payload["runs"] == 1 and payload["sweeps"] == 1
         assert main(["store", "gc", "--cache-dir", str(cache)]) == 0
         assert "removed 1 finished sweep manifest" in capsys.readouterr().out
-
-        # Import a legacy-format JSON cache directory into a fresh store.
-        from repro.analysis.runner import ExperimentSpec, point_cache_key, run_experiments
-
-        spec = ExperimentSpec(
-            name="legacy", workloads=("zipf:n=30,blocks=8,seed=0",),
-            cache_sizes=(4,), fetch_times=(3,), algorithms=("aggressive",),
-        )
-        legacy = tmp_path / "legacy"
-        legacy.mkdir()
-        run = run_experiments(spec)
-        (legacy / f"{point_cache_key(spec.points()[0])}.json").write_text(
-            json_module.dumps(run.records[0].to_json_dict(), sort_keys=True)
-        )
-        db = tmp_path / "imported.sqlite"
-        assert main(["store", "import", str(legacy), "--db", str(db)]) == 0
-        assert "imported 1 run record" in capsys.readouterr().out
 
     def test_store_stats_on_missing_db_fails_cleanly(self, capsys, tmp_path):
         code = main(["store", "stats", "--db", str(tmp_path / "nope.sqlite")])
@@ -345,6 +341,8 @@ class TestCommands:
             ["simulate", "-w", "zipf:n=30", "-a", "delay"],
             ["compare", "-w", "zipf:n=30", "-a", "aggressive;demand:evict=rand"],
             ["sweep", "-w", "zipf:n=30", "-a", "aggressive:tb=low"],
+            ["simulate", "-w", "zipf:seed=-1", "-k", "4", "-F", "2", "-a", "aggressive"],
+            ["simulate", "-w", "zipf:n=50,skew=nan", "-k", "4", "-F", "2", "-a", "aggressive"],
         ],
     )
     def test_bad_specs_exit_cleanly(self, capsys, command):
@@ -502,83 +500,3 @@ class TestSweepWatch:
         assert code == 0
         assert polls == [0.01]
         assert "4/4 points complete" in out
-
-
-class TestDistributedCommands:
-    GRID = ["-w", "zipf:n=30,blocks=8", "-k", "4", "-F", "3",
-            "-a", "aggressive,demand", "--seeds", "0,1"]
-
-    def test_worker_requires_coordinator_url(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["worker"])
-
-    def test_coordinator_requires_cache_dir(self, capsys):
-        code = main(["coordinator", *self.GRID])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "needs --cache-dir" in captured.err
-
-    def test_coordinator_rejects_foreign_backend(self, capsys, tmp_path):
-        code = main(["coordinator", *self.GRID, "--backend", "thread",
-                     "--cache-dir", str(tmp_path / "cache")])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "remote backend" in captured.err
-
-    def test_coordinator_and_worker_complete_a_grid(self, capsys, tmp_path):
-        """End-to-end in one process: CLI coordinator + one worker thread."""
-        import re
-        import threading
-
-        cache_dir = str(tmp_path / "cache")
-        printed = []
-
-        worker_done = []
-
-        def run_cli_worker(url):
-            worker_done.append(main([
-                "worker", "--coordinator", url, "--id", "w0",
-                "--poll-interval", "0.01", "--backoff-base", "0.01",
-                "--backoff-cap", "0.05", "--max-retries", "3",
-            ]))
-
-        # The coordinator prints its URL before blocking on results; capture
-        # it via a monkeypatch-free hook: spawn the worker as soon as the
-        # port shows up in the captured output.  Simplest reliable order in
-        # one process: run the coordinator in a thread, poll capsys from here.
-        coordinator_code = []
-
-        def run_coordinator():
-            coordinator_code.append(main([
-                "coordinator", *self.GRID, "--cache-dir", cache_dir,
-                "--chunk-size", "2", "--lease-timeout", "5",
-                "--linger", "0.1", "--port", "0",
-            ]))
-
-        thread = threading.Thread(target=run_coordinator, daemon=True)
-        thread.start()
-        url = None
-        deadline = 50
-        import time as time_module
-        for _ in range(deadline * 100):
-            out = capsys.readouterr().out
-            printed.append(out)
-            match = re.search(r"http://[\d.]+:\d+", out)
-            if match:
-                url = match.group(0)
-                break
-            time_module.sleep(0.01)
-        assert url is not None, "coordinator never printed its URL"
-        worker_thread = threading.Thread(target=run_cli_worker, args=(url,), daemon=True)
-        worker_thread.start()
-        thread.join(timeout=60)
-        worker_thread.join(timeout=60)
-        out = "".join(printed) + capsys.readouterr().out
-        assert coordinator_code == [0]
-        assert worker_done == [0]
-        assert "4 points" in out
-        assert "worker w0: done" in out
-        # The warm re-run is a pure cache hit through the ordinary sweep path.
-        assert main(["sweep", *self.GRID, "--cache-dir", cache_dir]) == 0
-        rerun = capsys.readouterr().out
-        assert "(4 cached, 0 simulated" in rerun

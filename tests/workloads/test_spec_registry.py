@@ -123,9 +123,17 @@ class TestCoercionErrors:
             parse_workload(spec)
         assert spec in str(excinfo.value)  # the offending spec is named
 
-    def test_generator_validation_still_configuration_error(self):
-        with pytest.raises(ConfigurationError):
-            parse_workload("zipf:skew=-1")
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "zipf:skew=-1", "zipf:skew=nan", "mixed:skew=nan", "multiclient:skew=nan",
+            "zipf:seed=-1", "uniform:seed=-1", "wss:seed=-1", "mixed:seed=-1",
+            "markov:seed=-1", "multiclient:seed=-1", "filescan:seed=-1",
+        ],
+    )
+    def test_generator_validation_still_configuration_error(self, spec):
+        with pytest.raises(ConfigurationError, match="must be non-negative"):
+            parse_workload(spec)
 
     def test_missing_required_parameter(self):
         with pytest.raises(ConfigurationError, match="required"):
