@@ -35,7 +35,6 @@ from .runner import (
     ExperimentPoint,
     ExperimentSpec,
     evaluate_instances,
-    instance_fingerprint,
     point_cache_key,
     prepare_sweep,
     run_experiments,
@@ -65,7 +64,6 @@ __all__ = [
     "ExperimentPoint",
     "ExperimentSpec",
     "evaluate_instances",
-    "instance_fingerprint",
     "run_experiments",
     "ScheduleDiff",
     "diff_schedules",

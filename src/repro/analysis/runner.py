@@ -60,7 +60,7 @@ from ..disksim.executor import canonical_engine, simulate_with_engine
 from ..disksim.instance import ProblemInstance
 from ..disksim.vector import VECTOR_FAMILIES, numpy_available, require_numpy, run_batch
 from ..errors import ConfigurationError, PointEvaluationError
-from ..lp.canonical import instance_fingerprint as _canonical_fingerprint
+from ..lp.canonical import instance_fingerprint
 from ..lp.service import OptimumRecord, OptimumService, SolverConfig
 from ..workloads.spec import (
     build_workload_instance,
@@ -80,7 +80,6 @@ from .store import RunStore, SweepProgress, store_path_for
 __all__ = [
     "ExperimentSpec",
     "ExperimentPoint",
-    "instance_fingerprint",
     "point_cache_key",
     "prepare_sweep",
     "run_experiments",
@@ -243,18 +242,6 @@ class ExperimentPoint:
 # ---------------------------------------------------------------------------------
 
 
-def instance_fingerprint(instance: ProblemInstance) -> str:
-    """SHA-256 fingerprint of the instance *content*.
-
-    Delegates to the canonical helper of :mod:`repro.lp.canonical` (shared
-    with the optimum service and the brute-force oracle), so equal — or
-    optimum-equivalent, e.g. differing only in the names of never-requested
-    warm blocks — instances produced by different code paths share cache
-    entries.
-    """
-    return _canonical_fingerprint(instance)
-
-
 def _instance_identity(point: ExperimentPoint) -> str:
     """The *instance* identity of a point (algorithm and engine stripped).
 
@@ -275,7 +262,7 @@ def _instance_identity(point: ExperimentPoint) -> str:
             f"spec={point.workload};k={point.cache_size};F={point.fetch_time};"
             f"D={point.disks}{placement}"
         )
-    return "content=" + _canonical_fingerprint(point.build_instance())
+    return "content=" + instance_fingerprint(point.build_instance())
 
 
 def point_cache_key(point: ExperimentPoint) -> str:

@@ -37,7 +37,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..disksim.executor import canonical_engine
 from ..errors import StoreError
@@ -99,6 +99,23 @@ CREATE INDEX IF NOT EXISTS idx_sweep_points_key ON sweep_points (sweep_key, poin
 def store_path_for(cache_dir) -> Path:
     """The store's database path under a runner cache directory."""
     return Path(cache_dir) / STORE_FILENAME
+
+
+_Record = TypeVar("_Record")
+
+
+def _decode_row(decode: Callable[[Any], _Record], body: str) -> Optional[_Record]:
+    """``decode(json.loads(body))``, or None when the row is corrupt (a miss).
+
+    Bodies that are not JSON, lack a field, or hold a value of the wrong
+    type or range — ``Infinity`` where an int belongs, a nest deep enough
+    to exhaust the recursion limit — read as missing, so the caller
+    simulates or solves the point again and overwrites the row.
+    """
+    try:
+        return decode(json.loads(body))
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -208,12 +225,7 @@ class RunStore:
             row = self._conn.execute(
                 "SELECT record FROM runs WHERE key = ?", (key,)
             ).fetchone()
-        if row is None:
-            return None
-        try:
-            return RunRecord.from_json_dict(json.loads(row[0]))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            return None
+        return None if row is None else _decode_row(RunRecord.from_json_dict, row[0])
 
     def put_run(self, key: str, record: RunRecord) -> None:
         """Upsert one record under ``key`` (see :meth:`put_runs`)."""
@@ -260,7 +272,7 @@ class RunStore:
 
         ``algorithm`` matches either the resolved name or the spec string;
         ``engine`` must be a known engine name.  Results come back in
-        deterministic (key) order.
+        deterministic (key) order; corrupt rows are skipped.
         """
         clauses, params = [], []
         if workload is not None:
@@ -280,13 +292,8 @@ class RunStore:
             rows = self._conn.execute(
                 f"SELECT record FROM runs {where} ORDER BY key", params
             ).fetchall()
-        records = []
-        for (body,) in rows:
-            try:
-                records.append(RunRecord.from_json_dict(json.loads(body)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                continue
-        return records
+        records = (_decode_row(RunRecord.from_json_dict, body) for (body,) in rows)
+        return [record for record in records if record is not None]
 
     def count_runs(self) -> int:
         """How many run records the store holds."""
@@ -301,12 +308,7 @@ class RunStore:
             row = self._conn.execute(
                 "SELECT record FROM optima WHERE fingerprint = ?", (fingerprint,)
             ).fetchone()
-        if row is None:
-            return None
-        try:
-            return OptimumRecord.from_json_dict(json.loads(row[0]))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            return None
+        return None if row is None else _decode_row(OptimumRecord.from_json_dict, row[0])
 
     def put_optimum(self, record: OptimumRecord) -> None:
         """Upsert one optimum record under its canonical fingerprint."""

@@ -28,11 +28,10 @@ Commands
 ``bench``     — run the repository microbenchmarks; ``bench engine`` measures
                 loop/scan/vector-batch throughput and, with ``--gate``,
                 enforces the stored perf floor (exit 1 on regression).
-``check``     — run the AST invariant lint over the package source: the
-                determinism, error-discipline, registry-hygiene and
-                float-equality rules, gated against a committed baseline
-                (exit 1 on any new finding; ``--list-rules`` shows the
-                battery, ``--json`` writes the findings artifact).
+``check``     — run the determinism lint over the package source (or the
+                given paths): seeded RNGs only, no wall clocks in kernel
+                code, ordered fingerprints.  Exit 0 when clean, 1 on any
+                finding, 2 on a missing or unparseable target.
 
 Workload and algorithm specs share the grammar ``name[:key=value,...]``
 (``zipf:n=200,blocks=50,skew=0.8``, ``delay:d=3``, ``demand:evict=lru``) so
@@ -300,27 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser(
         "check",
-        help="run the AST invariant lint (determinism, error discipline, "
-        "registry hygiene, float equality)",
+        help="run the determinism lint (seeded RNGs, no wall clocks, ordered "
+        "fingerprints); exit 1 on any finding",
     )
     p_check.add_argument("paths", nargs="*", default=None,
                          help="files or directories to check (default: the "
                          "installed repro package source)")
-    p_check.add_argument("--baseline", default=None,
-                         help="baseline file of grandfathered findings; new "
-                         "findings beyond it fail the gate")
-    p_check.add_argument("--update-baseline", action="store_true",
-                         help="rewrite --baseline to absorb the current "
-                         "findings instead of failing on them")
-    p_check.add_argument("--json", dest="json_path", default=None,
-                         help="write the full report as JSON to this path "
-                         "(the CI findings artifact)")
-    p_check.add_argument("--only", default=None,
-                         help="comma-separated rule ids to run exclusively")
-    p_check.add_argument("--disable", default=None,
-                         help="comma-separated rule ids to skip")
-    p_check.add_argument("--list-rules", action="store_true",
-                         help="list the registered rules and exit")
 
     return parser
 
@@ -592,33 +576,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .checks import Baseline, CheckConfig, all_checkers, run_checks
+    from .checks import run_checks
 
-    if args.list_rules:
-        for checker in all_checkers():
-            print(f"{checker.rule_id} ({checker.severity}): {checker.description}")
-        return 0
-    config = CheckConfig.from_option_strings(
-        args.only or "", args.disable or ""
-    )
-    baseline_path = Path(args.baseline) if args.baseline else None
-    if args.update_baseline and baseline_path is None:
-        raise ConfigurationError("--update-baseline needs --baseline (the file to write)")
-    baseline = None
-    if baseline_path is not None and baseline_path.exists() and not args.update_baseline:
-        baseline = Baseline.load(baseline_path)
-    report = run_checks(args.paths or None, config=config, baseline=baseline)
-    if args.update_baseline:
-        Baseline.from_findings(report.findings).save(baseline_path)
-        print(
-            f"wrote baseline {baseline_path} absorbing "
-            f"{len(report.findings)} finding(s)"
-        )
-        return 0
-    if args.json_path:
-        Path(args.json_path).write_text(
-            json_module.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        )
+    report = run_checks(args.paths or None)
     print(report.format_text())
     return 0 if report.ok else 1
 

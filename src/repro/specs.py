@@ -54,7 +54,7 @@ def coerce_bool(text: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     # Coercer protocol: coerce_params converts this into a ConfigurationError
-    # that names the spec and parameter.  # repro: allow(spec-error-discipline)
+    # that names the spec and parameter.
     raise ValueError(f"not a boolean: {text!r}")
 
 
@@ -70,7 +70,7 @@ def choice(*options: str) -> Callable[[str], str]:
         lowered = text.strip().lower()
         if lowered not in allowed:
             # Coercer protocol: converted by coerce_params, which attaches
-            # the offending spec.  # repro: allow(spec-error-discipline)
+            # the offending spec.
             raise ValueError(f"expected one of {'|'.join(allowed)}, got {text!r}")
         return lowered
 

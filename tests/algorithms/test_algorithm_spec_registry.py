@@ -9,6 +9,8 @@ and records a round-trippable spec.  Mirrors
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.algorithms import (
@@ -100,6 +102,19 @@ class TestRegistryContract:
         instance = _instance_for(definition.kind)
         result = simulate(instance, make_algorithm(base_spec(name)))
         assert result.elapsed_time >= result.metrics.num_requests
+
+    @pytest.mark.parametrize("name", ALL_ALGORITHMS)
+    def test_summary_docstring_and_factory_accept_the_schema(self, name):
+        # The coerced parameters reach the factory as keyword arguments; it
+        # may take more (DemandFetch's eviction_policy), never fewer.
+        definition = ALGORITHM_REGISTRY[name]
+        assert definition.summary.strip()
+        assert (definition.factory.__doc__ or "").strip()
+        factory_params = inspect.signature(definition.factory).parameters
+        if not any(
+            p.kind is inspect.Parameter.VAR_KEYWORD for p in factory_params.values()
+        ):
+            assert set(definition.param_names) <= set(factory_params)
 
 
 class TestStrictParsing:

@@ -10,11 +10,11 @@ from repro.analysis.runner import (
     ExperimentPoint,
     ExperimentSpec,
     evaluate_instances,
-    instance_fingerprint,
     run_experiments,
 )
 from repro.disksim import ProblemInstance
 from repro.errors import ConfigurationError, PointEvaluationError
+from repro.lp import instance_fingerprint
 from repro.workloads import single_disk_example, zipf
 
 

@@ -6,7 +6,7 @@ import json
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.analysis.runner as runner_module
@@ -79,6 +79,33 @@ _records = st.builds(
 )
 
 
+#: A stored run body and optimum body, and the fields of each (top level and
+#: ``metrics``) the corrupt-row property overwrites.
+_RUN_BODY = _record(optimal_stall=1, optimal_elapsed=12, optimum_solver_key="k").to_json_dict()
+_OPTIMUM = OptimumRecord(
+    fingerprint="f1", stall_time=3, elapsed_time=13, lp_lower_bound=12.5,
+    method_used="single-disk-exact", solve_seconds=0.01, solver_key="k",
+)
+_CORRUPTIBLE = (
+    [("runs", (name,)) for name in sorted(_RUN_BODY)]
+    + [("runs", ("metrics", name)) for name in sorted(_RUN_BODY["metrics"])]
+    + [("optima", (name,)) for name in sorted(_OPTIMUM.as_json_dict())]
+)
+#: Raw JSON replacing one field: wrong types, a negative, non-finite numbers.
+_CORRUPT_VALUES = ["null", "-1", "NaN", "Infinity", "-Infinity", '"text"', "[1, 2]", '{"a": 1}']
+_DEEP_NEST = "[" * 10**5 + "]" * 10**5
+
+
+def _corrupt_body(body, field, raw: str) -> str:
+    """``body`` as JSON with the value at ``field`` (a key path) replaced by ``raw``."""
+    body = json.loads(json.dumps(body))
+    target = body
+    for name in field[:-1]:
+        target = target[name]
+    target[field[-1]] = "__corrupt__"
+    return json.dumps(body, sort_keys=True).replace('"__corrupt__"', raw)
+
+
 class TestRunPersistence:
     @settings(max_examples=25, deadline=None)
     @given(records=st.lists(_records, min_size=1, max_size=6))
@@ -128,6 +155,29 @@ class TestRunPersistence:
             with store._conn:
                 store._conn.execute("UPDATE runs SET record = '{not json'")
             assert store.get_run("k") is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(target=st.sampled_from(_CORRUPTIBLE), raw=st.sampled_from(_CORRUPT_VALUES))
+    @example(target=("runs", ("metrics", "stall_time")), raw=_DEEP_NEST).via("deep nest")
+    @example(target=("optima", ("stall_time",)), raw=_DEEP_NEST).via("deep nest")
+    def test_one_corrupt_field_reads_as_a_record_or_a_miss(
+        self, tmp_path_factory, target, raw
+    ):
+        """Property: no field value makes a read raise; query_runs skips misses."""
+        table, field = target
+        body = _RUN_BODY if table == "runs" else _OPTIMUM.as_json_dict()
+        with RunStore(tmp_path_factory.mktemp("corrupt") / "s.sqlite") as store:
+            store.put_run("k", _record())
+            store.put_optimum(_OPTIMUM)
+            with store._conn:
+                store._conn.execute(
+                    f"UPDATE {table} SET record = ?", (_corrupt_body(body, field, raw),)
+                )
+            run = store.get_run("k")
+            optimum = store.get_optimum(_OPTIMUM.fingerprint)
+            assert run is None or isinstance(run, RunRecord)
+            assert optimum is None or isinstance(optimum, OptimumRecord)
+            assert len(store.query_runs()) == (0 if run is None else 1)
 
     def test_indexed_queries_by_identity_columns(self, tmp_path):
         with RunStore(tmp_path / "s.sqlite") as store:
@@ -281,6 +331,24 @@ class TestResume:
         assert second.optimum_requests == 0
         assert second.cached_points == len(second.records)
         assert second.to_json() == first.to_json()
+
+    def test_corrupt_row_is_resimulated_and_overwritten(self, tmp_path):
+        """A row whose stall_time is JSON ``Infinity`` is a miss, then repaired."""
+        spec = _spec(cache_sizes=(4,), algorithms=("aggressive",), seeds=(0,))
+        first = run_experiments(spec, cache_dir=tmp_path)
+        key = point_cache_key(spec.points()[0])
+        with RunStore(store_path_for(tmp_path)) as store:
+            body = store.get_run(key).to_json_dict()
+            with store._conn:
+                store._conn.execute(
+                    "UPDATE runs SET record = ? WHERE key = ?",
+                    (_corrupt_body(body, ("metrics", "stall_time"), "Infinity"), key),
+                )
+        second = run_experiments(spec, cache_dir=tmp_path)
+        assert second.simulated_points == 1
+        assert second.to_json() == first.to_json()
+        with RunStore(store_path_for(tmp_path)) as store:
+            assert store.get_run(key) == first.records[0]
 
     def test_killed_sweep_resumes_from_stored_records(self, tmp_path, monkeypatch):
         """Records persisted before a crash count as progress on resume."""

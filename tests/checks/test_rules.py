@@ -1,10 +1,10 @@
 """Per-rule fixture tests: each rule flags its seeded violation, passes the fix.
 
-Every test writes a tiny source fixture, parses it at the package-relative
-path the rule scopes on, and asserts the rule's verdict — one violating
-form, one corrected form.  The fixtures are the executable definition of
-what each rule means; keep them in sync with the rule catalog in
-docs/architecture.md.
+Every test writes a tiny source fixture at the package-relative path the
+rule scopes on, runs the checker over it, and asserts the rule's verdict —
+one violating form, one corrected form.  The fixtures are the executable
+definition of what each rule means; keep them in sync with the rule table
+in docs/architecture.md.
 """
 
 from __future__ import annotations
@@ -12,30 +12,19 @@ from __future__ import annotations
 import textwrap
 from typing import List
 
-from repro.checks import Finding, ModuleUnderCheck
-from repro.checks.base import CHECKER_REGISTRY, ProjectChecker, parse_module
+from repro.checks import Finding, run_checks
 
 
 def check_source(rule_id: str, pkgpath: str, source: str, tmp_path) -> List[Finding]:
-    """Run one registered rule over a source fixture at ``pkgpath``."""
-    path = tmp_path / pkgpath.replace("/", "__")
+    """``rule_id``'s findings for a source fixture written at ``pkgpath``."""
+    path = tmp_path / pkgpath
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source))
-    module = parse_module(path, pkgpath)
-    checker = CHECKER_REGISTRY[rule_id]()
-    assert not isinstance(checker, ProjectChecker)
-    return checker.run(module)
-
-
-def check_project(rule_id: str, fixtures, tmp_path) -> List[Finding]:
-    """Run one project-level rule over ``{pkgpath: source}`` fixtures."""
-    modules: List[ModuleUnderCheck] = []
-    for pkgpath, source in fixtures.items():
-        path = tmp_path / pkgpath.replace("/", "__")
-        path.write_text(textwrap.dedent(source))
-        modules.append(parse_module(path, pkgpath))
-    checker = CHECKER_REGISTRY[rule_id]()
-    assert isinstance(checker, ProjectChecker)
-    return checker.run_project(modules)
+    return [
+        finding
+        for finding in run_checks([tmp_path]).findings
+        if finding.rule == rule_id and finding.path == pkgpath
+    ]
 
 
 class TestDeterminismRng:
@@ -260,244 +249,3 @@ class TestFingerprintOrder:
             tmp_path,
         )
         assert findings == []
-
-
-class TestSpecErrorDiscipline:
-    def test_bare_value_error_flagged(self, tmp_path):
-        findings = check_source(
-            "spec-error-discipline",
-            "workloads/spec.py",
-            """
-            def parse(spec):
-                raise ValueError(f"bad spec {spec!r}")
-            """,
-            tmp_path,
-        )
-        assert len(findings) == 1
-        assert "ValueError" in findings[0].message
-
-    def test_static_message_flagged(self, tmp_path):
-        findings = check_source(
-            "spec-error-discipline",
-            "specs.py",
-            """
-            from repro.errors import ConfigurationError
-
-            def parse(spec):
-                raise ConfigurationError("bad spec")
-            """,
-            tmp_path,
-        )
-        assert len(findings) == 1
-        assert "f-string" in findings[0].message
-
-    def test_spec_naming_configuration_error_passes(self, tmp_path):
-        findings = check_source(
-            "spec-error-discipline",
-            "algorithms/registry.py",
-            """
-            from repro.errors import ConfigurationError
-
-            def parse(spec):
-                raise ConfigurationError(f"unknown algorithm in spec {spec!r}")
-            """,
-            tmp_path,
-        )
-        assert findings == []
-
-    def test_bare_reraise_allowed(self, tmp_path):
-        findings = check_source(
-            "spec-error-discipline",
-            "specs.py",
-            """
-            def forward(spec):
-                try:
-                    return int(spec)
-                except ValueError:
-                    raise
-            """,
-            tmp_path,
-        )
-        assert findings == []
-
-    def test_pragma_suppresses_protocol_raise(self, tmp_path):
-        findings = check_source(
-            "spec-error-discipline",
-            "specs.py",
-            """
-            def coerce(text):
-                # protocol raise  # repro: allow(spec-error-discipline)
-                raise ValueError(f"not a boolean: {text!r}")
-            """,
-            tmp_path,
-        )
-        assert findings == []
-
-
-class TestRegistryHygiene:
-    def test_lambda_schema_mismatch_flagged(self, tmp_path):
-        findings = check_project(
-            "registry-hygiene",
-            {
-                "workloads/spec.py": """
-                def _def(name, summary, factory, params):
-                    pass
-
-                class ParamSpec:
-                    pass
-
-                _def("zipf", "zipf workload", lambda n, skew: None,
-                     [ParamSpec("n"), ParamSpec("blocks")])
-                """
-            },
-            tmp_path,
-        )
-        assert len(findings) == 1
-        assert "lambda builder" in findings[0].message
-
-    def test_missing_summary_flagged(self, tmp_path):
-        findings = check_project(
-            "registry-hygiene",
-            {
-                "workloads/spec.py": """
-                def _def(name, summary, factory, params):
-                    pass
-
-                _def("zipf", "", lambda: None, [])
-                """
-            },
-            tmp_path,
-        )
-        assert len(findings) == 1
-        assert "summary" in findings[0].message
-
-    def test_factory_signature_mismatch_flagged(self, tmp_path):
-        findings = check_project(
-            "registry-hygiene",
-            {
-                "algorithms/registry.py": """
-                class ParamSpec:
-                    pass
-
-                def register_algorithm(name, factory, *, summary="", params=()):
-                    pass
-
-                class Delay:
-                    \"\"\"Delay policy.\"\"\"
-
-                    def __init__(self, d):
-                        pass
-
-                register_algorithm("delay", Delay, summary="delay d steps",
-                                   params=[ParamSpec("d"), ParamSpec("window")])
-                """
-            },
-            tmp_path,
-        )
-        assert len(findings) == 1
-        assert "'window'" in findings[0].message
-
-    def test_consistent_registration_passes(self, tmp_path):
-        findings = check_project(
-            "registry-hygiene",
-            {
-                "algorithms/registry.py": """
-                class ParamSpec:
-                    pass
-
-                def register_algorithm(name, factory, *, summary="", params=()):
-                    pass
-
-                class Delay:
-                    \"\"\"Delay policy.\"\"\"
-
-                    def __init__(self, d):
-                        pass
-
-                register_algorithm("delay", Delay, summary="delay d steps",
-                                   params=[ParamSpec("d")])
-                """
-            },
-            tmp_path,
-        )
-        assert findings == []
-
-    def test_dynamic_forwarding_call_skipped(self, tmp_path):
-        findings = check_project(
-            "registry-hygiene",
-            {
-                "algorithms/registry.py": """
-                def register_algorithm(name, factory, *, summary="", params=()):
-                    pass
-
-                def _def(name, summary, factory, params):
-                    register_algorithm(name, factory, summary=summary, params=params)
-                """
-            },
-            tmp_path,
-        )
-        assert findings == []
-
-
-class TestFloatEquality:
-    def test_nonintegral_literal_flagged(self, tmp_path):
-        findings = check_source(
-            "float-equality",
-            "analysis/gate.py",
-            """
-            def gate(ratio):
-                return ratio == 1.5
-            """,
-            tmp_path,
-        )
-        assert len(findings) == 1
-        assert findings[0].severity == "warning"
-
-    def test_division_result_flagged(self, tmp_path):
-        findings = check_source(
-            "float-equality",
-            "analysis/gate.py",
-            """
-            def gate(a, b, c):
-                return a / b == c
-            """,
-            tmp_path,
-        )
-        assert len(findings) == 1
-
-    def test_integral_literal_and_inf_pass(self, tmp_path):
-        findings = check_source(
-            "float-equality",
-            "analysis/gate.py",
-            """
-            def gate(ratio):
-                return ratio == 1.0 or ratio == float("inf")
-            """,
-            tmp_path,
-        )
-        assert findings == []
-
-    def test_allowlisted_helper_exempt(self, tmp_path):
-        findings = check_source(
-            "float-equality",
-            "analysis/gate.py",
-            """
-            def safe_ratio(a, b):
-                return a / b == 0.5
-            """,
-            tmp_path,
-        )
-        assert findings == []
-
-    def test_nan_comparison_flagged(self, tmp_path):
-        findings = check_source(
-            "float-equality",
-            "analysis/gate.py",
-            """
-            def gate(x):
-                return x != float("nan")
-            """,
-            tmp_path,
-        )
-        assert len(findings) == 1
-        assert "nan" in findings[0].message

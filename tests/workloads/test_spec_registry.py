@@ -10,6 +10,8 @@ the three historical parsing bugs (silently ignored unknown keys, leaked
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.disksim import ProblemInstance, RequestSequence, simulate
@@ -93,6 +95,15 @@ class TestRegistryContract:
         assert isinstance(instance, ProblemInstance)
         result = simulate(instance, make_algorithm("demand"))
         assert result.elapsed_time >= result.metrics.num_requests
+
+    @pytest.mark.parametrize("name", ALL_WORKLOADS)
+    def test_summary_and_builder_signature_match_the_schema(self, name):
+        # The coerced parameters reach the builder as keyword arguments, so
+        # its parameter names must be exactly the schema's.
+        definition = WORKLOAD_REGISTRY[name]
+        assert definition.summary.strip()
+        builder_params = inspect.signature(definition.builder).parameters
+        assert set(builder_params) == set(definition.param_names)
 
 
 class TestUnknownAndDuplicateKeys:
