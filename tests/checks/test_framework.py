@@ -1,4 +1,4 @@
-"""Harness tests: findings, the report, the rule table and bad targets."""
+"""Harness tests: findings, the report, the rule table, collection, bad targets."""
 
 from __future__ import annotations
 
@@ -56,10 +56,65 @@ class TestRegistry:
             run_checks([tmp_path / "nope"])
 
     @pytest.mark.parametrize(
-        "content", [b"def f(:\n", b"x = '\xff'\n"], ids=["syntax-error", "not-utf8"]
+        "content",
+        [b"def f(:\n", b"x = '\xff'\n", b"x = 1\x00\n"],
+        ids=["syntax-error", "not-utf8", "nul-byte"],
     )
     def test_unparseable_target_rejected(self, tmp_path, content):
         bad = tmp_path / "broken.py"
         bad.write_bytes(content)
         with pytest.raises(ConfigurationError, match="broken.py is not parseable"):
             run_checks([tmp_path])
+
+
+class TestCollection:
+    RNG_VIOLATION = "import random\nx = random.random()\n"
+
+    def test_repro_directory_prefix_is_stripped(self, tmp_path):
+        module = tmp_path / "src" / "repro" / "disksim" / "bad.py"
+        module.parent.mkdir(parents=True)
+        module.write_text(self.RNG_VIOLATION)
+        for target in (tmp_path / "src", module):
+            report = run_checks([target])
+            assert [(f.path, f.line, f.rule) for f in report.findings] == [
+                ("disksim/bad.py", 2, "determinism-rng")
+            ]
+
+    def test_file_target_outside_a_package_is_reported_by_name(self, tmp_path):
+        module = tmp_path / "keys.py"
+        module.write_text("def cache_key(x):\n    return hash(x)\n")
+        report = run_checks([module])
+        assert [(f.path, f.rule) for f in report.findings] == [
+            ("keys.py", "fingerprint-order")
+        ]
+
+    def test_overlapping_targets_are_read_once(self, tmp_path):
+        module = tmp_path / "disksim" / "bad.py"
+        module.parent.mkdir()
+        module.write_text(self.RNG_VIOLATION)
+        report = run_checks([tmp_path, module, tmp_path / "disksim"])
+        assert report.files_checked == 1
+        assert len(report.findings) == 1
+
+    def test_findings_sorted_across_files_and_rules(self, tmp_path):
+        (tmp_path / "lp").mkdir()
+        (tmp_path / "core").mkdir()
+        (tmp_path / "lp" / "a.py").write_text(
+            "import time\nimport random\n\ndef cache_key(x):\n"
+            "    return hash((x, random.random(), time.time()))\n"
+        )
+        (tmp_path / "core" / "b.py").write_text(self.RNG_VIOLATION)
+        report = run_checks([tmp_path])
+        assert [(f.path, f.line, f.rule) for f in report.findings] == [
+            ("core/b.py", 2, "determinism-rng"),
+            ("lp/a.py", 5, "determinism-clock"),
+            ("lp/a.py", 5, "determinism-rng"),
+            ("lp/a.py", 5, "fingerprint-order"),
+        ]
+        assert report.files_checked == 2
+
+    def test_empty_tree_is_clean(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("random.random()\n")
+        report = run_checks([tmp_path])
+        assert report.ok
+        assert report.files_checked == 0

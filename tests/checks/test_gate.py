@@ -51,6 +51,22 @@ class TestCliCheck:
         assert "latin1.py" in err
         assert err.count("\n") == 1
 
+    def test_missing_target_is_a_one_line_error(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path / "nope")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: check target ")
+        assert err.rstrip("\n").endswith("does not exist")
+        assert err.count("\n") == 1
+
+    def test_several_targets_are_checked_together(self, tmp_path, capsys):
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        (clean / "ok.py").write_text("x = 1\n")
+        (tmp_path / "dirty").mkdir()
+        tree = self._violation_tree(tmp_path / "dirty")
+        assert main(["check", str(clean), str(tree)]) == 1
+        assert "1 finding(s), 2 file(s), 3 rule(s)" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "argv",
         [
