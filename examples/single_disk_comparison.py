@@ -10,9 +10,8 @@ against the exact optimum and prints the Section 2 bounds next to them.
 Run with:  python examples/single_disk_comparison.py
 """
 
-from repro.algorithms import Aggressive, Combination, Conservative, Delay, DemandFetch
-from repro.analysis import format_report, measure_ratios
-from repro.core.bounds import best_delay_parameter
+from repro.analysis import evaluate_instances, format_ratio_table, format_table
+from repro.core.bounds import SingleDiskBounds, best_delay_parameter
 from repro.disksim import ProblemInstance
 from repro.workloads import database_join_trace
 
@@ -23,15 +22,13 @@ def main() -> None:
     instance = ProblemInstance.single_disk(sequence, cache_size, fetch_time)
 
     d0 = best_delay_parameter(fetch_time)
-    algorithms = [
-        DemandFetch(),
-        Aggressive(),
-        Conservative(),
-        Delay(d0),
-        Combination(),
-    ]
-    report = measure_ratios(instance, algorithms)
-    print(format_report(report, title="block nested-loop join, single disk"))
+    algorithms = ["demand", "aggressive", "conservative", f"delay:d={d0}", "combination"]
+    results = evaluate_instances([("join", instance)], algorithms, compute_optimum=True)
+    print(format_ratio_table(results, title="block nested-loop join, single disk"))
+    print()
+    print(format_table(
+        [SingleDiskBounds(cache_size, fetch_time).as_dict()], title="Section 2 bounds"
+    ))
     print()
     print(
         "Reading the table: 'demand' pays the full fetch latency on every miss; "

@@ -1,14 +1,16 @@
-"""Measurement harness: brute-force optima, ratio measurement, sweeps, reports.
+"""Experiment harness: the batched runner, its store and backends, reports.
 
-Every producer in this package emits the unified run-record model of
-:mod:`repro.analysis.results`: a :class:`RunRecord` per algorithm x instance
-evaluation, collected into :class:`ResultSet` s with uniform JSON/CSV
-emission — whether the records come from the batched runner, the LP-backed
-ratio harness or an in-process sweep.  Execution is pluggable
+Every grid, sweep and ratio experiment goes through one pipeline, the
+batched runner of :mod:`repro.analysis.runner`: it emits a
+:class:`RunRecord` per algorithm x instance evaluation, collected into a
+:class:`ResultSet` with uniform JSON/CSV emission, and with
+``compute_optimum=True`` every record also carries the instance's optimum
+and the approximation ratios.  Execution is pluggable
 (:mod:`repro.analysis.backends`: serial/thread/process with adaptive
 chunking) and persistence is durable (:mod:`repro.analysis.store`: one
 WAL-mode SQLite file holding run records, optimum records and resumable
-sweep manifests).
+sweep manifests).  :mod:`repro.analysis.optimal` is the brute-force
+optimum the LP is tested against.
 """
 
 from .backends import (
@@ -20,13 +22,10 @@ from .backends import (
     adaptive_chunk_size,
     make_backend,
 )
-from .compare import ScheduleDiff, diff_schedules, summarize_result
 from .optimal import BruteForceResult, brute_force_optimal_stall
-from .ratios import AlgorithmMeasurement, RatioReport, measure_parallel_stall, measure_ratios
 from .reporting import (
     format_comparison,
     format_ratio_table,
-    format_report,
     format_result_set,
     format_table,
 )
@@ -41,7 +40,6 @@ from .runner import (
     sweep_key_for,
 )
 from .store import RunStore, SweepProgress, store_path_for
-from .sweep import SweepPoint, run_sweep
 
 __all__ = [
     "BACKEND_NAMES",
@@ -65,20 +63,10 @@ __all__ = [
     "ExperimentSpec",
     "evaluate_instances",
     "run_experiments",
-    "ScheduleDiff",
-    "diff_schedules",
-    "summarize_result",
     "BruteForceResult",
     "brute_force_optimal_stall",
-    "AlgorithmMeasurement",
-    "RatioReport",
-    "measure_parallel_stall",
-    "measure_ratios",
     "format_comparison",
     "format_ratio_table",
-    "format_report",
     "format_result_set",
     "format_table",
-    "SweepPoint",
-    "run_sweep",
 ]

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional
 from ..algorithms.registry import make_algorithm
 from ..disksim.executor import simulate
 from ..disksim.instance import ProblemInstance
-from ..disksim.vector import require_numpy, simulate_batch
+from ..disksim.vector import simulate_batch
 from ..workloads import looping_scan, zipf
 
 __all__ = [
@@ -132,7 +132,6 @@ def run_engine_benchmark(
     sorted-key stable) and carries the grid configuration alongside the
     cells so a stored report is self-describing.
     """
-    require_numpy()
     results: Dict[str, Dict[str, object]] = {}
     worst_small_ws = float("inf")
     worst_vector = float("inf")

@@ -3,8 +3,8 @@
 The benchmarks print their results as aligned text tables (the paper has no
 figures to re-plot, so tables are the native output format of every
 experiment).  Only the standard library is used; the helpers accept the
-unified result model (:class:`~repro.analysis.results.ResultSet` /
-:class:`~repro.analysis.ratios.RatioReport`) or plain row dictionaries.
+unified result model (:class:`~repro.analysis.results.ResultSet`) or plain
+row dictionaries.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 __all__ = [
     "format_table",
-    "format_report",
     "format_result_set",
     "format_ratio_table",
     "format_comparison",
@@ -65,25 +64,6 @@ def format_table(
     lines.append("  ".join("-" * w for w in widths))
     for r in rendered:
         lines.append("  ".join(cell.ljust(widths[idx]) for idx, cell in enumerate(r)))
-    return "\n".join(lines)
-
-
-def format_report(report, *, title: Optional[str] = None) -> str:
-    """Render a :class:`~repro.analysis.ratios.RatioReport` as a table."""
-    header = title or f"instance: {report.instance_description}"
-    lines = [
-        header,
-        f"optimal stall = {report.optimal_stall}, optimal elapsed = {report.optimal_elapsed}",
-    ]
-    if report.bounds is not None:
-        b = report.bounds
-        lines.append(
-            "bounds: aggressive(Thm1)="
-            f"{b.aggressive_refined:.3f} (Cao et al. {b.aggressive_cao:.3f}), "
-            f"lower(Thm2)={b.aggressive_lower:.3f}, delay(d0={b.best_delay})={b.delay_best:.3f}, "
-            f"combination={b.combination:.3f}"
-        )
-    lines.append(format_table(report.as_rows()))
     return "\n".join(lines)
 
 

@@ -2,11 +2,9 @@
 
 Every experiment in this repository reduces to the same shape of fact: *one
 algorithm spec ran over one problem instance under one engine and produced
-these metrics (and, when an optimum was computed, these ratios)*.
-Historically the runner, the ratio harness and the legacy sweep each encoded
-that fact in their own row-dict dialect, so every new experiment re-invented
-serialization.  This module is the single model they all produce and
-consume:
+these metrics (and, when an optimum was computed, these ratios)*.  The
+batched runner (:mod:`repro.analysis.runner`) produces it for every sweep
+and ratio grid, and the reporting, store and benchmark code consume it:
 
 * :class:`RunRecord` — one typed record: instance identity (workload spec,
   ``k``/``F``/``D``/layout), algorithm identity (resolved name + portable
@@ -15,7 +13,7 @@ consume:
 * :class:`ResultSet` — an ordered, named collection of records with uniform
   emission: flat rows for the table formatter (with column selection),
   deterministic sorted-key JSON, CSV, and the query helpers the benchmark
-  scripts use (``metric``, ``ratios_for``, ``max_ratio_for``).
+  scripts use (``metric``, ``ratios_for``, ``for_algorithm``).
 
 Records round-trip losslessly through :meth:`RunRecord.to_json_dict` /
 :meth:`RunRecord.from_json_dict`; the runner's on-disk point cache and the
@@ -351,11 +349,6 @@ class ResultSet:
             for record in self.for_algorithm(algorithm)
             if record.elapsed_ratio is not None
         }
-
-    def max_ratio_for(self, algorithm: str) -> float:
-        """Worst elapsed-time ratio of ``algorithm`` over the set."""
-        ratios = self.ratios_for(algorithm)
-        return max(ratios.values()) if ratios else float("nan")
 
     # -- emission ----------------------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Batched experiment runner: declarative grids, pluggable backends, durable store.
 
-This is the scale harness the benchmark scripts and the ``repro sweep`` /
-``repro ratios`` commands drive (see DESIGN.md §6/§8).  It replaces the
-serial :func:`repro.analysis.sweep.run_sweep` loop as the way experiments
-are executed:
+This is the experiment harness the benchmark scripts and the ``repro sweep``
+/ ``repro ratios`` commands drive (see DESIGN.md §6/§8); with
+``compute_optimum=True`` it is also the one way to measure algorithms
+against the optimum:
 
 * **Declarative grids** — an :class:`ExperimentSpec` names workload specs
   (the portable strings of :mod:`repro.workloads.spec`), cache sizes, fetch
@@ -43,8 +43,7 @@ are executed:
 * **Uniform emission** — every point evaluates to one typed
   :class:`~repro.analysis.results.RunRecord`; the run returns them as a
   :class:`~repro.analysis.results.ResultSet` with uniform row/JSON/CSV
-  emission and column selection, the same model the ratio harness and the
-  legacy sweep produce.
+  emission and column selection.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..algorithms.registry import canonicalize_algorithm_spec, make_algorithm
 from ..disksim.executor import canonical_engine, simulate_with_engine
 from ..disksim.instance import ProblemInstance
-from ..disksim.vector import VECTOR_FAMILIES, numpy_available, require_numpy, run_batch
+from ..disksim.vector import VECTOR_FAMILIES, run_batch
 from ..errors import ConfigurationError, PointEvaluationError
 from ..lp.canonical import instance_fingerprint
 from ..lp.service import OptimumRecord, OptimumService, SolverConfig
@@ -476,20 +475,14 @@ def _plan_execution_units(pending):
     order and each bucket keeps its items in grid order, so zipping the
     streamed results against the units reproduces the serial order exactly.
     Buckets smaller than :data:`MIN_VECTOR_BATCH` are demoted to per-point
-    tasks, buckets larger than :data:`MAX_VECTOR_BATCH` are chunked.  With
-    numpy unavailable, ``engine="vector"`` points raise
-    :class:`~repro.errors.ConfigurationError` here — before any worker
-    starts — while ``engine="auto"`` points degrade to loop tasks silently.
+    tasks, buckets larger than :data:`MAX_VECTOR_BATCH` are chunked.
     """
-    have_numpy = numpy_available()
     units = []
     buckets: Dict[Tuple[object, ...], List] = {}
     for item in pending:
         _position, point, _key = item
         engine = canonical_engine(point.engine)
-        if engine == "vector" and not have_numpy:
-            require_numpy()
-        if engine in ("vector", "auto") and have_numpy and _vector_eligible(point):
+        if engine in ("vector", "auto") and _vector_eligible(point):
             bucket = _vector_bucket_key(point)
             group = buckets.get(bucket)
             if group is None:

@@ -4,8 +4,6 @@ Commands
 --------
 ``simulate``  — run one algorithm on a workload and print metrics (optionally
                 a Gantt chart / timeline).
-``compare``   — run several algorithms on the same workload and print their
-                measured ratios against the LP optimum.
 ``sweep``     — run an algorithm x parameter grid through the batched
                 experiment runner (multi-process, cached, JSON/CSV output);
                 ``--watch`` instead polls a running sweep's manifest in the
@@ -15,7 +13,10 @@ Commands
                 approximation ratios and the solve wall time; optima are
                 solved once per instance, dispatched interleaved with the
                 simulations and persisted in the run store
-                (``<cache-dir>/runs.sqlite``).
+                (``<cache-dir>/runs.sqlite``).  This is the one way to
+                measure algorithms against the optimum; a one-point grid
+                (``-w W -k K -F F [-D D] -a A``) compares several
+                algorithms on one instance.
 ``store``     — operate the SQLite run store: ``stats`` (what it holds) and
                 ``gc`` (drop finished sweep manifests, compact the file).
 ``workloads`` — print the typed workload catalog: every registered spec name,
@@ -57,13 +58,7 @@ from typing import List, Optional, Sequence
 
 from .algorithms import format_algorithm_catalog, make_algorithm
 from .analysis.backends import BACKEND_NAMES
-from .analysis.ratios import measure_parallel_stall, measure_ratios
-from .analysis.reporting import (
-    format_ratio_table,
-    format_report,
-    format_result_set,
-    format_table,
-)
+from .analysis.reporting import format_ratio_table, format_result_set, format_table
 from .analysis.runner import ExperimentSpec, prepare_sweep, run_experiments
 from .analysis.store import RunStore, store_path_for
 from .analysis.results import ResultSet
@@ -114,21 +109,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--workload", "-w", default="zipf:n=200,blocks=50",
-                       help="workload spec, e.g. zipf:n=200,blocks=50,skew=0.8 "
-                       "(see 'repro workloads' for the catalog)")
-        p.add_argument("--cache-size", "-k", type=int, default=16)
-        p.add_argument("--fetch-time", "-F", type=int, default=8)
-        p.add_argument("--disks", "-D", type=int, default=1)
-        p.add_argument("--layout", default="striped",
-                       choices=sorted(LAYOUT_BUILDERS),
-                       help="block placement when --disks > 1")
-
     _ENGINE_CHOICES = ["auto", "loop", "scan", "vector"]
 
     p_sim = sub.add_parser("simulate", help="run one algorithm and print metrics")
-    add_common(p_sim)
+    p_sim.add_argument("--workload", "-w", default="zipf:n=200,blocks=50",
+                       help="workload spec, e.g. zipf:n=200,blocks=50,skew=0.8 "
+                       "(see 'repro workloads' for the catalog)")
+    p_sim.add_argument("--cache-size", "-k", type=int, default=16)
+    p_sim.add_argument("--fetch-time", "-F", type=int, default=8)
+    p_sim.add_argument("--disks", "-D", type=int, default=1)
+    p_sim.add_argument("--layout", default="striped",
+                       choices=sorted(LAYOUT_BUILDERS),
+                       help="block placement when --disks > 1")
     p_sim.add_argument("--algorithm", "-a", default="aggressive")
     p_sim.add_argument("--engine", default="loop", choices=_ENGINE_CHOICES,
                        help="simulation engine (loop = the indexed event loop; "
@@ -140,20 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--timeline", action="store_true",
                        help="print the event timeline (records the event log, "
                        "so the run uses the loop engine)")
-
-    p_cmp = sub.add_parser("compare", help="compare algorithms against the optimum")
-    add_common(p_cmp)
-    p_cmp.add_argument(
-        "--algorithms", "-a", default="aggressive,conservative,combination,demand",
-        help="algorithm specs separated by ';' (or ',' when none is parametrised), "
-        "e.g. 'aggressive;delay:d=3;demand:evict=lru' "
-        "(see 'repro algorithms' for the catalog)",
-    )
-    p_cmp.add_argument(
-        "--cache-dir", default=None,
-        help="run-store directory shared with sweep/ratios: the optimum is "
-        "served from (and persisted to) <cache-dir>/runs.sqlite",
-    )
 
     def add_grid_options(p: argparse.ArgumentParser, *, name_default: str) -> None:
         p.add_argument(
@@ -333,26 +311,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    instance = _make_instance(args)
-    algorithms = [make_algorithm(spec) for spec in _split_specs(args.algorithms)]
-    store = (
-        RunStore(store_path_for(args.cache_dir)) if args.cache_dir is not None else None
-    )
+def _parse_int_list(text: str, option: str) -> List[int]:
+    """The comma-separated integers of ``option``'s value ``text``."""
     try:
-        if instance.num_disks > 1:
-            report = measure_parallel_stall(instance, algorithms, store=store)
-        else:
-            report = measure_ratios(instance, algorithms, store=store)
-    finally:
-        if store is not None:
-            store.close()
-    print(format_report(report))
-    return 0
-
-
-def _parse_int_list(text: str) -> List[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigurationError(
+            f"{option} takes comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _grid_spec(args: argparse.Namespace, **extra) -> ExperimentSpec:
@@ -362,13 +328,13 @@ def _grid_spec(args: argparse.Namespace, **extra) -> ExperimentSpec:
     their axes and specs through, so the two can never drift on grid
     handling.
     """
-    seeds = tuple(_parse_int_list(args.seeds)) or (None,)
+    seeds = tuple(_parse_int_list(args.seeds, "--seeds")) or (None,)
     return ExperimentSpec(
         name=args.name,
         workloads=tuple(w.strip() for w in args.workloads.split(";") if w.strip()),
-        cache_sizes=tuple(_parse_int_list(args.cache_sizes)),
-        fetch_times=tuple(_parse_int_list(args.fetch_times)),
-        disks=tuple(_parse_int_list(args.disks)),
+        cache_sizes=tuple(_parse_int_list(args.cache_sizes, "--cache-sizes")),
+        fetch_times=tuple(_parse_int_list(args.fetch_times, "--fetch-times")),
+        disks=tuple(_parse_int_list(args.disks, "--disks")),
         layouts=tuple(l.strip() for l in args.layouts.split(",") if l.strip()),
         algorithms=tuple(_split_specs(args.algorithms)),
         seeds=seeds,
@@ -543,6 +509,13 @@ def _cmd_lowerbound(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .analysis import enginebench
 
+    for option, value in (
+        ("--num-requests", args.num_requests),
+        ("--batch-size", args.batch_size),
+        ("--reps", args.reps),
+    ):
+        if value is not None and value < 1:
+            raise ConfigurationError(f"{option} must be at least 1, got {value}")
     floor = None
     if args.floor is not None:
         floor = enginebench.load_floor(args.floor)
@@ -584,8 +557,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    cache_sizes = [int(v) for v in args.cache_sizes.split(",") if v]
-    fetch_times = [int(v) for v in args.fetch_times.split(",") if v]
+    cache_sizes = _parse_int_list(args.cache_sizes, "--cache-sizes")
+    fetch_times = _parse_int_list(args.fetch_times, "--fetch-times")
     rows = []
     for k in cache_sizes:
         for fetch_time in fetch_times:
@@ -600,7 +573,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     handlers = {
         "simulate": _cmd_simulate,
-        "compare": _cmd_compare,
         "sweep": _cmd_sweep,
         "ratios": _cmd_ratios,
         "store": _cmd_store,

@@ -28,8 +28,6 @@ from .sequence import RequestSequence
 from .vector import (
     BatchOutcome,
     ineligibility_reason,
-    numpy_available,
-    require_numpy,
     run_batch,
     simulate_batch,
     simulate_vector,
@@ -52,8 +50,6 @@ __all__ = [
     "simulate",
     "simulate_with_engine",
     "BatchOutcome",
-    "numpy_available",
-    "require_numpy",
     "run_batch",
     "simulate_batch",
     "simulate_vector",

@@ -98,9 +98,8 @@ def canonical_engine(engine: str) -> str:
     ``"loop"`` is the indexed event loop, ``"scan"`` the scan-query
     reference implementation, ``"vector"`` the numpy struct-of-arrays batch
     engine and ``"auto"`` picks the fastest applicable engine at run time
-    (vector when numpy is importable and the instance/policy is covered,
-    loop otherwise).  Raises :class:`~repro.errors.ConfigurationError` for
-    anything else.
+    (vector when the instance/policy is covered, loop otherwise).  Raises
+    :class:`~repro.errors.ConfigurationError` for anything else.
     """
     if engine not in _ENGINES:
         raise ConfigurationError(
@@ -928,8 +927,8 @@ def simulate(
     :class:`SequenceIndex`/:class:`EvictionHeap`; ``"scan"`` re-derives every
     query by scanning the sequence, exactly as the seed engine did;
     ``"vector"`` runs the numpy struct-of-arrays kernel of
-    :mod:`repro.disksim.vector` (requires the ``[vector]`` extra, falls back
-    to the loop for instances/policies it does not cover); ``"auto"`` is
+    :mod:`repro.disksim.vector` (falling back to the loop for
+    instances/policies it does not cover); ``"auto"`` is
     vector-when-possible, loop otherwise.  All engines produce identical
     schedules and metrics — the equivalence suites assert this.
 
@@ -960,24 +959,19 @@ def simulate_with_engine(
     runner's :class:`~repro.analysis.results.RunRecord`) need the realised
     engine, not the requested one, because ``"vector"`` silently falls back
     to the loop for uncovered instances/policies and ``"auto"`` resolves at
-    run time.  ``engine="vector"`` raises
-    :class:`~repro.errors.ConfigurationError` when numpy is not importable;
-    ``engine="auto"`` degrades to the loop silently.
+    run time.
     """
     engine = canonical_engine(engine)
     reason: Optional[str] = None
     if engine in ("vector", "auto"):
         from . import vector as _vector
 
-        if engine == "vector":
-            _vector.require_numpy()
         if record_events:
             reason = "event log requested; the vector kernel records none"
         else:
-            if _vector.numpy_available():
-                result = _vector.simulate_vector(instance, policy)
-                if result is not None:
-                    return result, "vector"
+            result = _vector.simulate_vector(instance, policy)
+            if result is not None:
+                return result, "vector"
             reason = _vector.ineligibility_reason(instance, policy)
         engine = "loop"
     state = _EngineState(

@@ -27,18 +27,14 @@ records no :class:`~repro.disksim.events.EventLog` (``result.events`` is
 ``None``), as materialising one Python event object per serve would defeat
 the point of the kernel; a caller that needs the log passes
 ``record_events=True``, which runs the loop engine instead.
-
-numpy is an *optional* dependency for this engine: :func:`numpy_available`
-probes for it once, and :func:`require_numpy` raises a
-:class:`~repro.errors.ConfigurationError` naming the ``[vector]`` extra when
-it is missing, so a sweep configured with ``engine="vector"`` fails at
-validation time instead of with an ImportError mid-run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .._typing import BlockId
 from ..errors import ConfigurationError
@@ -53,47 +49,10 @@ __all__ = [
     "VECTOR_FAMILIES",
     "BatchOutcome",
     "ineligibility_reason",
-    "numpy_available",
-    "require_numpy",
     "run_batch",
     "simulate_batch",
     "simulate_vector",
 ]
-
-_np = None
-_np_checked = False
-
-
-def _numpy() -> Any:
-    """The numpy module, or ``None`` when it is not installed (probed once)."""
-    global _np, _np_checked
-    if not _np_checked:
-        _np_checked = True
-        try:
-            import numpy  # noqa: PLC0415 - optional dependency, probed lazily
-
-            _np = numpy
-        except ImportError:  # pragma: no cover - exercised via monkeypatch
-            _np = None
-    return _np
-
-
-def numpy_available() -> bool:
-    """Whether the vector engine can run (numpy importable)."""
-    return _numpy() is not None
-
-
-def require_numpy() -> Any:
-    """Return numpy or raise a ConfigurationError naming the missing extra."""
-    np = _numpy()
-    if np is None:
-        raise ConfigurationError(
-            'engine="vector" requires numpy, which is not installed; '
-            "install the optional extra: pip install albers-buettner-repro[vector] "
-            '(or use engine="auto" to fall back to the loop engine silently)'
-        )
-    return np
-
 
 @dataclass(frozen=True)
 class _Plan:
@@ -162,8 +121,6 @@ def ineligibility_reason(instance: ProblemInstance, policy: Any) -> Optional[str
     :class:`~repro.disksim.executor.SimulationResult` — costs one plan
     resolution and, at worst, one instance encoding.
     """
-    if not numpy_available():
-        return "numpy not importable"
     if instance.num_disks != 1:
         return "parallel-disk instance"
     if instance.num_requests == 0:
@@ -213,7 +170,9 @@ def _run_kernel(
     The kernel maintains, for every row, the invariant that ``nub[b]`` is the
     next position ``>= cursor`` requesting block ``b`` (clamped to ``n`` when
     none remains); every policy decision of the covered algorithms is a pure
-    argmin/argmax over masked views of that table.
+    argmin/argmax over masked views of that table.  ``np`` is the numpy
+    module, taken as an ``Any`` parameter so the strict type gate does not
+    check the kernel's array arithmetic against numpy's stubs.
     """
     R = len(jobs)
     n_arr = np.array([len(j.seq_ids) for j in jobs], dtype=np.int64)
@@ -558,9 +517,8 @@ def run_batch(
     outcomes: List[Optional[BatchOutcome]] = [None] * len(pairs)
     jobs: List[_Job] = []
     job_slots: List[int] = []
-    np = _numpy()
     for slot, (instance, policy) in enumerate(pairs):
-        job = _prepare_job(instance, policy) if np is not None else None
+        job = _prepare_job(instance, policy)
         if job is not None:
             jobs.append(job)
             job_slots.append(slot)
@@ -628,9 +586,6 @@ def simulate_vector(
     (``events=None``); schedule and metrics are identical to the loop
     engine's.
     """
-    np = _numpy()
-    if np is None:
-        return None
     job = _prepare_job(instance, policy)
     if job is None:
         return None

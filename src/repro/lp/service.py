@@ -30,9 +30,8 @@ infrastructure service instead of an ad-hoc call:
 
 The experiment runner (:mod:`repro.analysis.runner`) fans
 :func:`compute_optimum_record` out alongside algorithm simulations and
-attaches the results to its :class:`~repro.analysis.results.RunRecord` s;
-the ratio harness (:mod:`repro.analysis.ratios`) routes its per-instance
-optima through the same service.
+attaches the results to its :class:`~repro.analysis.results.RunRecord` s
+(``ExperimentSpec(compute_optimum=True)``, which ``repro ratios`` runs).
 """
 
 from __future__ import annotations
@@ -218,10 +217,6 @@ class OptimumService:
         self._memory[record.fingerprint] = record
         if self.record_store is not None:
             self.record_store.put_optimum(record)
-
-    def cached_optimum(self, instance: ProblemInstance) -> Optional[OptimumRecord]:
-        """The cached optimum of ``instance``, or None without solving."""
-        return self.lookup(self.fingerprint(instance))
 
     # -- the one entry point ---------------------------------------------------------
 

@@ -455,8 +455,11 @@ def build_workload_instance(
     :data:`LAYOUT_BUILDERS`.  ``instance``-kind workloads (``thm2``, ``cao``)
     carry their own warm cache; ``k``/``F`` pinned in the spec win over the
     caller's values, and multi-disk placement is rejected (the constructions
-    are single-disk proofs).
+    are single-disk proofs).  A disk count below 1 is a
+    :class:`ConfigurationError`.
     """
+    if disks < 1:
+        raise ConfigurationError(f"the disk count must be at least 1, got {disks}")
     name, raw = split_spec(spec)
     definition = get_workload(name, spec)
     params = definition.coerce_params(raw, spec)

@@ -1,23 +1,11 @@
-"""Tests for the analysis harness: brute force, ratios, sweeps, reporting, diffs."""
+"""Tests for the analysis helpers: the brute-force optimum and the table reports."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.algorithms import Aggressive, Conservative, DemandFetch
-from repro.analysis import (
-    SweepPoint,
-    brute_force_optimal_stall,
-    diff_schedules,
-    format_comparison,
-    format_report,
-    format_table,
-    measure_parallel_stall,
-    measure_ratios,
-    run_sweep,
-    summarize_result,
-)
-from repro.disksim import DiskLayout, ProblemInstance, RequestSequence, simulate
+from repro.analysis import brute_force_optimal_stall, format_comparison, format_table
+from repro.disksim import ProblemInstance
 from repro.errors import ConfigurationError
 from repro.lp import optimal_single_disk
 from repro.workloads import parallel_disk_example, single_disk_example, uniform_random
@@ -56,65 +44,6 @@ class TestBruteForce:
             brute_force_optimal_stall(instance)
 
 
-class TestRatios:
-    def test_measure_ratios_single_disk(self):
-        report = measure_ratios(single_disk_example(), [Aggressive(), Conservative()])
-        assert report.optimal_elapsed == 11
-        aggressive = report.measurement("aggressive")
-        assert aggressive.elapsed_time == 13
-        assert aggressive.elapsed_ratio == pytest.approx(13 / 11)
-        assert report.worst_elapsed_ratio() >= aggressive.elapsed_ratio
-        assert report.bounds is not None
-        rows = report.as_rows()
-        assert {row["algorithm"] for row in rows} == {"aggressive", "conservative"}
-
-    def test_measure_ratios_accepts_precomputed_optimum(self):
-        report = measure_ratios(
-            single_disk_example(), [Aggressive()], optimal_elapsed=11, optimal_stall=1
-        )
-        assert report.optimal_elapsed == 11
-
-    def test_measure_ratios_rejects_parallel(self):
-        with pytest.raises(ConfigurationError):
-            measure_ratios(parallel_disk_example(), [Aggressive()])
-
-    def test_measure_parallel_stall(self):
-        from repro.algorithms import ParallelAggressive
-
-        report = measure_parallel_stall(parallel_disk_example(), [ParallelAggressive()])
-        measurement = report.measurement("parallel-aggressive")
-        assert measurement.stall_time >= report.optimal_stall
-        assert report.bounds is None
-
-    def test_unknown_algorithm_lookup(self):
-        report = measure_ratios(single_disk_example(), [Aggressive()])
-        with pytest.raises(KeyError):
-            report.measurement("nope")
-
-
-class TestSweep:
-    def test_run_sweep_collects_records(self):
-        points = [
-            SweepPoint(label="paper", instance=single_disk_example()),
-            SweepPoint(
-                label="precomputed",
-                instance=single_disk_example(),
-                optimal_elapsed=11,
-                optimal_stall=1,
-            ),
-        ]
-        result = run_sweep(points, lambda: [Aggressive(), DemandFetch()])
-        assert result.points() == ["paper", "paper", "precomputed", "precomputed"]
-        ratios = result.ratios_for("aggressive")
-        assert ratios["paper"] == pytest.approx(13 / 11)
-        assert result.max_ratio_for("aggressive") >= 1.0
-        rows = result.as_rows()
-        assert len(rows) == 4  # 2 points x 2 algorithms
-        # Every record carries the per-point optimum alongside the metrics.
-        assert {row["optimal_elapsed"] for row in rows} == {11}
-        assert {r.algorithm for r in result.for_algorithm("aggressive")} == {"aggressive"}
-
-
 class TestReporting:
     def test_format_table_alignment_and_floats(self):
         text = format_table(
@@ -128,29 +57,9 @@ class TestReporting:
     def test_format_table_empty(self):
         assert "(no rows)" in format_table([], title="empty")
 
-    def test_format_report_includes_bounds(self):
-        report = measure_ratios(single_disk_example(), [Aggressive()])
-        text = format_report(report)
-        assert "optimal stall = 1" in text
-        assert "aggressive" in text
-        assert "Thm1" in text
-
     def test_format_comparison(self):
         text = format_comparison(
             {"aggr": {"p1": 1.2, "p2": 1.3}, "cons": {"p1": 1.5}}, title="ratios"
         )
         assert "ratios" in text and "p2" in text and "cons" in text
 
-
-class TestCompare:
-    def test_diff_and_summary(self):
-        instance = single_disk_example()
-        a = simulate(instance, Aggressive())
-        b = simulate(instance, Conservative())
-        diff = diff_schedules(a, b)
-        assert diff.stall_a == 3 and diff.stall_b == 2
-        assert not diff.same_stall
-        assert diff.fetches_a == 2 and diff.fetches_b == 1
-        summary = summarize_result(a)
-        assert summary["policy"] == "aggressive"
-        assert summary["stall"] == 3

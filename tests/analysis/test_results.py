@@ -6,14 +6,9 @@ import json
 
 import pytest
 
-from repro.algorithms import Aggressive, ParallelAggressive, make_algorithm
-from repro.analysis.ratios import (
-    AlgorithmMeasurement,
-    RatioReport,
-    measure_parallel_stall,
-    measure_ratios,
-)
+from repro.algorithms import Aggressive, make_algorithm
 from repro.analysis.results import RUN_RECORD_COLUMNS, ResultSet, RunRecord, safe_ratio
+from repro.analysis.runner import evaluate_instances
 from repro.disksim import ProblemInstance, simulate
 from repro.workloads import parallel_disk_example, single_disk_example, uniform_random
 
@@ -123,47 +118,19 @@ class TestResultSet:
         assert json.loads(document)["results"][0]["stall_ratio"] == "inf"
 
 
-class TestAnalysisDataclassRoundTrips:
-    """Satellite: equality/round-trip coverage for the analysis dataclasses."""
-
-    def test_measurements_are_typed(self):
-        report = measure_ratios(single_disk_example(), [Aggressive()])
-        assert all(isinstance(m, AlgorithmMeasurement) for m in report.measurements)
-
-    def test_algorithm_measurement_round_trip(self):
-        measurement = AlgorithmMeasurement(
-            algorithm="aggressive", stall_time=3, elapsed_time=13, num_fetches=2,
-            elapsed_ratio=13 / 11, stall_ratio=3.0,
-        )
-        assert AlgorithmMeasurement.from_dict(measurement.as_dict()) == measurement
-
-    def test_ratio_report_round_trip_with_bounds_and_records(self):
-        report = measure_ratios(
-            single_disk_example(), [Aggressive()], point="paper"
-        )
-        payload = json.loads(json.dumps(report.to_json_dict()))
-        rebuilt = RatioReport.from_json_dict(payload)
-        assert rebuilt == report
-        assert rebuilt.bounds == report.bounds
-        assert rebuilt.records[0].optimal_elapsed == 11
-
-    def test_ratio_report_exports_result_set(self):
-        report = measure_ratios(single_disk_example(), [Aggressive()], point="paper")
-        results = report.to_result_set()
-        assert results.points() == ["paper"]
-        assert results.ratios_for("aggressive")["paper"] == pytest.approx(13 / 11)
-
+class TestOptimumRecords:
     def test_ratio_records_name_the_engine_that_ran(self):
-        """Ratio records carry the engine that actually ran."""
-        single = measure_ratios(single_disk_example(), [Aggressive()])
-        parallel = measure_parallel_stall(parallel_disk_example(), [ParallelAggressive()])
+        """Optimum-carrying runner records carry the engine that actually ran."""
+        single = evaluate_instances(
+            [("paper", single_disk_example())], ["aggressive"], compute_optimum=True
+        )
+        parallel = evaluate_instances(
+            [("paper", parallel_disk_example())], ["parallel-aggressive"],
+            compute_optimum=True,
+        )
         assert [r.engine for r in single.records + parallel.records] == ["loop", "loop"]
+        assert single.ratios_for("aggressive") == {
+            "paper alg=aggressive": pytest.approx(13 / 11)
+        }
         result = simulate(single_disk_example(), Aggressive())
         assert RunRecord.from_simulation(result, point="p").engine == "loop"
-
-    def test_report_measurements_derive_from_records(self):
-        report = measure_ratios(single_disk_example(), [Aggressive()])
-        record = report.records[0]
-        measurement = report.measurement("aggressive")
-        assert measurement.stall_time == record.metrics.stall_time
-        assert measurement.elapsed_ratio == pytest.approx(record.elapsed_ratio)

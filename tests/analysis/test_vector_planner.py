@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.disksim.vector as vector_module
 from helpers import family_spec, random_instance
 from repro.algorithms import make_algorithm
 from repro.algorithms.registry import available_algorithms
@@ -20,12 +19,7 @@ from repro.analysis.runner import (
     point_cache_key,
     run_experiments,
 )
-from repro.disksim import ineligibility_reason, numpy_available
-from repro.errors import ConfigurationError
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy unavailable: vector engine cannot run"
-)
+from repro.disksim import ineligibility_reason
 
 
 def _spec(**overrides) -> ExperimentSpec:
@@ -47,16 +41,9 @@ def _pending(spec):
     return [(position, point, point_cache_key(point)) for position, point in enumerate(points)]
 
 
-def _no_numpy(monkeypatch):
-    """Make the lazy numpy probe report 'not installed'."""
-    monkeypatch.setattr(vector_module, "_np", None)
-    monkeypatch.setattr(vector_module, "_np_checked", True)
-
-
 # -- partition properties ----------------------------------------------------------
 
 
-@needs_numpy
 @settings(max_examples=30, deadline=None)
 @given(
     workloads=st.lists(
@@ -104,7 +91,6 @@ def test_every_pending_point_lands_in_exactly_one_unit(
         assert all(kind == "sim" for kind, _items in units)
 
 
-@needs_numpy
 def test_small_buckets_demote_to_per_point_tasks():
     spec = _spec(seeds=tuple(range(MIN_VECTOR_BATCH - 1)))
     units = _plan_execution_units(_pending(spec))
@@ -114,7 +100,6 @@ def test_small_buckets_demote_to_per_point_tasks():
     assert [kind for kind, _items in units] == ["simbatch"]
 
 
-@needs_numpy
 def test_oversized_buckets_chunk_at_the_batch_ceiling():
     spec = _spec(seeds=tuple(range(MAX_VECTOR_BATCH + 5)))
     units = _plan_execution_units(_pending(spec))
@@ -122,7 +107,6 @@ def test_oversized_buckets_chunk_at_the_batch_ceiling():
     assert [len(items) for _kind, items in units] == [MAX_VECTOR_BATCH, 5]
 
 
-@needs_numpy
 def test_ineligible_points_run_per_point():
     """Uncovered families and parallel-disk points never enter a bucket."""
     spec = _spec(algorithms=("aggressive", "conservative"), seeds=tuple(range(8)))
@@ -135,7 +119,6 @@ def test_ineligible_points_run_per_point():
     assert kinds["conservative"] == {"sim"}
 
 
-@needs_numpy
 @pytest.mark.parametrize("family", available_algorithms())
 def test_prescreen_buckets_exactly_the_families_the_kernel_plans(family):
     """The runner stacks a single-disk family into a kernel batch exactly when
@@ -159,7 +142,6 @@ def _normalized(result_set):
     return out
 
 
-@needs_numpy
 def test_run_experiments_vector_matches_loop_modulo_engine():
     """Batched grid output == serial loop grid output, in the same order."""
     grid = dict(
@@ -178,22 +160,6 @@ def test_run_experiments_vector_matches_loop_modulo_engine():
     assert by_algorithm["conservative"] == {"loop"}  # per-point fallback
 
 
-# -- graceful degradation without numpy --------------------------------------------
-
-
-def test_explicit_vector_without_numpy_fails_before_dispatch(monkeypatch):
-    _no_numpy(monkeypatch)
-    with pytest.raises(ConfigurationError, match=r"\[vector\]"):
-        run_experiments(_spec(engine="vector"))
-
-
-def test_auto_without_numpy_silently_runs_the_loop_engine(monkeypatch):
-    _no_numpy(monkeypatch)
-    results = run_experiments(_spec(engine="auto", seeds=tuple(range(4))))
-    assert {record.engine for record in results.records} == {"loop"}
-
-
-@needs_numpy
-def test_auto_with_numpy_prefers_the_vector_engine():
+def test_auto_prefers_the_vector_engine():
     results = run_experiments(_spec(engine="auto", seeds=tuple(range(MIN_VECTOR_BATCH))))
     assert {record.engine for record in results.records} == {"vector"}

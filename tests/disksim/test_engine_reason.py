@@ -13,7 +13,7 @@ import pytest
 from helpers import family_spec, random_instance
 from repro.algorithms import make_algorithm
 from repro.algorithms.registry import available_algorithms
-from repro.disksim import ineligibility_reason, numpy_available, simulate_with_engine
+from repro.disksim import ineligibility_reason, simulate_with_engine
 from repro.disksim.vector import VECTOR_FAMILIES
 
 
@@ -31,14 +31,9 @@ def test_auto_on_parallel_instance_reports_reason():
         instance, make_algorithm("parallel-aggressive"), engine="auto"
     )
     assert engine == "loop"
-    assert result.engine_reason is not None
-    if numpy_available():
-        assert result.engine_reason == "parallel-disk instance"
-    else:
-        assert result.engine_reason == "numpy not importable"
+    assert result.engine_reason == "parallel-disk instance"
 
 
-@pytest.mark.skipif(not numpy_available(), reason="needs numpy")
 @pytest.mark.parametrize("family", available_algorithms())
 def test_ineligibility_reason_matches_plan_coverage(family):
     """A family gets a kernel plan on a single-disk instance exactly when
@@ -51,7 +46,6 @@ def test_ineligibility_reason_matches_plan_coverage(family):
         assert reason is not None and "no vector kernel plan" in reason
 
 
-@pytest.mark.skipif(not numpy_available(), reason="needs numpy")
 def test_ineligibility_reason_on_parallel_instance():
     parallel = random_instance(151, parallel=True)
     assert (
@@ -60,13 +54,10 @@ def test_ineligibility_reason_on_parallel_instance():
     )
 
 
-@pytest.mark.skipif(not numpy_available(), reason="needs numpy")
 def test_vector_covered_run_sets_no_reason():
     instance = random_instance(0)
     result, engine = simulate_with_engine(
         instance, make_algorithm("aggressive"), engine="auto"
     )
-    if engine == "vector":
-        assert result.engine_reason is None
-    else:  # pragma: no cover - only without a vector-covered plan
-        assert result.engine_reason is not None
+    assert engine == "vector"
+    assert result.engine_reason is None

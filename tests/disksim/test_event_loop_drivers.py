@@ -17,7 +17,7 @@ import pytest
 
 from helpers import ANY_LAYOUT_SPECS, REGISTRY_SPECS, random_instance
 from repro.algorithms import make_algorithm
-from repro.disksim import execute_schedule, numpy_available, simulate, simulate_with_engine
+from repro.disksim import execute_schedule, simulate, simulate_with_engine
 
 SINGLE_DISK_SPECS = (
     "aggressive",
@@ -111,7 +111,7 @@ def test_event_log_only_on_request(engine, record_events):
     )
     if engine != "auto":
         assert ran == engine
-    elif record_events or not numpy_available():
+    elif record_events:
         assert ran == "loop"
     else:
         assert ran == "vector"

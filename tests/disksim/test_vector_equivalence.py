@@ -33,16 +33,11 @@ from repro.analysis.runner import evaluate_instances
 from repro.disksim import (
     ProblemInstance,
     RequestSequence,
-    numpy_available,
     run_batch,
     simulate,
     simulate_batch,
     simulate_vector,
     simulate_with_engine,
-)
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="numpy unavailable: vector engine cannot run"
 )
 
 # The same five single-disk families as the indexed-vs-scan oracle: the

@@ -18,7 +18,7 @@ from repro.algorithms import (
     DemandFetch,
     ParallelAggressive,
 )
-from repro.analysis import brute_force_optimal_stall, measure_ratios
+from repro.analysis import brute_force_optimal_stall, evaluate_instances
 from repro.core.bounds import (
     aggressive_bound_refined,
     best_delay_parameter,
@@ -148,11 +148,15 @@ class TestE8ParallelBaselines:
 
 
 class TestRatioHarnessEndToEnd:
-    def test_measure_ratios_reports_bounds_next_to_measurements(self):
-        report = measure_ratios(
-            single_disk_example(),
-            [Aggressive(), Conservative(), Combination(), DemandFetch()],
+    def test_optimum_pipeline_ratios_respect_the_bounds(self):
+        instance = single_disk_example()
+        results = evaluate_instances(
+            [("paper", instance)],
+            ["aggressive", "conservative", "combination", "demand"],
+            compute_optimum=True,
         )
-        assert report.bounds is not None
-        assert report.measurement("aggressive").elapsed_ratio <= report.bounds.aggressive_refined
-        assert report.measurement("conservative").elapsed_ratio <= 2.0
+        ratios = {record.algorithm_spec: record.elapsed_ratio for record in results}
+        assert set(ratios) == {"aggressive", "conservative", "combination", "demand"}
+        bound = aggressive_bound_refined(instance.cache_size, instance.fetch_time)
+        assert ratios["aggressive"] <= bound
+        assert ratios["conservative"] <= 2.0

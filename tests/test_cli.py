@@ -53,6 +53,7 @@ class TestCommands:
             (["sweep", "--engine", "indexed"], "indexed"),
             (["simulate", "--engine", "indexed"], "indexed"),
             (["store", "import", "old-cache"], "import"),
+            (["compare", "-w", "zipf:n=30", "-a", "aggressive"], "compare"),
         ],
     )
     def test_removed_commands_and_choices_are_rejected(self, capsys, argv, rejected):
@@ -96,24 +97,39 @@ class TestCommands:
         cpu_row = next(line for line in out.splitlines() if line.startswith("cpu"))
         assert cpu_row.count("s") == 60
 
-    def test_compare_command(self, capsys):
+    def test_ratios_one_point_compares_parametrised_specs(self, capsys):
         code = main(
             [
-                "compare",
-                "-w",
-                "zipf:n=30,blocks=8,seed=2",
-                "-k",
-                "5",
-                "-F",
-                "3",
-                "-a",
-                "aggressive,conservative",
+                "ratios",
+                "-w", "zipf:n=30,blocks=8,seed=2",
+                "-k", "5", "-F", "3",
+                "-a", "aggressive;delay:d=2;demand:evict=lru",
             ]
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "optimal stall" in out
-        assert "conservative" in out
+        assert "3 points" in out and "1 optimum requests" in out
+        assert "delay(2)" in out and "demand[LRU]" in out
+        assert "optimal_stall" in out
+
+    def test_ratios_parallel_disk_point(self, capsys, tmp_path):
+        import json as json_module
+
+        json_path = tmp_path / "ratios.json"
+        code = main(
+            [
+                "ratios",
+                "-w", "zipf:n=30,blocks=8,seed=2",
+                "-k", "5", "-F", "3", "-D", "2",
+                "-a", "parallel-aggressive",
+                "--json", str(json_path),
+            ]
+        )
+        assert code == 0
+        assert "parallel-aggressive" in capsys.readouterr().out
+        (row,) = json_module.loads(json_path.read_text())["results"]
+        assert row["disks"] == 2 and row["layout"] == "striped"
+        assert 0 <= row["optimal_stall"] <= row["stall_time"]
 
     def test_sweep_command(self, capsys, tmp_path):
         json_path = tmp_path / "sweep.json"
@@ -191,19 +207,6 @@ class TestCommands:
         assert code == 0
         assert "evict" in out and "lru" in out
 
-    def test_compare_accepts_parametrised_specs(self, capsys):
-        code = main(
-            [
-                "compare",
-                "-w", "zipf:n=30,blocks=8,seed=2",
-                "-k", "5", "-F", "3",
-                "-a", "aggressive;delay:d=2;demand:evict=lru",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "delay(2)" in out and "demand[LRU]" in out
-
     def test_sweep_accepts_parametrised_specs(self, capsys):
         code = main(
             [
@@ -251,10 +254,12 @@ class TestCommands:
         assert "resume 'cli-sweep': 2/2 points complete, 0 remaining" in out
         assert "0 simulated" in out and "0 optimum requests" in out
 
-    def test_compare_reuses_store_optima(self, capsys, tmp_path, monkeypatch):
-        """A warmed run store makes `repro compare` a pure optimum lookup."""
+    def test_ratios_rerun_on_a_warmed_cache_dir_solves_nothing(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """A warmed run store makes a `repro ratios` re-run a pure lookup."""
         command = [
-            "compare",
+            "ratios",
             "-w", "loop:blocks=10,loops=2",
             "-k", "4", "-F", "3",
             "-a", "aggressive,conservative",
@@ -266,11 +271,13 @@ class TestCommands:
         import repro.lp.service as service_module
 
         def boom(*_args, **_kwargs):  # pragma: no cover - must not run
-            raise AssertionError("warmed store must serve the compare optimum")
+            raise AssertionError("warmed store must serve the ratios optimum")
 
         monkeypatch.setattr(service_module, "compute_optimum_record", boom)
         assert main(command) == 0
-        assert "optimal stall" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "(2 cached, 0 simulated, 0 optimum requests" in out
+        assert "optimal_stall" in out
 
     def test_resume_requires_cache_dir(self, capsys):
         code = main(
@@ -335,14 +342,29 @@ class TestCommands:
         "command",
         [
             ["simulate", "-w", "zipf:blocs=10"],
-            ["compare", "-w", "zipf:n=abc"],
+            ["ratios", "-w", "zipf:n=abc"],
             ["sweep", "-w", "zipf:seed=None"],
             ["sweep", "-w", "zipf:n=30,blocks=8", "--layouts", "raid5"],
             ["simulate", "-w", "zipf:n=30", "-a", "delay"],
-            ["compare", "-w", "zipf:n=30", "-a", "aggressive;demand:evict=rand"],
+            ["ratios", "-w", "zipf:n=30", "-a", "aggressive;demand:evict=rand"],
             ["sweep", "-w", "zipf:n=30", "-a", "aggressive:tb=low"],
             ["simulate", "-w", "zipf:seed=-1", "-k", "4", "-F", "2", "-a", "aggressive"],
             ["simulate", "-w", "zipf:n=50,skew=nan", "-k", "4", "-F", "2", "-a", "aggressive"],
+            *(
+                [command, "-w", "zipf:n=40", "-k", "8", "-F", "4", "-a", "aggressive", *bad]
+                for command in ("sweep", "ratios")
+                for bad in (
+                    ["-k", "abc"], ["-F", "x"], ["-D", "x"], ["--seeds", "1.5"],
+                    ["-D", "0"], ["-D", "-1"],
+                )
+            ),
+            ["bounds", "--cache-sizes", "x"],
+            ["bounds", "--fetch-times", "4,y"],
+            ["bench", "engine", "--no-scan", "--reps", "0"],
+            ["bench", "engine", "--no-scan", "--num-requests", "0"],
+            ["bench", "engine", "--no-scan", "--batch-size", "0"],
+            ["simulate", "-w", "zipf:n=40", "-D", "0"],
+            ["simulate", "-w", "zipf:n=40", "-k", "4", "-F", "2", "-D", "-1"],
         ],
     )
     def test_bad_specs_exit_cleanly(self, capsys, command):
@@ -351,6 +373,7 @@ class TestCommands:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
 

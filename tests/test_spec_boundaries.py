@@ -5,7 +5,8 @@ Every registered workload and algorithm parameter is fed bounded bad values
 in magnitude — through the same builders the CLI and the runner use.  Each
 call must either build or raise a :class:`~repro.errors.ReproError` (which
 the CLI reports as a one-line ``error:``); any other exception is a raw
-traceback escaping the boundary.
+traceback escaping the boundary.  A disk count below 1 is rejected for
+every workload.
 """
 
 from __future__ import annotations
@@ -65,6 +66,13 @@ def test_algorithm_parameter_builds_or_raises_a_repro_error(param, value):
         make_algorithm(f"{algorithm}:{name}={value}")
     except ReproError:
         pass
+
+
+@pytest.mark.parametrize("disks", [0, -1])
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_REGISTRY))
+def test_disk_count_below_one_is_a_configuration_error(workload, disks):
+    with pytest.raises(ConfigurationError, match=f"disk count must be at least 1, got {disks}"):
+        build_workload_instance(workload, cache_size=4, fetch_time=3, disks=disks)
 
 
 @pytest.mark.parametrize(
