@@ -23,10 +23,10 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.algorithms.registry import algorithm_catalog_rows, available_algorithms  # noqa: E402
+from repro.algorithms.registry import ALGORITHM_REGISTRY  # noqa: E402
 from repro.analysis.results import RUN_RECORD_COLUMNS  # noqa: E402
 from repro.cli import build_parser  # noqa: E402
-from repro.workloads.spec import LAYOUT_BUILDERS, workload_catalog_rows  # noqa: E402
+from repro.workloads.spec import LAYOUT_BUILDERS, WORKLOAD_REGISTRY  # noqa: E402
 
 REFERENCE_PATH = REPO_ROOT / "docs" / "reference.md"
 
@@ -83,7 +83,7 @@ def render_reference() -> str:
             "parameters (defaults)": row["params"],
             "example": f"`{row['example']}`",
         }
-        for row in workload_catalog_rows()
+        for row in WORKLOAD_REGISTRY.catalog_rows()
     ]
     sections.append(_table(workload_rows, ["name", "kind", "summary", "parameters (defaults)", "example"]))
     sections.append(
@@ -94,9 +94,8 @@ def render_reference() -> str:
 
     sections.append("\n## Algorithm specs\n")
     sections.append(
-        "Same grammar and strictness; `delay:<int>` is a documented legacy "
-        "alias for `delay:d=<int>`.  Registered algorithms: "
-        + ", ".join(f"`{name}`" for name in available_algorithms())
+        "Same grammar and strictness.  Registered algorithms: "
+        + ", ".join(f"`{name}`" for name in sorted(ALGORITHM_REGISTRY))
         + ".\n"
     )
     algorithm_rows = [
@@ -107,7 +106,7 @@ def render_reference() -> str:
             "parameters (defaults)": row["params"],
             "example": f"`{row['example']}`",
         }
-        for row in algorithm_catalog_rows()
+        for row in ALGORITHM_REGISTRY.catalog_rows()
     ]
     sections.append(_table(algorithm_rows, ["name", "kind", "summary", "parameters (defaults)", "example"]))
 

@@ -14,17 +14,7 @@ from .conservative import Conservative
 from .delay import Delay
 from .demand import EVICTION_BACKENDS, DemandFetch
 from .parallel_aggressive import ParallelAggressive, ParallelConservative
-from .registry import (
-    ALGORITHM_REGISTRY,
-    AlgorithmDef,
-    algorithm_catalog_rows,
-    available_algorithms,
-    format_algorithm_catalog,
-    get_algorithm,
-    make_algorithm,
-    parse_algorithm,
-    register_algorithm,
-)
+from .registry import ALGORITHM_REGISTRY, make_algorithm
 
 __all__ = [
     "PrefetchAlgorithm",
@@ -37,12 +27,5 @@ __all__ = [
     "ParallelAggressive",
     "ParallelConservative",
     "ALGORITHM_REGISTRY",
-    "AlgorithmDef",
-    "algorithm_catalog_rows",
-    "available_algorithms",
-    "format_algorithm_catalog",
-    "get_algorithm",
     "make_algorithm",
-    "parse_algorithm",
-    "register_algorithm",
 ]

@@ -41,6 +41,7 @@ class Aggressive(PrefetchAlgorithm):
     """Start the next prefetch as soon as a safe victim exists (single disk)."""
 
     name = "aggressive"
+    single_disk = True
 
     def __init__(self, tiebreak: str = "high") -> None:
         super().__init__()

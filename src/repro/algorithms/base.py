@@ -4,9 +4,9 @@ Every algorithm in this package implements the
 :class:`~repro.disksim.executor.PrefetchPolicy` protocol: the simulation
 engine calls ``decide`` at each decision point and the algorithm returns the
 fetches to initiate.  :class:`PrefetchAlgorithm` provides the boilerplate
-(instance bookkeeping, a ``run`` convenience wrapper, deterministic victim
-selection helpers) so that the individual algorithms read close to their
-description in the paper.
+(instance bookkeeping, the single-disk guard, deterministic victim selection
+helpers) so that the individual algorithms read close to their description
+in the paper.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import FrozenSet, List, Optional
 
-from .._typing import INFINITY, BlockId
-from ..disksim.executor import FetchDecision, PolicyView, SimulationResult, simulate
+from .._typing import BlockId
+from ..disksim.executor import FetchDecision, PolicyView
 from ..disksim.instance import ProblemInstance
+from ..errors import ConfigurationError
 
 __all__ = ["PrefetchAlgorithm"]
 
@@ -37,6 +38,10 @@ class PrefetchAlgorithm(ABC):
     #: algorithm identity.
     spec: Optional[str] = None
 
+    #: Whether the algorithm only schedules disk 0 (the paper's Section 2
+    #: strategies); :meth:`reset` rejects a multi-disk instance for these.
+    single_disk: bool = False
+
     def __init__(self) -> None:
         self._instance: Optional[ProblemInstance] = None
 
@@ -44,6 +49,12 @@ class PrefetchAlgorithm(ABC):
 
     def reset(self, instance: ProblemInstance) -> None:
         """Store the instance and run the subclass precomputation hook."""
+        if self.single_disk and instance.num_disks > 1:
+            raise ConfigurationError(
+                f"{self.name} is a single-disk algorithm but the instance has "
+                f"{instance.num_disks} disks; use parallel-aggressive or "
+                "parallel-conservative"
+            )
         self._instance = instance
         self.on_reset(instance)
 
@@ -63,21 +74,7 @@ class PrefetchAlgorithm(ABC):
             raise RuntimeError(f"{self.name}: reset() has not been called")
         return self._instance
 
-    def run(self, instance: ProblemInstance) -> SimulationResult:
-        """Simulate this algorithm over ``instance`` (wrapper around :func:`simulate`)."""
-        return simulate(instance, self)
-
     # -- shared building blocks --------------------------------------------------------
-
-    @staticmethod
-    def furthest_next_use_victim(
-        view: PolicyView,
-        *,
-        measured_from: Optional[int] = None,
-        candidates: Optional[FrozenSet[BlockId]] = None,
-    ) -> Optional[BlockId]:
-        """The resident block whose next use (from ``measured_from``) is furthest away."""
-        return view.furthest_resident(from_position=measured_from, candidates=candidates)
 
     @staticmethod
     def tie_broken_victim(

@@ -50,6 +50,7 @@ class Conservative(PrefetchAlgorithm):
     """MIN's replacements, each fetch started as early as the victim choice allows."""
 
     name = "conservative"
+    single_disk = True
 
     def __init__(self) -> None:
         super().__init__()

@@ -29,9 +29,9 @@ time such that the evicted block is not requested again before r_j".  While
 such a reference remains, the algorithm simply keeps serving requests, which
 realises the delay.
 
-The registry spec form is ``delay:d=<int>`` (``delay:<int>`` is a documented
-legacy alias); ``d`` is required because the paper's family is parametrised
-by definition — ``repro algorithms delay`` shows the schema.
+The registry spec form is ``delay:d=<int>``; ``d`` is required because the
+paper's family is parametrised by definition — ``repro algorithms delay``
+shows the schema.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ class Delay(PrefetchAlgorithm):
         ``d >= n`` reproduces Conservative's behaviour on every sequence of
         length ``n``.
     """
+
+    single_disk = True
 
     def __init__(self, d: int) -> None:
         super().__init__()

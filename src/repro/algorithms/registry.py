@@ -1,30 +1,22 @@
-"""Typed algorithm-spec registry: strict parsing of algorithm descriptions.
+"""The algorithm registry: strict parsing of algorithm descriptions.
 
 The CLI, the sweep harness and the benchmarks refer to algorithms by spec
 strings with the same grammar as workload specs
 (``name[:key=value,...]`` — see :mod:`repro.specs`): ``aggressive``,
 ``delay:d=3``, ``demand:evict=lru``, ``combination:alt=demand:evict=lru``.
-Every algorithm is declared as an :class:`AlgorithmDef` carrying a typed
-parameter schema (:class:`~repro.specs.ParamSpec`), which makes parsing
-strict by construction: unknown keys, duplicate keys and uncoercible values
-raise :class:`~repro.errors.ConfigurationError` naming the spec and the
-algorithm's valid parameters.  A spec string is the portable algorithm
-identity the experiment runner pickles to worker processes and records in
-run results.
-
-``delay:<int>`` (e.g. ``delay:3``) is accepted as a documented legacy alias
-for ``delay:d=<int>`` — it predates the typed grammar and appears in saved
-experiment configurations.
+Every algorithm is an entry of :data:`ALGORITHM_REGISTRY`, a
+:class:`~repro.specs.Registry` whose typed parameter schemas make parsing
+strict by construction: unknown keys, duplicate keys, malformed items and
+uncoercible values raise :class:`~repro.errors.ConfigurationError` naming
+the spec and the algorithm's valid parameters.  A spec string is the
+portable algorithm identity the experiment runner pickles to worker
+processes and records in run results.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
-
 from ..errors import ConfigurationError
-from ..specs import ParamSpec, choice, coerce_params, split_spec
+from ..specs import ParamSpec, Registry, choice
 from .aggressive import TIEBREAKS, Aggressive
 from .base import PrefetchAlgorithm
 from .combination import Combination
@@ -33,108 +25,12 @@ from .delay import Delay
 from .demand import EVICTION_BACKENDS, DemandFetch
 from .parallel_aggressive import DISK_ORDERS, ParallelAggressive, ParallelConservative
 
-__all__ = [
-    "AlgorithmDef",
-    "ALGORITHM_REGISTRY",
-    "available_algorithms",
-    "get_algorithm",
-    "make_algorithm",
-    "parse_algorithm",
-    "register_algorithm",
-    "algorithm_catalog_rows",
-    "format_algorithm_catalog",
-]
+__all__ = ["ALGORITHM_REGISTRY", "make_algorithm"]
 
 
-@dataclass(frozen=True)
-class AlgorithmDef:
-    """A registered algorithm: name, summary, typed parameter schema, factory.
+ALGORITHM_REGISTRY = Registry("algorithm")
 
-    The factory takes the coerced parameters as keyword arguments and
-    returns a fresh :class:`PrefetchAlgorithm` (algorithms carry per-run
-    state, so every :func:`make_algorithm` call constructs a new object).
-    ``kind`` separates the paper's single-disk strategies from the
-    parallel-disk baselines in the catalog.
-    """
-
-    name: str
-    summary: str
-    factory: Callable[..., PrefetchAlgorithm]
-    params: Tuple[ParamSpec, ...] = ()
-    kind: str = "single-disk"
-    example: str = ""
-
-    def __post_init__(self):
-        names = [p.name for p in self.params]
-        if len(names) != len(set(names)):
-            raise ConfigurationError(f"algorithm {self.name!r} declares duplicate parameters")
-
-    @property
-    def param_names(self) -> Tuple[str, ...]:
-        return tuple(p.name for p in self.params)
-
-    def coerce_params(self, raw, spec: str) -> Dict[str, object]:
-        """Coerce raw string parameters against the schema, strictly."""
-        return coerce_params(self.name, self.params, raw, spec, role="algorithm")
-
-    def build(self, params: Dict[str, object], spec: str) -> PrefetchAlgorithm:
-        """Invoke the factory, converting its validation errors to config errors."""
-        try:
-            return self.factory(**params)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"algorithm {self.name!r} in spec {spec!r}: {exc}"
-            ) from exc
-
-
-# ---------------------------------------------------------------------------------
-# the registry
-# ---------------------------------------------------------------------------------
-
-ALGORITHM_REGISTRY: Dict[str, AlgorithmDef] = {}
-
-
-def register_algorithm(
-    name: str,
-    factory: Callable[..., PrefetchAlgorithm],
-    *,
-    summary: str = "",
-    params: Tuple[ParamSpec, ...] = (),
-    kind: str = "single-disk",
-    example: str = "",
-    replace: bool = False,
-) -> AlgorithmDef:
-    """Register ``factory`` under ``name`` with an optional parameter schema.
-
-    Duplicate names raise :class:`ConfigurationError` unless ``replace=True``
-    is passed — silent overwrites used to let a plugin shadow a built-in by
-    accident.
-    """
-    key = name.strip().lower()
-    if not replace and key in ALGORITHM_REGISTRY:
-        raise ConfigurationError(
-            f"algorithm {key!r} is already registered; pass replace=True to override"
-        )
-    definition = AlgorithmDef(
-        name=key,
-        summary=summary or f"custom algorithm {key!r}",
-        factory=factory,
-        params=tuple(params),
-        kind=kind,
-        example=example or key,
-    )
-    ALGORITHM_REGISTRY[key] = definition
-    return definition
-
-
-def _def(name, summary, factory, params=(), kind="single-disk", example=""):
-    register_algorithm(
-        name, factory, summary=summary, params=tuple(params), kind=kind,
-        example=example or name,
-    )
-
-
-_def(
+ALGORITHM_REGISTRY.add(
     "demand",
     "No prefetching: fetch each block when needed, stall F per fault",
     DemandFetch,
@@ -144,11 +40,10 @@ _def(
             "eviction backend consulted on each fault",
         ),
     ],
-    kind="baseline",
-    example="demand:evict=lru",
+    kind="baseline", example="demand:evict=lru",
 )
 
-_def(
+ALGORITHM_REGISTRY.add(
     "aggressive",
     "Start the next prefetch as soon as a safe victim exists (Cao et al.)",
     Aggressive,
@@ -158,28 +53,28 @@ _def(
             "direction among equally-furthest victims (high = engine native)",
         ),
     ],
-    example="aggressive:tiebreak=low",
+    kind="single-disk", example="aggressive:tiebreak=low",
 )
 
-_def(
+ALGORITHM_REGISTRY.add(
     "conservative",
     "MIN's replacements, each fetch started as early as the victim allows",
     Conservative,
     [],
-    example="conservative",
+    kind="single-disk", example="conservative",
 )
 
-_def(
+ALGORITHM_REGISTRY.add(
     "delay",
     "Delay(d): judge the victim up to d requests ahead (the paper's family)",
     Delay,
     [
         ParamSpec("d", int, help="delay parameter; 0 = Aggressive, n = Conservative"),
     ],
-    example="delay:d=3",
+    kind="single-disk", example="delay:d=3",
 )
 
-_def(
+ALGORITHM_REGISTRY.add(
     "combination",
     "Run Delay(d0) or Aggressive, whichever has the smaller proven bound",
     Combination,
@@ -188,10 +83,10 @@ _def(
         ParamSpec("delay", str, None, "registry spec replacing the delay component"),
         ParamSpec("alt", str, None, "registry spec replacing the Aggressive component"),
     ],
-    example="combination:alt=demand:evict=lru",
+    kind="single-disk", example="combination:alt=demand:evict=lru",
 )
 
-_def(
+ALGORITHM_REGISTRY.add(
     "parallel-aggressive",
     "Aggressive prefetching independently on every idle disk (Kimbrel–Karlin)",
     ParallelAggressive,
@@ -202,140 +97,34 @@ _def(
             "victim tie-break direction (as in aggressive)",
         ),
     ],
-    kind="parallel",
-    example="parallel-aggressive:order=desc",
+    kind="parallel", example="parallel-aggressive:order=desc",
 )
 
-_def(
+ALGORITHM_REGISTRY.add(
     "parallel-conservative",
     "MIN's replacements executed concurrently, one fetch queue per disk",
     ParallelConservative,
     [
         ParamSpec("order", choice(*sorted(DISK_ORDERS)), "asc", "disk claim order per round"),
     ],
-    kind="parallel",
-    example="parallel-conservative:order=desc",
+    kind="parallel", example="parallel-conservative:order=desc",
 )
-
-
-# ---------------------------------------------------------------------------------
-# parsing
-# ---------------------------------------------------------------------------------
-
-#: Legacy positional form ``delay:<int>`` — rewritten to ``delay:d=<int>``.
-_LEGACY_DELAY = re.compile(r"^delay:(-?\d+)$")
-
-
-def canonicalize_algorithm_spec(spec: str) -> str:
-    """Normalise whitespace and rewrite documented legacy aliases."""
-    cleaned = spec.strip()
-    legacy = _LEGACY_DELAY.match(cleaned.lower())
-    if legacy:
-        return f"delay:d={legacy.group(1)}"
-    return cleaned
-
-
-def get_algorithm(name: str, spec: Optional[str] = None) -> AlgorithmDef:
-    """The :class:`AlgorithmDef` registered under ``name`` (strict)."""
-    definition = ALGORITHM_REGISTRY.get(name.strip().lower())
-    if definition is None:
-        shown = spec if spec is not None else name
-        raise ConfigurationError(
-            f"unknown algorithm {name!r} in spec {shown!r}; available: "
-            f"{', '.join(sorted(ALGORITHM_REGISTRY))}"
-        )
-    return definition
-
-
-def _parse(spec: str) -> Tuple[AlgorithmDef, Dict[str, object], str]:
-    """Resolve ``spec`` to (definition, coerced params, canonical form)."""
-    canonical = canonicalize_algorithm_spec(spec)
-    name, raw = split_spec(canonical, role="algorithm")
-    definition = get_algorithm(name, spec)
-    return definition, definition.coerce_params(raw, canonical), canonical
-
-
-def parse_algorithm(spec: str) -> Tuple[AlgorithmDef, Dict[str, object]]:
-    """Resolve ``spec`` to its definition and coerced parameters (strictly)."""
-    definition, params, _canonical = _parse(spec)
-    return definition, params
-
-
-def available_algorithms() -> List[str]:
-    """Sorted list of registered algorithm names.
-
-    Every listed name resolves through :func:`get_algorithm`; parametrised
-    families no longer surface a non-instantiable ``delay:<d>`` pseudo-entry
-    — their parameter schemas live on the catalog rows instead.
-    """
-    return sorted(ALGORITHM_REGISTRY)
 
 
 def make_algorithm(spec: str) -> PrefetchAlgorithm:
     """Instantiate an algorithm from its spec string.
 
     ``spec`` is ``name[:key=value,...]`` against the registry's schemas,
-    e.g. ``"aggressive"``, ``"delay:d=3"`` (legacy alias ``"delay:3"``),
-    ``"demand:evict=lru"``.  The canonicalised spec is recorded on the
-    returned object (``algorithm.spec``) as its portable identity.
+    e.g. ``"aggressive"``, ``"delay:d=3"``, ``"demand:evict=lru"``.  The
+    factory's own validation errors become :class:`ConfigurationError`
+    naming the spec.  Every call constructs a new object (algorithms carry
+    per-run state); the stripped spec is recorded on it
+    (``algorithm.spec``) as its portable identity.
     """
-    definition, params, canonical = _parse(spec)
-    algorithm = definition.build(params, canonical)
-    algorithm.spec = canonical
+    entry, _raw, params = ALGORITHM_REGISTRY.parse(spec)
+    try:
+        algorithm: PrefetchAlgorithm = entry.build(**params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"algorithm {entry.name!r} in spec {spec!r}: {exc}") from exc
+    algorithm.spec = spec.strip()
     return algorithm
-
-
-# ---------------------------------------------------------------------------------
-# the catalog
-# ---------------------------------------------------------------------------------
-
-
-def algorithm_catalog_rows() -> List[Dict[str, str]]:
-    """One row per registered algorithm: name, kind, parameters, example."""
-    rows = []
-    for name in sorted(ALGORITHM_REGISTRY):
-        definition = ALGORITHM_REGISTRY[name]
-        rendered = ", ".join(p.describe() for p in definition.params)
-        rows.append(
-            {
-                "name": name,
-                "kind": definition.kind,
-                "summary": definition.summary,
-                "params": rendered or "(none)",
-                "example": definition.example,
-            }
-        )
-    return rows
-
-
-def format_algorithm_catalog(name: Optional[str] = None) -> str:
-    """Human-readable catalog of algorithms for ``repro algorithms``.
-
-    With ``name`` set, only that algorithm is shown (with per-parameter help
-    lines); otherwise the full catalog is rendered.
-    """
-    if name is not None:
-        definition = get_algorithm(name)
-        lines = [f"{definition.name} ({definition.kind}) — {definition.summary}"]
-        if definition.params:
-            lines.append("  parameters:")
-            for p in definition.params:
-                default = "required" if p.required else f"default {p.default}"
-                help_text = f" — {p.help}" if p.help else ""
-                lines.append(f"    {p.name} ({p.type_name}, {default}){help_text}")
-        else:
-            lines.append("  parameters: (none)")
-        lines.append(f"  example: {definition.example}")
-        return "\n".join(lines)
-
-    lines = [f"algorithm catalog ({len(ALGORITHM_REGISTRY)} algorithms)", ""]
-    for row in algorithm_catalog_rows():
-        lines.append(f"{row['name']} ({row['kind']}) — {row['summary']}")
-        lines.append(f"  params:  {row['params']}")
-        lines.append(f"  example: {row['example']}")
-        lines.append("")
-    lines.append(
-        "spec grammar: name[:key=value,...] — values may contain '=', never ','"
-    )
-    lines.append("legacy alias: delay:<int> is accepted for delay:d=<int>")
-    return "\n".join(lines)

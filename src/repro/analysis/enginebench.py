@@ -35,6 +35,7 @@ from ..algorithms.registry import make_algorithm
 from ..disksim.executor import simulate
 from ..disksim.instance import ProblemInstance
 from ..disksim.vector import simulate_batch
+from ..errors import ConfigurationError
 from ..workloads import looping_scan, zipf
 
 __all__ = [
@@ -253,5 +254,17 @@ def gate_failures(
 
 
 def load_floor(path) -> Dict[str, object]:
-    """Read a gate floor file (see :func:`gate_failures` for its schema)."""
-    return json.loads(Path(path).read_text())
+    """Read a gate floor file (see :func:`gate_failures` for its schema).
+
+    A missing or unreadable file, malformed JSON or a document that is not
+    a JSON object is a :class:`ConfigurationError` naming the path.
+    """
+    try:
+        floor = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read the gate floor {path}: {exc}") from exc
+    if not isinstance(floor, dict):
+        raise ConfigurationError(
+            f"gate floor {path} must hold a JSON object, got {type(floor).__name__}"
+        )
+    return floor

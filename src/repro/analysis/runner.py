@@ -25,7 +25,7 @@ against the optimum:
   :class:`~repro.analysis.store.RunStore`), every point's record persists
   in one WAL-mode SQLite file, keyed by a SHA-256 fingerprint of the
   *instance content* (sequence, cache size, fetch time, layout, warm set),
-  the canonical algorithm spec and the engine.  Records are written as they
+  the algorithm spec and the engine.  Records are written as they
   complete, and each declared grid registers a sweep manifest, so a killed
   sweep keeps its progress and :func:`prepare_sweep` (``repro sweep
   --resume``) reports exactly what remains.
@@ -54,19 +54,15 @@ import logging
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..algorithms.registry import canonicalize_algorithm_spec, make_algorithm
+from ..algorithms.registry import make_algorithm
 from ..disksim.executor import canonical_engine, simulate_with_engine
 from ..disksim.instance import ProblemInstance
 from ..disksim.vector import VECTOR_FAMILIES, run_batch
 from ..errors import ConfigurationError, PointEvaluationError
 from ..lp.canonical import instance_fingerprint
 from ..lp.service import OptimumRecord, OptimumService, SolverConfig
-from ..workloads.spec import (
-    build_workload_instance,
-    get_layout_builder,
-    with_spec_params,
-    workload_accepts,
-)
+from ..specs import with_params
+from ..workloads.spec import WORKLOAD_REGISTRY, build_workload_instance, get_layout_builder
 from .backends import (
     ExecutionBackend,
     SerialBackend,
@@ -157,14 +153,14 @@ class ExperimentSpec:
         """The grid points in deterministic (nested-loop) order."""
         out: List[ExperimentPoint] = []
         for workload in self.workloads:
-            seedable = workload_accepts(workload, "seed")
+            seedable = WORKLOAD_REGISTRY.accepts(workload, "seed")
             # A workload without a seed parameter regenerates identically for
             # every seed; collapse the axis so no duplicate points are emitted.
             for seed in self.seeds if seedable else self.seeds[:1]:
                 if seed is None or not seedable:
                     spec = workload
                 else:
-                    spec = with_spec_params(workload, seed=seed)
+                    spec = with_params(workload, seed=seed)
                 for disks in self.disks:
                     layouts = self.layouts if disks > 1 else self.layouts[:1]
                     for layout in layouts:
@@ -265,12 +261,12 @@ def _instance_identity(point: ExperimentPoint) -> str:
 
 
 def point_cache_key(point: ExperimentPoint) -> str:
-    """Store key of a point: instance identity x canonical algorithm x engine.
+    """Store key of a point: instance identity x algorithm spec x engine.
 
-    The algorithm identity is the *canonical* spec, so ``delay:3`` and
-    ``delay:d=3`` share entries.
+    The algorithm identity is the stripped spec string, the same identity
+    :func:`~repro.algorithms.registry.make_algorithm` records.
     """
-    algorithm = canonicalize_algorithm_spec(point.algorithm)
+    algorithm = point.algorithm.strip()
     engine = canonical_engine(point.engine)
     return hashlib.sha256(
         f"{_instance_identity(point)};alg={algorithm};engine={engine}".encode()
@@ -436,7 +432,7 @@ def _vector_eligible(point: ExperimentPoint) -> bool:
     """
     if point.disks != 1:
         return False
-    family = canonicalize_algorithm_spec(point.algorithm).split(":", 1)[0]
+    family = point.algorithm.strip().split(":", 1)[0]
     return family in VECTOR_FAMILIES
 
 
@@ -446,13 +442,13 @@ def _vector_bucket_key(point: ExperimentPoint) -> Tuple[object, ...]:
     Spec-described points bucket by their workload spec with the seed
     normalised away (same family and parameters ⇒ same sequence length and
     block universe size), prebuilt instances by their materialised shape —
-    plus ``k``, ``F`` and the canonical algorithm, so one batch is "the same
+    plus ``k``, ``F`` and the algorithm spec, so one batch is "the same
     grid point at many seeds", the common case of a ratio sweep.
     """
     if point.workload is not None:
         spec = point.workload
-        if workload_accepts(spec, "seed"):
-            spec = with_spec_params(spec, seed=0)
+        if WORKLOAD_REGISTRY.accepts(spec, "seed"):
+            spec = with_params(spec, seed=0)
         shape = f"spec={spec}"
     else:
         instance = point.build_instance()  # prebuilt: already materialised
@@ -461,7 +457,7 @@ def _vector_bucket_key(point: ExperimentPoint) -> Tuple[object, ...]:
         shape,
         point.cache_size,
         point.fetch_time,
-        canonicalize_algorithm_spec(point.algorithm),
+        point.algorithm.strip(),
     )
 
 

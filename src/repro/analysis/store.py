@@ -154,17 +154,18 @@ class RunStore:
 
     def __init__(self, path, *, timeout: float = 30.0):
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
             self._conn = sqlite3.connect(self.path, timeout=timeout)
             self._enable_wal(timeout)
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute(f"PRAGMA busy_timeout={int(timeout * 1000)}")
             with self._conn:
                 self._conn.executescript(_SCHEMA)
-        except sqlite3.Error as exc:
+        except (OSError, sqlite3.Error) as exc:
             # Surface as a library error so the CLI exits cleanly instead of
-            # dumping a traceback when the file is corrupt or not SQLite.
+            # dumping a traceback when the file is corrupt or not SQLite, or
+            # its directory cannot be created (a regular file in the way).
             raise StoreError(f"cannot open run store at {self.path}: {exc}") from exc
 
     def _enable_wal(self, timeout: float) -> None:

@@ -35,12 +35,16 @@ Commands
                 finding, 2 on a missing or unparseable target.
 
 Workload and algorithm specs share the grammar ``name[:key=value,...]``
-(``zipf:n=200,blocks=50,skew=0.8``, ``delay:d=3``, ``demand:evict=lru``) so
-common experiments can be run without writing Python (``repro workloads`` /
-``repro algorithms`` list the catalogs); anything more elaborate should use
-the library API directly (see the examples/ directory).  Parsing is strict:
-unknown or duplicate parameters and uncoercible values exit with a one-line
+(``zipf:n=200,blocks=50,skew=0.8``, ``delay:d=3``, ``demand:evict=lru``) and
+the :class:`~repro.specs.Registry` type, so common experiments can be run
+without writing Python (``repro workloads`` / ``repro algorithms`` print the
+two registries' catalogs); anything more elaborate should use the library
+API directly (see the examples/ directory).  Parsing is strict: unknown or
+duplicate parameters and uncoercible values exit with a one-line
 configuration error instead of silently running a different experiment.
+So do out-of-range numeric options, unwritable output paths, a cache
+directory that is not a directory, an unreadable perf-gate floor and a
+single-disk algorithm on a multi-disk instance.
 
 List-valued options (``--algorithms``, ``--workloads``) are split on ``;``
 when one is present and on ``,`` otherwise — parametrised specs carry
@@ -52,11 +56,12 @@ from __future__ import annotations
 
 import argparse
 import json as json_module
+import math
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
-from .algorithms import format_algorithm_catalog, make_algorithm
+from .algorithms import ALGORITHM_REGISTRY, make_algorithm
 from .analysis.backends import BACKEND_NAMES
 from .analysis.reporting import format_ratio_table, format_result_set, format_table
 from .analysis.runner import ExperimentSpec, prepare_sweep, run_experiments
@@ -69,14 +74,9 @@ from .errors import ConfigurationError, ReproError
 from .viz.gantt import render_gantt
 from .viz.timeline import render_timeline
 from .workloads import theorem2_sequence
-from .workloads.spec import (
-    LAYOUT_BUILDERS,
-    build_workload_instance,
-    format_workload_catalog,
-    parse_workload,
-)
+from .workloads.spec import LAYOUT_BUILDERS, WORKLOAD_REGISTRY, build_workload_instance
 
-__all__ = ["main", "build_parser", "parse_workload"]
+__all__ = ["main", "build_parser"]
 
 
 def _make_instance(args: argparse.Namespace) -> ProblemInstance:
@@ -93,9 +93,9 @@ def _split_specs(text: str) -> List[str]:
     """Split a list-valued spec option.
 
     ``;`` is the primary separator (parametrised specs contain commas);
-    plain comma-separated lists of parameterless specs — the historical
-    form, e.g. ``aggressive,conservative,delay:3`` — keep working because
-    the split falls back to ``,`` only when no ``;`` is present.
+    plain comma-separated lists of parameterless specs — e.g.
+    ``aggressive,conservative,demand`` — keep working because the split
+    falls back to ``,`` only when no ``;`` is present.
     """
     separator = ";" if ";" in text else ","
     return [item.strip() for item in text.split(separator) if item.strip()]
@@ -344,13 +344,26 @@ def _grid_spec(args: argparse.Namespace, **extra) -> ExperimentSpec:
     )
 
 
+def _write_output(path: str, kind: str, write: Callable[[str], object]) -> None:
+    """Run ``write(path)``; an unwritable ``path`` is a configuration error naming it."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {kind} to {path}: {exc.strerror or exc}") from exc
+    print(f"wrote {kind} to {path}")
+
+
+def _json_writer(payload: object) -> Callable[[str], object]:
+    """A writer of ``payload`` as an indented, key-sorted JSON document."""
+    text = json_module.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return lambda path: Path(path).write_text(text)
+
+
 def _write_outputs(run, args: argparse.Namespace) -> None:
     if args.json_path:
-        run.write_json(args.json_path)
-        print(f"wrote JSON to {args.json_path}")
+        _write_output(args.json_path, "JSON", run.write_json)
     if args.csv_path:
-        run.write_csv(args.csv_path)
-        print(f"wrote CSV to {args.csv_path}")
+        _write_output(args.csv_path, "CSV", run.write_csv)
 
 
 def _report_resume(spec: ExperimentSpec, store: RunStore) -> None:
@@ -373,6 +386,8 @@ def _run_grid_command(args: argparse.Namespace, **extra) -> ResultSet:
     run opens the store once and shares the connection between the report
     and the execution.
     """
+    if args.workers < 0:
+        raise ConfigurationError(f"--workers must be at least 0, got {args.workers}")
     spec = _grid_spec(args, **extra)
     store = None
     try:
@@ -413,6 +428,11 @@ def _watch_sweep(args: argparse.Namespace) -> int:
 
     if args.cache_dir is None:
         raise ConfigurationError("--watch needs --cache-dir (the run store location)")
+    if not (math.isfinite(args.watch_interval) and args.watch_interval > 0):
+        raise ConfigurationError(
+            f"--watch-interval must be a finite number of seconds above 0, "
+            f"got {args.watch_interval}"
+        )
     spec = _grid_spec(args)
     with RunStore(store_path_for(args.cache_dir)) as store:
         while True:
@@ -460,10 +480,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
             for key, value in stats.items():
                 print(f"{key:<{width}}  {value}")
             if args.json_path:
-                Path(args.json_path).write_text(
-                    json_module.dumps(stats, indent=2, sort_keys=True) + "\n"
-                )
-                print(f"wrote JSON to {args.json_path}")
+                _write_output(args.json_path, "JSON", _json_writer(stats))
         else:  # gc
             outcome = store.gc()
             print(
@@ -475,12 +492,17 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_workloads(args: argparse.Namespace) -> int:
-    print(format_workload_catalog(args.name))
+    print(WORKLOAD_REGISTRY.catalog_text(args.name))
+    if args.name is None:
+        print(
+            "layouts (block placement for --disks > 1): "
+            + ", ".join(sorted(LAYOUT_BUILDERS))
+        )
     return 0
 
 
 def _cmd_algorithms(args: argparse.Namespace) -> int:
-    print(format_algorithm_catalog(args.name))
+    print(ALGORITHM_REGISTRY.catalog_text(args.name))
     return 0
 
 
@@ -534,10 +556,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     print(enginebench.format_engine_report(report))
     if args.json_path:
-        Path(args.json_path).write_text(
-            json_module.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote JSON to {args.json_path}")
+        _write_output(args.json_path, "JSON", _json_writer(report))
     if args.gate:
         failures = enginebench.gate_failures(report, floor)
         for failure in failures:

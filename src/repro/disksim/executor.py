@@ -248,7 +248,6 @@ class PolicyView:
     def furthest_resident(
         self,
         from_position: Optional[int] = None,
-        candidates: Optional[FrozenSet[BlockId]] = None,
         *,
         exclude: FrozenSet[BlockId] = frozenset(),
     ) -> Optional[BlockId]:
@@ -261,7 +260,7 @@ class PolicyView:
         """
         start = self.cursor if from_position is None else from_position
         seq = self.instance.sequence
-        if self._evictions is not None and candidates is None and start >= self.cursor:
+        if self._evictions is not None and start >= self.cursor:
             heap = self._evictions()
             if start == self.cursor:
                 return heap.best(self.cursor, exclude)
@@ -285,27 +284,12 @@ class PolicyView:
                 if best_key is None or key > best_key:
                     best_block, best_key = block, key
             return best_block
-        pool = self.resident if candidates is None else (self.resident & candidates)
+        pool = self.resident
         if exclude:
             pool = pool - exclude
         if not pool:
             return None
         return max(pool, key=lambda b: (seq.next_use_from(start, b), str(b)))
-
-    def evictable_for(self, target_position: int) -> Optional[BlockId]:
-        """Victim for a fetch of the block requested at ``target_position``.
-
-        Returns the resident block with the furthest next use provided that
-        use lies strictly after ``target_position`` (the Aggressive
-        pre-condition: *"it can evict a block that is not requested before the
-        block to be fetched"*); otherwise ``None``.
-        """
-        victim = self.furthest_resident()
-        if victim is None:
-            return None
-        if self.next_use(victim) > target_position:
-            return victim
-        return None
 
 
 @runtime_checkable

@@ -101,10 +101,6 @@ class Schedule:
         """Total number of fetch operations."""
         return len(self.fetches)
 
-    def fetches_on(self, disk: DiskId) -> Tuple[TimedFetch, ...]:
-        """Fetch operations performed by ``disk``, ordered by start time."""
-        return tuple(op for op in self.fetches if op.disk == disk)
-
     def fetches_starting_at(self, time: int) -> Tuple[TimedFetch, ...]:
         """Fetch operations initiated exactly at ``time``."""
         return tuple(op for op in self.fetches if op.start_time == time)

@@ -183,10 +183,6 @@ class RequestSequence(Sequence[BlockId]):
         hi = min(hi, len(self._requests))
         return frozenset(self._requests[lo:hi])
 
-    def block_at(self, position: int) -> BlockId:
-        """Block requested at ``position`` (alias of ``self[position]``)."""
-        return self._requests[position]
-
     # -- combinators ----------------------------------------------------------------
 
     def reversed(self) -> "RequestSequence":

@@ -1,11 +1,10 @@
-"""The shared spec-string grammar: ``name[:key=value,...]`` parsed strictly.
+"""Spec strings and their registries: ``name[:key=value,...]`` parsed strictly.
 
-Two registries speak this grammar: the workload registry
-(:mod:`repro.workloads.spec`) and the algorithm registry
-(:mod:`repro.algorithms.registry`).  Both declare their entries with typed
-parameter schemas built from :class:`ParamSpec`; this module owns the pieces
-they share so the grammar, the coercion rules and the error wording cannot
-drift apart:
+Every object the experiments name — a workload generator, a prefetching
+algorithm — is addressed by a spec string.  This module owns the grammar,
+the coercion rules, the error wording and the registry type, so the two
+registries built on it (:data:`~repro.workloads.spec.WORKLOAD_REGISTRY` and
+:data:`~repro.algorithms.registry.ALGORITHM_REGISTRY`) cannot drift apart:
 
 * :func:`split_spec` — the grammar-level split of ``name:key=value,...``
   into the name and raw string parameters.  A value may contain ``=`` (the
@@ -19,15 +18,20 @@ drift apart:
   experiment.
 * :func:`with_params` — purely textual ``key=value`` rewriting used to
   expand one spec over a grid axis (e.g. the runner's seed injection).
+* :class:`SpecEntry` + :class:`Registry` — a registered name with its
+  summary, build callable, parameter schema, kind and example, and the
+  name → entry mapping that adds entries, looks names up strictly, parses
+  specs and renders the catalogs (``repro workloads`` / ``repro
+  algorithms``, ``docs/reference.md``).
 
 Every error message carries a ``role`` ("workload", "algorithm", ...) so
-the registries keep their established wording.
+each registry keeps its own wording.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ConfigurationError
 
@@ -39,6 +43,8 @@ __all__ = [
     "split_spec",
     "coerce_params",
     "with_params",
+    "SpecEntry",
+    "Registry",
 ]
 
 
@@ -191,7 +197,7 @@ def coerce_params(
     return coerced
 
 
-def with_params(spec: str, *, role: str = "spec", **overrides: object) -> str:
+def with_params(spec: str, **overrides: object) -> str:
     """Return ``spec`` with the given ``key=value`` parameters set/overridden.
 
     Purely textual (the name is not resolved against any registry), but
@@ -199,7 +205,7 @@ def with_params(spec: str, *, role: str = "spec", **overrides: object) -> str:
     containing ``,`` are rejected — the separator is not escapable, so such
     a value could never round-trip through the parsers.
     """
-    name, params = split_spec(spec, role=role)
+    name, params = split_spec(spec)
     for key, value in overrides.items():
         text = str(value)
         if "," in text:
@@ -212,3 +218,134 @@ def with_params(spec: str, *, role: str = "spec", **overrides: object) -> str:
         return name
     joined = ",".join(f"{k}={v}" for k, v in params.items())
     return f"{name}:{joined}"
+
+
+@dataclass(frozen=True)
+class SpecEntry:
+    """One registered spec name: summary, build callable, schema, kind, example.
+
+    ``build`` takes the coerced parameters as keyword arguments.  ``kind``
+    groups the entries of one registry in the catalogs (a workload's
+    ``sequence``/``instance``, an algorithm's ``single-disk``/``parallel``/
+    ``baseline``); ``example`` is a spec that parses.
+    """
+
+    name: str
+    summary: str
+    build: Callable[..., Any]
+    params: Tuple[ParamSpec, ...]
+    kind: str
+    example: str
+
+    @property
+    def param_names(self) -> Tuple[str, ...]:
+        return tuple(p.name for p in self.params)
+
+
+class Registry(Mapping[str, SpecEntry]):
+    """The spec names of one ``role`` ("workload", "algorithm"): name → entry.
+
+    A read-only mapping whose only way in is :meth:`add`, which rejects a
+    taken name or a repeated parameter, so a registration can never shadow
+    another by accident.
+    """
+
+    def __init__(self, role: str) -> None:
+        self.role = role
+        self._entries: Dict[str, SpecEntry] = {}
+
+    def __getitem__(self, name: str) -> SpecEntry:
+        return self._entries[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def add(
+        self,
+        name: str,
+        summary: str,
+        build: Callable[..., Any],
+        params: Sequence[ParamSpec] = (),
+        *,
+        kind: str,
+        example: str,
+    ) -> SpecEntry:
+        """Register ``build`` under ``name`` with its parameter schema."""
+        if name in self._entries:
+            raise ConfigurationError(f"{self.role} {name!r} is already registered")
+        names = [p.name for p in params]
+        if len(names) != len(set(names)):
+            raise ConfigurationError(f"{self.role} {name!r} declares duplicate parameters")
+        entry = SpecEntry(name, summary, build, tuple(params), kind, example)
+        self._entries[name] = entry
+        return entry
+
+    def lookup(self, name: str, spec: Optional[str] = None) -> SpecEntry:
+        """The entry registered under ``name``; an unknown name lists the catalog."""
+        entry = self._entries.get(name.strip().lower())
+        if entry is None:
+            shown = spec if spec is not None else name
+            raise ConfigurationError(
+                f"unknown {self.role} {name!r} in spec {shown!r}; available: "
+                f"{', '.join(sorted(self._entries))}"
+            )
+        return entry
+
+    def parse(self, spec: str) -> Tuple[SpecEntry, Dict[str, str], Dict[str, object]]:
+        """Resolve ``spec`` to its entry, raw parameters and coerced parameters."""
+        name, raw = split_spec(spec, role=self.role)
+        entry = self.lookup(name, spec)
+        return entry, raw, coerce_params(entry.name, entry.params, raw, spec, role=self.role)
+
+    def accepts(self, spec: str, param_name: str) -> bool:
+        """Whether the entry named by ``spec`` takes parameter ``param_name``.
+
+        Lets the runner rewrite ``seed`` only into workloads that take a
+        seed: strict parsing rejects an injected key the entry does not know.
+        """
+        name, _ = split_spec(spec, role=self.role)
+        return param_name in self.lookup(name, spec).param_names
+
+    def catalog_rows(self) -> List[Dict[str, str]]:
+        """One row per entry, sorted by name: name, kind, summary, params, example."""
+        rows: List[Dict[str, str]] = []
+        for name in sorted(self._entries):
+            entry = self._entries[name]
+            rows.append(
+                {
+                    "name": name,
+                    "kind": entry.kind,
+                    "summary": entry.summary,
+                    "params": ", ".join(p.describe() for p in entry.params) or "(none)",
+                    "example": entry.example,
+                }
+            )
+        return rows
+
+    def catalog_text(self, name: Optional[str] = None) -> str:
+        """The human-readable catalog, or one entry with per-parameter help."""
+        if name is not None:
+            entry = self.lookup(name)
+            lines = [f"{entry.name} ({entry.kind}) — {entry.summary}"]
+            if entry.params:
+                lines.append("  parameters:")
+                for p in entry.params:
+                    default = "required" if p.required else f"default {p.default}"
+                    help_text = f" — {p.help}" if p.help else ""
+                    lines.append(f"    {p.name} ({p.type_name}, {default}){help_text}")
+            else:
+                lines.append("  parameters: (none)")
+            lines.append(f"  example: {entry.example}")
+            return "\n".join(lines)
+
+        lines = [f"{self.role} catalog ({len(self)} {self.role}s)", ""]
+        for row in self.catalog_rows():
+            lines.append(f"{row['name']} ({row['kind']}) — {row['summary']}")
+            lines.append(f"  params:  {row['params']}")
+            lines.append(f"  example: {row['example']}")
+            lines.append("")
+        lines.append("spec grammar: name[:key=value,...] — values may contain '=', never ','")
+        return "\n".join(lines)

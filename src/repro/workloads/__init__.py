@@ -25,10 +25,7 @@ from .spec import (
     LAYOUT_BUILDERS,
     WORKLOAD_REGISTRY,
     build_workload_instance,
-    format_workload_catalog,
     parse_workload,
-    with_spec_params,
-    workload_accepts,
 )
 from .synthetic import (
     looping_scan,
@@ -53,10 +50,7 @@ __all__ = [
     "LAYOUT_BUILDERS",
     "WORKLOAD_REGISTRY",
     "build_workload_instance",
-    "format_workload_catalog",
     "parse_workload",
-    "with_spec_params",
-    "workload_accepts",
     "Theorem2Construction",
     "cao_f_ge_k_sequence",
     "theorem2_parameters",

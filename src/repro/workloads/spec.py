@@ -1,4 +1,4 @@
-"""Typed workload-spec registry: strict parsing of portable instance descriptions.
+"""The workload registry: portable, strictly parsed instance descriptions.
 
 Workload specs are small strings like ``zipf:n=200,blocks=50,skew=0.8`` or
 ``trace:path=/tmp/trace.txt``.  They originated in the CLI, but the batched
@@ -7,22 +7,14 @@ instance description*: a spec string pickles trivially, regenerates the same
 sequence deterministically in any worker process (all generators take
 explicit seeds), and doubles as a human-readable label and cache key.
 
-Every workload is declared as a :class:`WorkloadDef` carrying a typed
-parameter schema (:class:`ParamSpec`), which makes parsing strict by
-construction: unknown keys, duplicate keys, malformed items and uncoercible
-values all raise :class:`~repro.errors.ConfigurationError` naming the spec
-and the workload's valid parameters.  A misspelled parameter can therefore
-never silently fall back to a default and corrupt a sweep.
-
-Grammar
--------
-``name[:key=value,key=value,...]`` — the workload name selects a
-:data:`WORKLOAD_REGISTRY` entry; parameters are ``key=value`` pairs
-separated by ``,``.  A value may contain ``=`` (paths like ``a=b.txt``
-round-trip exactly; the split is on the *first* ``=``), but never ``,`` —
-the separator is not escapable, and both :func:`parse_workload` and
-:func:`with_spec_params` reject embedded commas with a clear error instead
-of truncating the value.
+Every workload is an entry of :data:`WORKLOAD_REGISTRY`, a
+:class:`~repro.specs.Registry` whose typed parameter schemas make parsing
+strict by construction: unknown keys, duplicate keys, malformed items and
+uncoercible values all raise :class:`~repro.errors.ConfigurationError`
+naming the spec and the workload's valid parameters.  A misspelled
+parameter can therefore never silently fall back to a default and corrupt a
+sweep.  The grammar (``name[:key=value,...]``; values may contain ``=``,
+never ``,``) is :mod:`repro.specs`'s, shared with the algorithm registry.
 
 Two kinds of workload exist:
 
@@ -45,15 +37,12 @@ into a ready :class:`ProblemInstance`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict
 
 from ..disksim.instance import ProblemInstance
 from ..disksim.sequence import RequestSequence
 from ..errors import ConfigurationError
-from ..specs import ParamSpec, coerce_bool, coerce_params
-from ..specs import split_spec as _split_spec_generic
-from ..specs import with_params as _with_params_generic
+from ..specs import ParamSpec, Registry, coerce_bool
 from .adversarial import cao_f_ge_k_sequence, theorem2_sequence
 from .multidisk import (
     contiguous_partitioned_instance,
@@ -80,85 +69,20 @@ from .traces import (
 )
 
 __all__ = [
-    "ParamSpec",
-    "WorkloadDef",
     "WORKLOAD_REGISTRY",
     "LAYOUT_BUILDERS",
-    "split_spec",
     "parse_workload",
     "build_workload_instance",
-    "with_spec_params",
-    "workload_accepts",
-    "format_workload_catalog",
 ]
-
-
-# ---------------------------------------------------------------------------------
-# parameter schema
-# ---------------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WorkloadDef:
-    """A registered workload: name, typed parameter schema and builder.
-
-    ``kind == "sequence"`` builders take the coerced parameters as keyword
-    arguments and return a :class:`RequestSequence`.  ``kind == "instance"``
-    builders additionally receive ``k`` and ``F`` (declared in ``params``
-    with construction-appropriate defaults) and return a full
-    :class:`ProblemInstance` including its warm initial cache.
-    """
-
-    name: str
-    summary: str
-    builder: Callable
-    params: Tuple[ParamSpec, ...] = ()
-    kind: str = "sequence"
-    example: str = ""
-
-    def __post_init__(self):
-        names = [p.name for p in self.params]
-        if len(names) != len(set(names)):
-            raise ConfigurationError(f"workload {self.name!r} declares duplicate parameters")
-
-    @property
-    def param_names(self) -> Tuple[str, ...]:
-        return tuple(p.name for p in self.params)
-
-    def coerce_params(self, raw: Mapping[str, str], spec: str) -> Dict[str, object]:
-        """Coerce raw string parameters against the schema, strictly.
-
-        Unknown keys, missing required keys and uncoercible values raise
-        :class:`ConfigurationError` naming ``spec`` and the valid parameters.
-        """
-        return coerce_params(self.name, self.params, raw, spec, role="workload")
 
 
 # ---------------------------------------------------------------------------------
 # the registry
 # ---------------------------------------------------------------------------------
 
-WORKLOAD_REGISTRY: Dict[str, WorkloadDef] = {}
+WORKLOAD_REGISTRY = Registry("workload")
 
-
-def register_workload(definition: WorkloadDef) -> WorkloadDef:
-    """Add ``definition`` to :data:`WORKLOAD_REGISTRY` (rejecting duplicates)."""
-    if definition.name in WORKLOAD_REGISTRY:
-        raise ConfigurationError(f"workload {definition.name!r} is already registered")
-    WORKLOAD_REGISTRY[definition.name] = definition
-    return definition
-
-
-def _def(name, summary, builder, params, kind="sequence", example=""):
-    register_workload(
-        WorkloadDef(
-            name=name, summary=summary, builder=builder,
-            params=tuple(params), kind=kind, example=example or name,
-        )
-    )
-
-
-_def(
+WORKLOAD_REGISTRY.add(
     "zipf",
     "Zipf-skewed references over a block population",
     lambda n, blocks, skew, seed: zipf(n, blocks, skew=skew, seed=seed),
@@ -168,10 +92,10 @@ _def(
         ParamSpec("skew", float, 1.0, "Zipf exponent (0 = uniform)"),
         ParamSpec("seed", int, 0, "RNG seed"),
     ],
-    example="zipf:n=500,blocks=100,skew=0.8",
+    kind="sequence", example="zipf:n=500,blocks=100,skew=0.8",
 )
 
-_def(
+WORKLOAD_REGISTRY.add(
     "uniform",
     "Independent uniform references",
     lambda n, blocks, seed: uniform_random(n, blocks, seed=seed),
@@ -180,10 +104,10 @@ _def(
         ParamSpec("blocks", int, 50, "distinct blocks"),
         ParamSpec("seed", int, 0, "RNG seed"),
     ],
-    example="uniform:n=300,blocks=40,seed=2",
+    kind="sequence", example="uniform:n=300,blocks=40,seed=2",
 )
 
-_def(
+WORKLOAD_REGISTRY.add(
     "scan",
     "One sequential pass over the blocks",
     lambda blocks, repeats: sequential_scan(blocks, repeats_per_block=repeats),
@@ -191,10 +115,10 @@ _def(
         ParamSpec("blocks", int, 100, "distinct blocks"),
         ParamSpec("repeats", int, 1, "consecutive repeats per block"),
     ],
-    example="scan:blocks=60",
+    kind="sequence", example="scan:blocks=60",
 )
 
-_def(
+WORKLOAD_REGISTRY.add(
     "strided",
     "Strided scan visiting every stride-th block modulo the population",
     lambda blocks, stride, n: strided_scan(blocks, stride, n),
@@ -203,10 +127,10 @@ _def(
         ParamSpec("stride", int, 7, "stride between consecutive requests"),
         ParamSpec("n", int, 100, "number of requests"),
     ],
-    example="strided:blocks=64,stride=9,n=200",
+    kind="sequence", example="strided:blocks=64,stride=9,n=200",
 )
 
-_def(
+WORKLOAD_REGISTRY.add(
     "loop",
     "Repeated scans of the same block set (the classic prefetching win)",
     lambda blocks, loops: looping_scan(blocks, loops),
@@ -214,10 +138,10 @@ _def(
         ParamSpec("blocks", int, 20, "blocks per loop"),
         ParamSpec("loops", int, 5, "number of loop iterations"),
     ],
-    example="loop:blocks=30,loops=10",
+    kind="sequence", example="loop:blocks=30,loops=10",
 )
 
-_def(
+WORKLOAD_REGISTRY.add(
     "wss",
     "Working-set shift: uniform references in a sliding per-phase window",
     lambda phases, blocks, n, overlap, seed: working_set_shift(
@@ -230,10 +154,10 @@ _def(
         ParamSpec("overlap", int, 5, "blocks shared by consecutive windows"),
         ParamSpec("seed", int, 0, "RNG seed"),
     ],
-    example="wss:phases=6,blocks=20,n=80,overlap=4",
+    kind="sequence", example="wss:phases=6,blocks=20,n=80,overlap=4",
 )
 
-_def(
+WORKLOAD_REGISTRY.add(
     "mixed",
     "Scan + loop + Zipf phases, concatenated or randomly interleaved",
     lambda scan_blocks, loop_blocks, loops, zipf_n, zipf_blocks, skew, interleave, seed: (
@@ -257,10 +181,10 @@ _def(
         ParamSpec("interleave", coerce_bool, False, "merge phases in random order"),
         ParamSpec("seed", int, 0, "RNG seed"),
     ],
-    example="mixed:interleave=true,seed=3",
+    kind="sequence", example="mixed:interleave=true,seed=3",
 )
 
-_def(
+WORKLOAD_REGISTRY.add(
     "markov",
     "Markov-modulated locality: a hot window that jumps at random instants",
     lambda n, blocks, window, locality, switch, seed: markov_phases(
@@ -274,10 +198,10 @@ _def(
         ParamSpec("switch", float, 0.05, "per-request probability the window jumps"),
         ParamSpec("seed", int, 0, "RNG seed"),
     ],
-    example="markov:n=1000,blocks=200,window=16,switch=0.02",
+    kind="sequence", example="markov:n=1000,blocks=200,window=16,switch=0.02",
 )
 
-_def(
+WORKLOAD_REGISTRY.add(
     "multiclient",
     "Interleaved per-client Zipf streams plus a shared hot set (many users)",
     lambda clients, n, blocks, shared, shared_frac, skew, seed: multiclient_streams(
@@ -293,10 +217,10 @@ _def(
         ParamSpec("skew", float, 0.8, "Zipf exponent within each region"),
         ParamSpec("seed", int, 0, "RNG seed"),
     ],
-    example="multiclient:clients=32,n=2000,shared=16,shared_frac=0.4",
+    kind="sequence", example="multiclient:clients=32,n=2000,shared=16,shared_frac=0.4",
 )
 
-_def(
+WORKLOAD_REGISTRY.add(
     "filescan",
     "Sequential scans over several files with optional hot metadata blocks",
     lambda files, blocks, rescans, hot, seed: file_scan_trace(
@@ -309,10 +233,10 @@ _def(
         ParamSpec("hot", int, 0, "extra references to hot metadata blocks"),
         ParamSpec("seed", int, 0, "RNG seed"),
     ],
-    example="filescan:files=6,blocks=20,rescans=2,hot=30",
+    kind="sequence", example="filescan:files=6,blocks=20,rescans=2,hot=30",
 )
 
-_def(
+WORKLOAD_REGISTRY.add(
     "join",
     "Block nested-loop join: rescan the inner relation per outer block",
     lambda outer, inner, passes: database_join_trace(
@@ -323,10 +247,10 @@ _def(
         ParamSpec("inner", int, 12, "inner-relation blocks"),
         ParamSpec("passes", int, 1, "inner passes per outer block"),
     ],
-    example="join:outer=10,inner=20",
+    kind="sequence", example="join:outer=10,inner=20",
 )
 
-_def(
+WORKLOAD_REGISTRY.add(
     "stream",
     "Strictly sequential multimedia streams in round-robin interleaving",
     lambda streams, blocks: multimedia_stream_trace(streams, blocks),
@@ -334,18 +258,18 @@ _def(
         ParamSpec("streams", int, 3, "number of concurrent streams"),
         ParamSpec("blocks", int, 40, "blocks per stream"),
     ],
-    example="stream:streams=4,blocks=30",
+    kind="sequence", example="stream:streams=4,blocks=30",
 )
 
-_def(
+WORKLOAD_REGISTRY.add(
     "trace",
     "Request sequence loaded from a one-block-per-line trace file",
     lambda path: load_trace(path),
     [ParamSpec("path", str, help="path to the trace file")],
-    example="trace:path=/tmp/trace.txt",
+    kind="sequence", example="trace:path=/tmp/trace.txt",
 )
 
-_def(
+WORKLOAD_REGISTRY.add(
     "thm2",
     "Theorem 2 lower-bound construction (warm instance; needs (F-1) | (k-1))",
     lambda k, F, phases: theorem2_sequence(k, F, phases).instance,
@@ -354,11 +278,10 @@ _def(
         ParamSpec("F", int, 4, "fetch time (defaults to the caller's -F)"),
         ParamSpec("phases", int, 4, "number of adversarial phases"),
     ],
-    kind="instance",
-    example="thm2:phases=6",
+    kind="instance", example="thm2:phases=6",
 )
 
-_def(
+WORKLOAD_REGISTRY.add(
     "cao",
     "Cao et al. F >= k stress: cyclic scan over k+1 blocks (warm instance)",
     lambda k, F, cycles: cao_f_ge_k_sequence(k, F, cycles),
@@ -367,8 +290,7 @@ _def(
         ParamSpec("F", int, 10, "fetch time (defaults to the caller's -F)"),
         ParamSpec("cycles", int, 4, "number of cycles over the k+1 blocks"),
     ],
-    kind="instance",
-    example="cao:cycles=6",
+    kind="instance", example="cao:cycles=6",
 )
 
 
@@ -401,29 +323,6 @@ def get_layout_builder(layout: str) -> Callable[..., ProblemInstance]:
 # ---------------------------------------------------------------------------------
 
 
-def split_spec(spec: str) -> Tuple[str, Dict[str, str]]:
-    """Split ``name:key=value,...`` into the name and raw string parameters.
-
-    Strict at the grammar level: every item must be ``key=value`` (split on
-    the *first* ``=``, so values may contain ``=``), keys must be unique and
-    non-empty, and empty items are rejected.  A value can never contain ``,``
-    — an item without ``=`` is diagnosed as a likely embedded comma.
-    """
-    return _split_spec_generic(spec, role="workload")
-
-
-def get_workload(name: str, spec: Optional[str] = None) -> WorkloadDef:
-    """The :class:`WorkloadDef` registered under ``name`` (strict)."""
-    definition = WORKLOAD_REGISTRY.get(name.strip().lower())
-    if definition is None:
-        shown = spec if spec is not None else name
-        raise ConfigurationError(
-            f"unknown workload {name!r} in spec {shown!r}; available: "
-            f"{', '.join(sorted(WORKLOAD_REGISTRY))}"
-        )
-    return definition
-
-
 def parse_workload(spec: str) -> RequestSequence:
     """Parse a workload spec string into a request sequence (strictly).
 
@@ -431,10 +330,8 @@ def parse_workload(spec: str) -> RequestSequence:
     spec's (or the schema's default) ``k``/``F`` and its request sequence is
     returned; use :func:`build_workload_instance` to keep the warm instance.
     """
-    name, raw = split_spec(spec)
-    definition = get_workload(name, spec)
-    params = definition.coerce_params(raw, spec)
-    built = definition.builder(**params)
+    entry, _raw, params = WORKLOAD_REGISTRY.parse(spec)
+    built = entry.build(**params)
     if isinstance(built, ProblemInstance):
         return built.sequence
     return built
@@ -460,108 +357,19 @@ def build_workload_instance(
     """
     if disks < 1:
         raise ConfigurationError(f"the disk count must be at least 1, got {disks}")
-    name, raw = split_spec(spec)
-    definition = get_workload(name, spec)
-    params = definition.coerce_params(raw, spec)
-    if definition.kind == "instance":
+    entry, raw, params = WORKLOAD_REGISTRY.parse(spec)
+    if entry.kind == "instance":
         if disks > 1:
             raise ConfigurationError(
-                f"workload {definition.name!r} in spec {spec!r} is a single-disk "
+                f"workload {entry.name!r} in spec {spec!r} is a single-disk "
                 f"construction; it cannot be placed on {disks} disks"
             )
         if "k" not in raw:
             params["k"] = cache_size
         if "F" not in raw:
             params["F"] = fetch_time
-        return definition.builder(**params)
-    sequence = definition.builder(**params)
+        return entry.build(**params)
+    sequence = entry.build(**params)
     if disks > 1:
         return get_layout_builder(layout)(sequence, cache_size, fetch_time, disks)
     return ProblemInstance.single_disk(sequence, cache_size, fetch_time)
-
-
-def workload_accepts(spec: str, param_name: str) -> bool:
-    """Whether the workload named by ``spec`` documents parameter ``param_name``.
-
-    Lets the runner rewrite ``seed`` only into workloads that actually take a
-    seed — strict parsing means deterministic generators no longer silently
-    swallow an injected ``seed=...`` key.
-    """
-    name, _ = split_spec(spec)
-    return param_name in get_workload(name, spec).param_names
-
-
-def with_spec_params(spec: str, **overrides) -> str:
-    """Return ``spec`` with the given ``key=value`` parameters set/overridden.
-
-    Used by the runner to expand one workload spec over a seed grid:
-    ``with_spec_params("zipf:n=100", seed=3) == "zipf:n=100,seed=3"``.
-    Purely textual (the workload name is not resolved), but grammar-strict:
-    the incoming spec must parse, and override values containing ``,`` are
-    rejected — the separator is not escapable, so such a value could never
-    round-trip through :func:`parse_workload`.
-    """
-    return _with_params_generic(spec, role="workload", **overrides)
-
-
-# ---------------------------------------------------------------------------------
-# the catalog
-# ---------------------------------------------------------------------------------
-
-
-def workload_catalog_rows() -> List[Dict[str, str]]:
-    """One row per registered workload: name, kind, parameters, example."""
-    rows = []
-    for name in sorted(WORKLOAD_REGISTRY):
-        definition = WORKLOAD_REGISTRY[name]
-        rendered = ", ".join(p.describe() for p in definition.params)
-        rows.append(
-            {
-                "name": name,
-                "kind": definition.kind,
-                "summary": definition.summary,
-                "params": rendered or "(none)",
-                "example": definition.example,
-            }
-        )
-    return rows
-
-
-def format_workload_catalog(name: Optional[str] = None) -> str:
-    """Human-readable catalog of workloads (and layouts) for ``repro workloads``.
-
-    With ``name`` set, only that workload is shown (with per-parameter help
-    lines); otherwise the full catalog plus the layout registry is rendered.
-    """
-    if name is not None:
-        definition = get_workload(name)
-        lines = [f"{definition.name} ({definition.kind}) — {definition.summary}"]
-        if definition.params:
-            lines.append("  parameters:")
-            for p in definition.params:
-                default = "required" if p.required else f"default {p.default}"
-                help_text = f" — {p.help}" if p.help else ""
-                lines.append(f"    {p.name} ({p.type_name}, {default}){help_text}")
-        else:
-            lines.append("  parameters: (none)")
-        lines.append(f"  example: {definition.example}")
-        return "\n".join(lines)
-
-    lines = [
-        f"workload catalog ({len(WORKLOAD_REGISTRY)} workloads, "
-        f"{len(LAYOUT_BUILDERS)} layouts)",
-        "",
-    ]
-    for row in workload_catalog_rows():
-        lines.append(f"{row['name']} ({row['kind']}) — {row['summary']}")
-        lines.append(f"  params:  {row['params']}")
-        lines.append(f"  example: {row['example']}")
-        lines.append("")
-    lines.append(
-        "layouts (block placement for --disks > 1): "
-        + ", ".join(sorted(LAYOUT_BUILDERS))
-    )
-    lines.append(
-        "spec grammar: name[:key=value,...] — values may contain '=', never ','"
-    )
-    return "\n".join(lines)

@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import family_spec
 from repro.algorithms import (
+    ALGORITHM_REGISTRY,
     Aggressive,
     Delay,
     DemandFetch,
     ParallelAggressive,
     ParallelConservative,
-    available_algorithms,
     make_algorithm,
 )
+from repro.algorithms import registry as registry_module
 from repro.disksim import DiskLayout, ProblemInstance, execute_schedule, simulate
 from repro.errors import ConfigurationError
+from repro.specs import Registry
 from repro.workloads import parallel_disk_example, uniform_random
 from repro.workloads.multidisk import striped_instance
 
@@ -83,7 +86,7 @@ class TestParallelConservative:
 
 class TestRegistry:
     def test_known_names(self):
-        names = available_algorithms()
+        names = sorted(ALGORITHM_REGISTRY)
         for expected in ("aggressive", "conservative", "combination", "demand"):
             assert expected in names
         # The non-instantiable "delay:<d>" pseudo-entry is gone; the family
@@ -96,9 +99,6 @@ class TestRegistry:
         delay = make_algorithm("delay:d=5")
         assert isinstance(delay, Delay)
         assert delay.d == 5
-        # The pre-grammar positional form stays a documented alias.
-        legacy = make_algorithm("delay:5")
-        assert isinstance(legacy, Delay) and legacy.d == 5
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -110,14 +110,50 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             make_algorithm("delay:x")
 
-    def test_registration(self):
-        from repro.algorithms import ALGORITHM_REGISTRY, register_algorithm
+    def test_registration(self, monkeypatch):
+        # A scratch registry stands in for the module's, so the test never
+        # mutates the registry other tests read.
+        scratch = Registry("algorithm")
+        monkeypatch.setattr(registry_module, "ALGORITHM_REGISTRY", scratch)
 
-        register_algorithm("custom-aggressive", Aggressive)
-        try:
-            assert isinstance(make_algorithm("custom-aggressive"), Aggressive)
-            with pytest.raises(ConfigurationError, match="already registered"):
-                register_algorithm("custom-aggressive", Aggressive)
-            register_algorithm("custom-aggressive", Aggressive, replace=True)
-        finally:
-            del ALGORITHM_REGISTRY["custom-aggressive"]
+        def register():
+            scratch.add(
+                "custom-aggressive", "custom", Aggressive,
+                kind="single-disk", example="custom-aggressive",
+            )
+
+        register()
+        assert isinstance(make_algorithm("custom-aggressive"), Aggressive)
+        with pytest.raises(ConfigurationError, match="already registered"):
+            register()
+
+
+class TestDiskCountGuard:
+    """Single-disk algorithms name themselves on a multi-disk instance."""
+
+    @staticmethod
+    def _two_disk_instance() -> ProblemInstance:
+        return striped_instance(uniform_random(30, 12, seed=4), 4, 3, 2)
+
+    @pytest.mark.parametrize(
+        "name",
+        [n for n, entry in sorted(ALGORITHM_REGISTRY.items()) if entry.kind == "single-disk"],
+    )
+    def test_single_disk_entries_reject_two_disks(self, name):
+        algorithm = make_algorithm(family_spec(name))
+        with pytest.raises(
+            ConfigurationError,
+            match="is a single-disk algorithm but the instance has 2 disks; "
+            "use parallel-aggressive or parallel-conservative",
+        ):
+            simulate(self._two_disk_instance(), algorithm)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["demand", "parallel-aggressive", "parallel-conservative",
+         "combination:alt=parallel-aggressive"],
+    )
+    def test_any_layout_algorithms_run_on_two_disks(self, spec):
+        instance = self._two_disk_instance()
+        result = simulate(instance, make_algorithm(spec))
+        assert result.metrics.num_requests == instance.num_requests

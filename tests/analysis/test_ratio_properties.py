@@ -20,7 +20,7 @@ import pytest
 
 import repro.lp.service as service_module
 from repro.algorithms import make_algorithm
-from repro.algorithms.registry import available_algorithms
+from repro.algorithms.registry import ALGORITHM_REGISTRY
 from repro.analysis.results import RUN_RECORD_COLUMNS
 from repro.analysis.runner import ExperimentSpec, run_experiments
 from repro.analysis.store import RunStore, store_path_for
@@ -125,7 +125,7 @@ class TestRatioAtLeastOne:
         # its d parameter, everything else builds from its bare name.
         algorithms = [
             "delay:d=2" if name == "delay" else name
-            for name in available_algorithms()
+            for name in sorted(ALGORITHM_REGISTRY)
         ]
         assert len(algorithms) >= 7
         instances = []

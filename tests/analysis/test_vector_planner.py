@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import family_spec, random_instance
 from repro.algorithms import make_algorithm
-from repro.algorithms.registry import available_algorithms
+from repro.algorithms.registry import ALGORITHM_REGISTRY
 from repro.analysis.runner import (
     MAX_VECTOR_BATCH,
     MIN_VECTOR_BATCH,
@@ -119,7 +119,7 @@ def test_ineligible_points_run_per_point():
     assert kinds["conservative"] == {"sim"}
 
 
-@pytest.mark.parametrize("family", available_algorithms())
+@pytest.mark.parametrize("family", sorted(ALGORITHM_REGISTRY))
 def test_prescreen_buckets_exactly_the_families_the_kernel_plans(family):
     """The runner stacks a single-disk family into a kernel batch exactly when
     the vector planner has a plan for it."""

@@ -12,7 +12,7 @@ import pytest
 
 from helpers import family_spec, random_instance
 from repro.algorithms import make_algorithm
-from repro.algorithms.registry import available_algorithms
+from repro.algorithms.registry import ALGORITHM_REGISTRY
 from repro.disksim import ineligibility_reason, simulate_with_engine
 from repro.disksim.vector import VECTOR_FAMILIES
 
@@ -34,7 +34,7 @@ def test_auto_on_parallel_instance_reports_reason():
     assert result.engine_reason == "parallel-disk instance"
 
 
-@pytest.mark.parametrize("family", available_algorithms())
+@pytest.mark.parametrize("family", sorted(ALGORITHM_REGISTRY))
 def test_ineligibility_reason_matches_plan_coverage(family):
     """A family gets a kernel plan on a single-disk instance exactly when
     it is in the exported covered set the sweep planner pre-screens with."""

@@ -18,7 +18,7 @@ import pytest
 
 from helpers import ANY_LAYOUT_SPECS, REGISTRY_SPECS
 from repro.algorithms import ParallelAggressive, make_algorithm
-from repro.algorithms.registry import available_algorithms
+from repro.algorithms.registry import ALGORITHM_REGISTRY
 from repro.disksim import DiskLayout, ProblemInstance, simulate, simulate_with_engine
 from repro.disksim.executor import _EngineState
 
@@ -96,7 +96,7 @@ def _log_digest(logs):
 
 def test_every_registry_algorithm_is_covered():
     names = {spec.split(":")[0] for spec in REGISTRY_SPECS}
-    assert names == set(available_algorithms())
+    assert names == set(ALGORITHM_REGISTRY)
     assert set(REFERENCE_LOGS) == {(False, s) for s in REGISTRY_SPECS} | {
         (True, s) for s in ANY_LAYOUT_SPECS
     }

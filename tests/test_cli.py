@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import build_parser, main, parse_workload
+from repro.analysis.store import RunStore, store_path_for
+from repro.cli import build_parser, main
 from repro.disksim import RequestSequence
 from repro.errors import ConfigurationError
+from repro.workloads.spec import LAYOUT_BUILDERS, parse_workload
 
 
 class TestParseWorkload:
@@ -185,7 +187,8 @@ class TestCommands:
         assert code == 0
         for name in ("zipf", "markov", "multiclient", "thm2", "trace"):
             assert name in out
-        assert "striped" in out and "partitioned" in out
+        for layout in LAYOUT_BUILDERS:
+            assert layout in out
 
     def test_workloads_command_single_entry(self, capsys):
         code = main(["workloads", "markov"])
@@ -199,7 +202,6 @@ class TestCommands:
         assert code == 0
         for name in ("aggressive", "conservative", "delay", "demand", "combination"):
             assert name in out
-        assert "legacy alias" in out
 
     def test_algorithms_command_single_entry(self, capsys):
         code = main(["algorithms", "demand"])
@@ -365,11 +367,76 @@ class TestCommands:
             ["bench", "engine", "--no-scan", "--batch-size", "0"],
             ["simulate", "-w", "zipf:n=40", "-D", "0"],
             ["simulate", "-w", "zipf:n=40", "-k", "4", "-F", "2", "-D", "-1"],
+            ["simulate", "-w", "zipf:n=30", "-a", "delay:3"],
+            *(
+                [command, "-w", "zipf:n=40", "-k", "8", "-F", "4", "-a", "aggressive",
+                 "--workers", workers]
+                for command in ("sweep", "ratios")
+                for workers in ("-1", "-2")
+            ),
+            *(
+                ["simulate", "-w", "zipf:n=60,blocks=20", "-k", "4", "-F", "3", "-D", "2",
+                 "-a", algorithm]
+                for algorithm in ("aggressive", "conservative", "delay:d=2", "combination")
+            ),
+            ["sweep", "-w", "zipf:n=60,blocks=20", "-k", "4", "-F", "3", "-D", "1,2",
+             "-a", "aggressive"],
         ],
     )
     def test_bad_specs_exit_cleanly(self, capsys, command):
         """Regression: bad parameters print one configuration error, no traceback."""
         code = main(command)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            *(
+                [command, "-w", "zipf:n=40", "-k", "8", "-F", "4", "-a", "aggressive", *bad]
+                for command in ("sweep", "ratios")
+                for bad in (
+                    ["--cache-dir", "{file}"],
+                    ["--cache-dir", "{file}/sub"],
+                    ["--cache-dir", "{file}", "--resume"],
+                    ["--json", "{dir}"],
+                    ["--json", "{dir}/missing/out.json"],
+                    ["--csv", "{dir}"],
+                    ["--csv", "{dir}/missing/out.csv"],
+                )
+            ),
+            *(
+                ["sweep", "--watch", "--cache-dir", "{dir}/cache", "-w", "zipf:n=40",
+                 "-k", "8", "-F", "4", "-a", "aggressive", "--watch-interval", interval]
+                for interval in ("-1", "0", "nan", "inf")
+            ),
+            ["store", "stats", "--cache-dir", "{store}", "--json", "{dir}"],
+            ["store", "stats", "--cache-dir", "{store}", "--json", "{dir}/missing/s.json"],
+            ["bench", "engine", "--no-scan", "--reps", "1", "--num-requests", "60",
+             "--batch-size", "2", "--json", "{dir}"],
+            ["bench", "engine", "--gate", "--no-scan", "--floor", "{dir}/missing.json"],
+            ["bench", "engine", "--gate", "--no-scan", "--floor", "{file}"],
+            ["bench", "engine", "--gate", "--no-scan", "--floor", "{list_json}"],
+        ],
+    )
+    def test_bad_paths_exit_cleanly(self, capsys, tmp_path, monkeypatch, command):
+        """Unusable files and directories print one configuration error, no traceback."""
+
+        def no_polling(seconds):
+            raise AssertionError(f"--watch polled with a {seconds}s interval")
+
+        monkeypatch.setattr("time.sleep", no_polling)
+        (tmp_path / "file").write_text("not json\n")
+        (tmp_path / "list.json").write_text("[1, 2]\n")
+        RunStore(store_path_for(tmp_path / "store")).close()
+        paths = {
+            "file": tmp_path / "file", "dir": tmp_path, "store": tmp_path / "store",
+            "list_json": tmp_path / "list.json",
+        }
+        code = main([arg.format(**paths) for arg in command])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error:")

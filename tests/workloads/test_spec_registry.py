@@ -2,10 +2,12 @@
 
 The registry-driven property test walks :data:`WORKLOAD_REGISTRY` so every
 workload added later is automatically held to the same contract: builds from
-its defaults, accepts each documented parameter, rejects unknown keys, and
-round-trips through :func:`with_spec_params`.  The regression classes pin
-the three historical parsing bugs (silently ignored unknown keys, leaked
-``ValueError`` on bad values, comma-truncated trace paths).
+its defaults, accepts each documented parameter and round-trips through
+:func:`~repro.specs.with_params` (the parse and catalog contract shared with
+the algorithm registry lives in ``tests/test_registries.py``).  The
+regression classes pin the three historical parsing bugs (silently ignored
+unknown keys, leaked ``ValueError`` on bad values, comma-truncated trace
+paths).
 """
 
 from __future__ import annotations
@@ -17,16 +19,13 @@ import pytest
 from repro.disksim import ProblemInstance, RequestSequence, simulate
 from repro.algorithms import make_algorithm
 from repro.errors import ConfigurationError
+from repro.specs import split_spec, with_params
 from repro.workloads import save_trace, zipf
 from repro.workloads.spec import (
     LAYOUT_BUILDERS,
     WORKLOAD_REGISTRY,
     build_workload_instance,
-    format_workload_catalog,
     parse_workload,
-    split_spec,
-    with_spec_params,
-    workload_accepts,
 )
 
 ALL_WORKLOADS = sorted(WORKLOAD_REGISTRY)
@@ -59,32 +58,26 @@ class TestRegistryContract:
     @pytest.mark.parametrize("base_spec", ALL_WORKLOADS, indirect=True)
     def test_accepts_every_documented_parameter(self, base_spec):
         name, _ = split_spec(base_spec)
-        definition = WORKLOAD_REGISTRY[name]
-        defaults = {p.name: p.default for p in definition.params if not p.required}
-        spec = with_spec_params(base_spec, **defaults)
+        entry = WORKLOAD_REGISTRY[name]
+        defaults = {p.name: p.default for p in entry.params if not p.required}
+        spec = with_params(base_spec, **defaults)
         assert isinstance(parse_workload(spec), RequestSequence)
 
     @pytest.mark.parametrize("base_spec", ALL_WORKLOADS, indirect=True)
-    def test_rejects_unknown_parameter(self, base_spec):
-        spec = with_spec_params(base_spec, definitely_not_a_parameter=1)
-        with pytest.raises(ConfigurationError, match="unknown parameter"):
-            parse_workload(spec)
-
-    @pytest.mark.parametrize("base_spec", ALL_WORKLOADS, indirect=True)
-    def test_round_trips_through_with_spec_params(self, base_spec):
+    def test_round_trips_through_with_params(self, base_spec):
         # Rewriting with no overrides is the identity on parameterised specs...
-        assert with_spec_params(with_spec_params(base_spec)) == with_spec_params(base_spec)
+        assert with_params(with_params(base_spec)) == with_params(base_spec)
         # ...and the rewritten spec regenerates the same sequence.
-        assert list(parse_workload(with_spec_params(base_spec))) == list(
+        assert list(parse_workload(with_params(base_spec))) == list(
             parse_workload(base_spec)
         )
 
     @pytest.mark.parametrize("base_spec", ALL_WORKLOADS, indirect=True)
     def test_seeded_workloads_are_deterministic(self, base_spec):
-        if not workload_accepts(base_spec, "seed"):
+        if not WORKLOAD_REGISTRY.accepts(base_spec, "seed"):
             pytest.skip("deterministic workload")
-        a = parse_workload(with_spec_params(base_spec, seed=1))
-        b = parse_workload(with_spec_params(base_spec, seed=1))
+        a = parse_workload(with_params(base_spec, seed=1))
+        b = parse_workload(with_params(base_spec, seed=1))
         assert list(a) == list(b)
 
     @pytest.mark.parametrize("base_spec", ALL_WORKLOADS, indirect=True)
@@ -100,10 +93,10 @@ class TestRegistryContract:
     def test_summary_and_builder_signature_match_the_schema(self, name):
         # The coerced parameters reach the builder as keyword arguments, so
         # its parameter names must be exactly the schema's.
-        definition = WORKLOAD_REGISTRY[name]
-        assert definition.summary.strip()
-        builder_params = inspect.signature(definition.builder).parameters
-        assert set(builder_params) == set(definition.param_names)
+        entry = WORKLOAD_REGISTRY[name]
+        assert entry.summary.strip()
+        builder_params = inspect.signature(entry.build).parameters
+        assert set(builder_params) == set(entry.param_names)
 
 
 class TestUnknownAndDuplicateKeys:
@@ -158,7 +151,7 @@ class TestSpecGrammar:
         path = tmp_path / "odd=name.txt"
         save_trace(zipf(10, 4, seed=0), path)
         spec = f"trace:path={path}"
-        assert with_spec_params(spec) == spec
+        assert with_params(spec) == spec
         assert len(parse_workload(spec)) == 10
 
     def test_comma_in_value_rejected_on_parse(self):
@@ -167,7 +160,7 @@ class TestSpecGrammar:
 
     def test_comma_in_value_rejected_on_rewrite(self):
         with pytest.raises(ConfigurationError, match="cannot contain ','"):
-            with_spec_params("trace", path="/tmp/a,b.txt")
+            with_params("trace", path="/tmp/a,b.txt")
 
     def test_empty_item_rejected(self):
         with pytest.raises(ConfigurationError, match="empty parameter item"):
@@ -178,8 +171,8 @@ class TestSpecGrammar:
             parse_workload(":n=10")
 
     def test_override_applies_in_place(self):
-        assert with_spec_params("zipf:n=100", seed=3) == "zipf:n=100,seed=3"
-        assert with_spec_params("zipf:n=100,seed=1", seed=3) == "zipf:n=100,seed=3"
+        assert with_params("zipf:n=100", seed=3) == "zipf:n=100,seed=3"
+        assert with_params("zipf:n=100,seed=1", seed=3) == "zipf:n=100,seed=3"
 
 
 class TestInstanceKindWorkloads:
@@ -240,35 +233,12 @@ class TestLayouts:
                             if str(b).startswith("st0_")}
         assert len(disks_of_stream0) == 1
 
-
-class TestCatalog:
-    def test_catalog_lists_every_workload_and_layout(self):
-        catalog = format_workload_catalog()
-        for name in ALL_WORKLOADS:
-            assert name in catalog
-        for layout in LAYOUT_BUILDERS:
-            assert layout in catalog
-
-    def test_single_workload_view_shows_parameter_help(self):
-        view = format_workload_catalog("zipf")
-        assert "skew" in view and "default" in view
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            format_workload_catalog("nope")
-
-    def test_docs_match_the_registry(self):
-        """README/DESIGN document every registered workload and layout."""
+    def test_docs_name_every_layout(self):
         from pathlib import Path
-
-        from repro.workloads.spec import workload_catalog_rows
 
         root = Path(__file__).resolve().parents[2]
         readme = (root / "README.md").read_text(encoding="utf8")
         design = (root / "DESIGN.md").read_text(encoding="utf8")
-        for row in workload_catalog_rows():
-            assert f"`{row['name']}`" in readme, f"README table misses {row['name']}"
-            assert f"`{row['example']}`" in readme, f"README table example drifted for {row['name']}"
-            assert row["params"] in readme, f"README table schema drifted for {row['name']}"
         for layout in LAYOUT_BUILDERS:
             assert layout in readme and layout in design
+
