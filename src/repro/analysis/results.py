@@ -106,11 +106,10 @@ class RunRecord:
     #: (0.0 when it came from a cache hit *within the same solve*; cached
     #: records keep the original solve's cost).  None without an optimum.
     optimum_solve_seconds: Optional[float] = None
-    #: Canonical :meth:`~repro.lp.service.SolverConfig.key` of the
-    #: configuration that produced the attached optimum.  The runner only
-    #: trusts a cached record's optimum when this matches the current run's
-    #: configuration; otherwise the optimum is re-attached through the
-    #: (config-keyed) optimum cache.
+    #: :data:`~repro.lp.service.SOLVER_KEY` of the solver that produced the
+    #: attached optimum.  The runner only trusts a cached record's optimum
+    #: when this matches the current key; otherwise the optimum is
+    #: re-attached through the (key-fingerprinted) optimum cache.
     optimum_solver_key: Optional[str] = None
 
     @classmethod

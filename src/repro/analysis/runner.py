@@ -33,10 +33,11 @@ against the optimum:
 * **Optimum pipeline** — ``ExperimentSpec(compute_optimum=True)`` routes
   every point's instance through the optimum service
   (:mod:`repro.lp.service`): solves are deduplicated per instance (one LP
-  for all algorithms sharing it), dispatched *interleaved with* the
-  algorithm simulations on the same backend, persisted in the run store,
-  and attached to every record (``optimal_stall``/``optimal_elapsed`` plus
-  the solve wall time).  Stored simulation records that predate the optimum
+  for all algorithms sharing it), dispatched as ``opt`` tasks *interleaved
+  with* the algorithm simulations on the run's backend (serial included),
+  persisted once in the run store by the task that solved them, and
+  attached to every record (``optimal_stall``/``optimal_elapsed`` plus the
+  solve wall time).  Stored simulation records that predate the optimum
   are upgraded in place; re-running a warmed grid performs no LP solve at
   all.
 
@@ -60,15 +61,10 @@ from ..disksim.instance import ProblemInstance
 from ..disksim.vector import VECTOR_FAMILIES, run_batch
 from ..errors import ConfigurationError, PointEvaluationError
 from ..lp.canonical import instance_fingerprint
-from ..lp.service import OptimumRecord, OptimumService, SolverConfig
+from ..lp.service import SOLVER_KEY, OptimumRecord, OptimumService
 from ..specs import with_params
 from ..workloads.spec import WORKLOAD_REGISTRY, build_workload_instance, get_layout_builder
-from .backends import (
-    ExecutionBackend,
-    SerialBackend,
-    make_backend,
-    resolve_backend_name,
-)
+from .backends import ExecutionBackend, make_backend, resolve_backend_name
 from .results import ResultSet, RunRecord
 from .store import RunStore, SweepProgress, store_path_for
 
@@ -107,9 +103,9 @@ class ExperimentSpec:
 
     ``backend`` selects the execution backend (``auto | serial | thread |
     process``; ``auto`` means serial at ``workers <= 1`` and process
-    fan-out otherwise).  ``compute_optimum=True`` additionally solves every point's
-    instance optimum through the optimum service (one deduplicated solve
-    per instance, method ``optimum_method`` for multi-disk instances) and
+    fan-out otherwise).  ``compute_optimum=True`` additionally solves every
+    point's instance optimum through the optimum service (one deduplicated
+    solve per instance, under :data:`~repro.lp.service.SOLVER_KEY`) and
     attaches ``optimal_stall``/``optimal_elapsed``/solve wall time to every
     record, turning the grid into a ratio experiment.
     """
@@ -125,10 +121,8 @@ class ExperimentSpec:
     engine: str = "loop"
     backend: str = "auto"
     compute_optimum: bool = False
-    optimum_method: str = "auto"
 
     def __post_init__(self):
-        SolverConfig(method=self.optimum_method)  # validate eagerly
         resolve_backend_name(self.backend, 0)  # reject unknown backends here
         object.__setattr__(self, "engine", canonical_engine(self.engine))
         for axis in (
@@ -273,12 +267,17 @@ def point_cache_key(point: ExperimentPoint) -> str:
     ).hexdigest()
 
 
-def sweep_key_for(spec: ExperimentSpec, solver_key: Optional[str] = None) -> str:
-    """Deterministic manifest key of a declared grid (+ optimum config).
+def _sweep_solver_key(spec: ExperimentSpec) -> Optional[str]:
+    """The solver key an optimum sweep of ``spec`` runs under (None without optima)."""
+    return SOLVER_KEY if spec.compute_optimum else None
 
-    Hashes every grid-defining field of the spec plus the solver
-    configuration key (for optimum sweeps), so the same declaration always
-    resumes the same manifest while any change to the grid starts a new one.
+
+def sweep_key_for(spec: ExperimentSpec) -> str:
+    """Deterministic manifest key of a declared grid.
+
+    Hashes every grid-defining field of the spec plus, for optimum sweeps,
+    the solver key, so the same declaration always resumes the same
+    manifest while any change to the grid starts a new one.
     """
     payload = {
         "name": spec.name,
@@ -290,7 +289,7 @@ def sweep_key_for(spec: ExperimentSpec, solver_key: Optional[str] = None) -> str
         "seeds": list(spec.seeds),
         "layouts": list(spec.layouts),
         "engine": spec.engine,
-        "solver": solver_key,
+        "solver": _sweep_solver_key(spec),
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
@@ -371,23 +370,22 @@ def _evaluate_batch(points: Tuple[ExperimentPoint, ...]) -> List[RunRecord]:
     return records
 
 
-def _compute_point_optimum(
-    task: Tuple[ExperimentPoint, SolverConfig, Optional[str]]
-) -> OptimumRecord:
+def _compute_point_optimum(task: Tuple[ExperimentPoint, Optional[str]]) -> OptimumRecord:
     """Worker entry: compute (or fetch from the shared store) one optimum.
 
     Runs interleaved with :func:`_evaluate_point` on the same backend, so
     optimum solves proceed alongside algorithm simulations.  The
     worker-local :class:`OptimumService` consults the shared run store
     first — a warmed store makes this a fingerprint lookup, never an LP
-    solve.  Failures name the representative grid point.
+    solve — and writes what it solves there, once.  Failures name the
+    representative grid point.
     """
-    point, config, store_path = task
+    point, store_path = task
     try:
         if store_path is None:
-            return OptimumService(config=config).optimum(point.build_instance())
+            return OptimumService().optimum(point.build_instance())
         with RunStore(store_path) as store:
-            return OptimumService(config=config, store=store).optimum(point.build_instance())
+            return OptimumService(store=store).optimum(point.build_instance())
     except Exception as exc:
         raise PointEvaluationError(
             f"optimum solve for point [{point.describe()}] failed: "
@@ -506,34 +504,29 @@ def _plan_execution_units(pending):
 
 def _execute_points(
     points: Sequence[ExperimentPoint],
+    keys: Sequence[Optional[str]],
     *,
     backend: ExecutionBackend,
-    store: Optional[RunStore] = None,
-    optimum: Optional[OptimumService] = None,
-    sweep_key: Optional[str] = None,
-    keys: Optional[Sequence[str]] = None,
+    store: Optional[RunStore],
+    compute_optimum: bool,
 ) -> Tuple[List[RunRecord], int, int]:
     """Evaluate ``points`` (store hits, then backend fan-out) in grid order.
 
+    ``keys`` holds each point's store key (``None`` entries without a store).
+
     Fresh simulation records are persisted to the store *as they stream
     back* from the backend, so a killed run keeps every completed point.
-    With an :class:`OptimumService`, optimum solves are deduplicated per
-    instance identity and dispatched interleaved with the pending
+    With ``compute_optimum``, optimum solves are deduplicated per instance
+    identity and dispatched as ``opt`` tasks interleaved with the pending
     simulations; their results are attached to every record of that
     instance — including stored records that predate the optimum, which are
     upgraded in the store.  A stored record's optimum is trusted only when
-    its recorded solver key matches this run's configuration; records
-    solved under a different configuration are re-attached through the
-    (config-keyed) optimum store.
+    it carries :data:`~repro.lp.service.SOLVER_KEY`; any other is
+    re-attached through the (key-fingerprinted) optimum store.
 
     Returns ``(records, cached_points, optimum_requests)``.
     """
     records: List[Optional[RunRecord]] = [None] * len(points)
-    if keys is None:
-        keys = [
-            point_cache_key(point) if store is not None else None
-            for point in points
-        ]
     pending: List[Tuple[int, ExperimentPoint, Optional[str]]] = []
     needs_optimum: Dict[str, List[int]] = {}
     representative: Dict[str, ExperimentPoint] = {}
@@ -560,33 +553,24 @@ def _execute_points(
                     layout=point.recorded_layout(),
                 )
                 cached_points += 1
-                if optimum is not None and (
-                    hit.optimal_elapsed is None
-                    or hit.optimum_solver_key != optimum.config.key()
+                if compute_optimum and (
+                    hit.optimal_elapsed is None or hit.optimum_solver_key != SOLVER_KEY
                 ):
                     request_optimum(position, point)
                 continue
         pending.append((position, point, key))
-        if optimum is not None:
+        if compute_optimum:
             request_optimum(position, point)
 
     identities = list(needs_optimum)
     store_path = None if store is None else str(store.path)
-    # On the serial backend the parent's own service (open store connection,
-    # in-memory cache, `solves` accounting) is right there — route the
-    # solves through it directly instead of opening a store per task.
-    direct_optimum = optimum is not None and isinstance(backend, SerialBackend)
     units = _plan_execution_units(pending)
     tasks: List[Tuple[str, object]] = [
         ("sim", items[0][1]) if kind == "sim"
         else ("simbatch", tuple(item[1] for item in items))
         for kind, items in units
     ]
-    if not direct_optimum:
-        tasks.extend(
-            ("opt", (representative[identity], optimum.config, store_path))
-            for identity in identities
-        )
+    tasks.extend(("opt", (representative[identity], store_path)) for identity in identities)
 
     solved: List[OptimumRecord] = []
     if tasks:
@@ -602,35 +586,25 @@ def _execute_points(
                 if store is not None:
                     store.put_run(key, record)
         solved = list(results)
-    if direct_optimum:
-        solved = [
-            optimum.optimum(representative[identity].build_instance())
-            for identity in identities
-        ]
 
-    if optimum is not None:
-        for identity, optimum_record in zip(identities, solved):
-            optimum.store(optimum_record)
-            for position in needs_optimum[identity]:
-                records[position] = records[position].with_optimum(
-                    optimal_stall=max(optimum_record.stall_time, 0),
-                    optimal_elapsed=optimum_record.elapsed_time,
-                    solve_seconds=optimum_record.solve_seconds,
-                    solver_key=optimum.config.key(),
-                )
-        if store is not None:
-            # Persist the optimum-carrying versions: fresh simulations are
-            # re-written with their optimum attached, and previously stored
-            # records that just gained (or re-keyed) an optimum are upgraded.
-            store.put_runs(
-                (keys[position], records[position])
-                for positions in needs_optimum.values()
-                for position in positions
-                if keys[position] is not None
+    for identity, optimum_record in zip(identities, solved):
+        for position in needs_optimum[identity]:
+            records[position] = records[position].with_optimum(
+                optimal_stall=max(optimum_record.stall_time, 0),
+                optimal_elapsed=optimum_record.elapsed_time,
+                solve_seconds=optimum_record.solve_seconds,
+                solver_key=SOLVER_KEY,
             )
-
-    if store is not None and sweep_key is not None:
-        store.mark_points_done(sweep_key, range(len(points)))
+    if compute_optimum and store is not None:
+        # Persist the optimum-carrying versions: fresh simulations are
+        # re-written with their optimum attached, and previously stored
+        # records that just gained (or re-keyed) an optimum are upgraded.
+        store.put_runs(
+            (keys[position], records[position])
+            for positions in needs_optimum.values()
+            for position in positions
+            if keys[position] is not None
+        )
 
     return (
         [record for record in records if record is not None],
@@ -639,33 +613,11 @@ def _execute_points(
     )
 
 
-def _make_optimum_service(
-    enabled: bool,
-    store: Optional[RunStore],
-    method: str,
-    config: Optional[SolverConfig],
-) -> Optional[OptimumService]:
-    """The optimum service of a run (persisted through the run store)."""
-    if not enabled:
-        return None
-    return OptimumService(config=config or SolverConfig(method=method), store=store)
-
-
-def _solver_key_for(
-    spec: ExperimentSpec, optimum_config: Optional[SolverConfig]
-) -> Optional[str]:
-    """The solver-configuration key an optimum sweep of ``spec`` runs under."""
-    if not spec.compute_optimum:
-        return None
-    return (optimum_config or SolverConfig(method=spec.optimum_method)).key()
-
-
 def _register_sweep(
     spec: ExperimentSpec,
     store: RunStore,
     points: Sequence[ExperimentPoint],
     keys: Sequence[str],
-    solver_key: Optional[str],
 ) -> str:
     """Register ``spec``'s manifest (reusing precomputed point keys).
 
@@ -673,21 +625,16 @@ def _register_sweep(
     completion even if the writing run was killed before it could update
     the manifest) and returns the sweep key.
     """
-    sweep_key = sweep_key_for(spec, solver_key)
+    sweep_key = sweep_key_for(spec)
     store.begin_sweep(
         sweep_key, spec.name,
         [(key, point.describe()) for key, point in zip(keys, points)],
     )
-    store.reconcile_sweep(sweep_key, require_solver_key=solver_key)
+    store.reconcile_sweep(sweep_key, require_solver_key=_sweep_solver_key(spec))
     return sweep_key
 
 
-def prepare_sweep(
-    spec: ExperimentSpec,
-    store: RunStore,
-    *,
-    optimum_config: Optional[SolverConfig] = None,
-) -> SweepProgress:
+def prepare_sweep(spec: ExperimentSpec, store: RunStore) -> SweepProgress:
     """Register ``spec``'s manifest in ``store`` and report its progress.
 
     The returned :class:`SweepProgress` names exactly the points a
@@ -696,57 +643,45 @@ def prepare_sweep(
     """
     points = spec.points()
     keys = [point_cache_key(point) for point in points]
-    sweep_key = _register_sweep(
-        spec, store, points, keys, _solver_key_for(spec, optimum_config)
-    )
-    return store.sweep_progress(sweep_key)
+    return store.sweep_progress(_register_sweep(spec, store, points, keys))
 
 
-def run_experiments(
-    spec: ExperimentSpec,
+def _run_points(
+    name: str,
+    points: Sequence[ExperimentPoint],
     *,
-    workers: int = 0,
-    backend: Optional[str] = None,
-    cache_dir=None,
-    store: Optional[RunStore] = None,
-    optimum_config: Optional[SolverConfig] = None,
+    backend: str,
+    workers: int,
+    cache_dir,
+    store: Optional[RunStore],
+    compute_optimum: bool,
+    spec: Optional[ExperimentSpec] = None,
 ) -> ResultSet:
-    """Run the full grid of ``spec`` and return its ordered :class:`ResultSet`.
+    """The body :func:`run_experiments` and :func:`evaluate_instances` share.
 
-    ``backend`` (a backend name; default: the spec's) and ``workers``
-    select the execution backend; output order (and therefore the JSON/CSV
-    documents) is identical across all backends.  ``cache_dir`` opens the
-    run store at ``<cache_dir>/runs.sqlite`` (``store`` passes one in
-    directly), which persists every record and optimum, registers the sweep
-    manifest, and makes warmed re-runs pure lookups.  ``optimum_config``
-    overrides the solver configuration derived from ``spec.optimum_method``.
+    Makes the backend, opens the run store under ``cache_dir`` unless
+    ``store`` passes one in, registers ``spec``'s sweep manifest (declared
+    grids only), evaluates ``points`` and returns them as the
+    :class:`ResultSet` ``name``.
     """
-    backend_obj = make_backend(backend or spec.backend, workers)
+    backend_obj = make_backend(backend, workers)
     owned_store = None
     if store is None and cache_dir is not None:
         store = owned_store = RunStore(store_path_for(cache_dir))
     try:
-        optimum = _make_optimum_service(
-            spec.compute_optimum, store, spec.optimum_method, optimum_config
-        )
-        points = spec.points()
-        keys = None
+        keys: List[Optional[str]] = [None] * len(points)
         sweep_key = None
         if store is not None:
             keys = [point_cache_key(point) for point in points]
-            sweep_key = _register_sweep(
-                spec, store, points, keys, _solver_key_for(spec, optimum_config)
-            )
+            if spec is not None:
+                sweep_key = _register_sweep(spec, store, points, keys)
         records, cached_points, optimum_requests = _execute_points(
-            points,
-            backend=backend_obj,
-            store=store,
-            optimum=optimum,
-            sweep_key=sweep_key,
-            keys=keys,
+            points, keys, backend=backend_obj, store=store, compute_optimum=compute_optimum
         )
+        if sweep_key is not None:
+            store.mark_points_done(sweep_key, range(len(points)))
         return ResultSet(
-            name=spec.name,
+            name=name,
             records=tuple(records),
             workers=workers,
             cached_points=cached_points,
@@ -756,6 +691,35 @@ def run_experiments(
     finally:
         if owned_store is not None:
             owned_store.close()
+
+
+def run_experiments(
+    spec: ExperimentSpec,
+    *,
+    workers: int = 0,
+    backend: Optional[str] = None,
+    cache_dir=None,
+    store: Optional[RunStore] = None,
+) -> ResultSet:
+    """Run the full grid of ``spec`` and return its ordered :class:`ResultSet`.
+
+    ``backend`` (a backend name; default: the spec's) and ``workers``
+    select the execution backend; output order (and therefore the JSON/CSV
+    documents) is identical across all backends.  ``cache_dir`` opens the
+    run store at ``<cache_dir>/runs.sqlite`` (``store`` passes one in
+    directly), which persists every record and optimum, registers the sweep
+    manifest, and makes warmed re-runs pure lookups.
+    """
+    return _run_points(
+        spec.name,
+        spec.points(),
+        backend=backend or spec.backend,
+        workers=workers,
+        cache_dir=cache_dir,
+        store=store,
+        compute_optimum=spec.compute_optimum,
+        spec=spec,
+    )
 
 
 def evaluate_instances(
@@ -768,8 +732,6 @@ def evaluate_instances(
     cache_dir=None,
     store: Optional[RunStore] = None,
     compute_optimum: bool = False,
-    optimum_method: str = "auto",
-    optimum_config: Optional[SolverConfig] = None,
 ) -> ResultSet:
     """Evaluate algorithm specs over prebuilt instances (benchmark entry point).
 
@@ -795,25 +757,12 @@ def evaluate_instances(
         for label, instance in labeled_instances
         for algorithm in algorithms
     ]
-    backend_obj = make_backend(backend, workers)
-    owned_store = None
-    if store is None and cache_dir is not None:
-        store = owned_store = RunStore(store_path_for(cache_dir))
-    try:
-        optimum = _make_optimum_service(
-            compute_optimum, store, optimum_method, optimum_config
-        )
-        records, cached_points, optimum_requests = _execute_points(
-            points, backend=backend_obj, store=store, optimum=optimum
-        )
-        return ResultSet(
-            name="ad-hoc",
-            records=tuple(records),
-            workers=workers,
-            cached_points=cached_points,
-            backend=backend_obj.name,
-            optimum_requests=optimum_requests,
-        )
-    finally:
-        if owned_store is not None:
-            owned_store.close()
+    return _run_points(
+        "ad-hoc",
+        points,
+        backend=backend,
+        workers=workers,
+        cache_dir=cache_dir,
+        store=store,
+        compute_optimum=compute_optimum,
+    )

@@ -195,10 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and print the approximation-ratio table",
     )
     add_grid_options(p_ratios, name_default="cli-ratios")
-    p_ratios.add_argument(
-        "--method", default="auto", choices=["auto", "milp", "lp-rounding"],
-        help="optimum method for multi-disk instances (single-disk is always exact)",
-    )
 
     p_store = sub.add_parser(
         "store", help="operate the SQLite run store (stats, gc)"
@@ -454,7 +450,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_ratios(args: argparse.Namespace) -> int:
-    run = _run_grid_command(args, compute_optimum=True, optimum_method=args.method)
+    run = _run_grid_command(args, compute_optimum=True)
     print(format_ratio_table(run))
     _write_outputs(run, args)
     return 0

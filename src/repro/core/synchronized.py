@@ -81,7 +81,7 @@ class SynchronizedComparison:
         """Synchronized stall is at most the unrestricted optimum, with <= D-1 extra."""
         return (
             self.synchronized_stall <= self.unrestricted_optimal_stall
-            and self.extra_cache_used <= 2 * (self.num_disks - 1)
+            and self.extra_cache_used <= self.num_disks - 1
         )
 
 

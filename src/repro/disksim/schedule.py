@@ -22,7 +22,7 @@ validate either representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .._typing import BlockId, DiskId
@@ -31,7 +31,7 @@ from ..errors import InvalidScheduleError
 __all__ = ["TimedFetch", "Schedule", "IntervalFetch", "IntervalSchedule"]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class TimedFetch:
     """A single fetch operation anchored to the global clock.
 
@@ -52,8 +52,8 @@ class TimedFetch:
 
     start_time: int
     disk: DiskId
-    block: BlockId = field(compare=False)
-    victim: Optional[BlockId] = field(compare=False, default=None)
+    block: BlockId
+    victim: Optional[BlockId] = None
 
     def finish_time(self, fetch_time: int) -> int:
         """Completion time of the fetch given the fetch duration ``F``."""
@@ -66,7 +66,9 @@ class Schedule:
 
     The schedule records *decisions* only; stall and elapsed time are derived
     by :func:`repro.disksim.executor.execute_schedule`, which re-simulates the
-    request sequence under these decisions and checks feasibility.
+    request sequence under these decisions and checks feasibility.  Fetches
+    are kept sorted by ``(start_time, disk)``; equality compares every
+    fetch's block and victim too.
     """
 
     fetch_time: int
@@ -75,7 +77,9 @@ class Schedule:
     initial_cache: FrozenSet[BlockId] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fetches", tuple(sorted(self.fetches)))
+        # Block ids of mixed types cannot be ordered, so sort by time and disk only.
+        ordered = sorted(self.fetches, key=lambda op: (op.start_time, op.disk))
+        object.__setattr__(self, "fetches", tuple(ordered))
         self._check_disk_overlap()
 
     def _check_disk_overlap(self) -> None:
@@ -124,27 +128,6 @@ class Schedule:
                 occupancy += 1
                 peak = max(peak, occupancy)
         return max(0, peak - base_capacity)
-
-    def is_synchronized(self) -> bool:
-        """Whether fetches never *properly intersect* (Section 3 definition).
-
-        Two fetches properly intersect when their time intervals overlap but
-        do not coincide.  A schedule is synchronized when every pair of
-        overlapping fetches starts (and hence ends) at exactly the same time.
-        Note the full Section 3 definition additionally requires all ``D``
-        disks to fetch in every interval; that stronger check is performed by
-        :func:`repro.core.synchronized.is_fully_synchronized`.
-        """
-        ops = self.fetches
-        for a_idx in range(len(ops)):
-            a = ops[a_idx]
-            for b_idx in range(a_idx + 1, len(ops)):
-                b = ops[b_idx]
-                if b.start_time >= a.start_time + self.fetch_time:
-                    break
-                if b.start_time != a.start_time:
-                    return False
-        return True
 
 
 @dataclass(frozen=True)

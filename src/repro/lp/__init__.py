@@ -7,10 +7,11 @@ paper's time-slicing rounding (:mod:`repro.lp.rounding`), the two
 user-facing drivers — :func:`optimal_single_disk` (exact single-disk
 optimum, the denominator of every Section 2 approximation ratio) and
 :func:`optimal_parallel_schedule` (the Theorem 4 algorithm) — and the
-optimum service (:mod:`repro.lp.service`): canonical instance
-fingerprinting (:mod:`repro.lp.canonical`) plus a disk-backed,
-parallel-safe cache that makes optimum computation a batched pipeline
-stage instead of a per-call expense.
+optimum service (:mod:`repro.lp.service`): one solver configuration
+(``SOLVER_KEY``), canonical instance fingerprinting
+(:mod:`repro.lp.canonical`) plus a disk-backed, parallel-safe cache that
+makes optimum computation a batched pipeline stage instead of a per-call
+expense.
 """
 
 from .canonical import canonical_payload, instance_fingerprint, normalize_instance
@@ -25,8 +26,8 @@ from .model import (
 from .normalize import normalize_integral_solution
 from .parallel import ParallelOptimum, optimal_parallel_schedule
 from .rounding import RoundedSolution, candidate_offsets, round_solution
-from .service import OptimumRecord, OptimumService, SolverConfig, compute_optimum_record
-from .single_disk import SingleDiskOptimum, optimal_single_disk, optimal_single_disk_elapsed
+from .service import SOLVER_KEY, OptimumRecord, OptimumService, compute_optimum_record
+from .single_disk import SingleDiskOptimum, optimal_single_disk
 from .solver import solve_integral, solve_relaxation
 from .validation import ValidationReport, solution_vector, validate_solution
 
@@ -43,9 +44,9 @@ __all__ = [
     "PADDING_PREFIX",
     "LPSolution",
     "SynchronizedLPModel",
+    "SOLVER_KEY",
     "OptimumRecord",
     "OptimumService",
-    "SolverConfig",
     "compute_optimum_record",
     "normalize_integral_solution",
     "ParallelOptimum",
@@ -55,7 +56,6 @@ __all__ = [
     "round_solution",
     "SingleDiskOptimum",
     "optimal_single_disk",
-    "optimal_single_disk_elapsed",
     "solve_integral",
     "solve_relaxation",
     "ValidationReport",

@@ -28,7 +28,7 @@ Fingerprint
 -----------
 :func:`instance_fingerprint` hashes the canonical payload of the
 *normalized* instance — sequence, ``k``, ``F``, ``D``, warm set and the
-requested blocks' placement — plus an optional solver-configuration key,
+requested blocks' placement — plus an optional solver key,
 with SHA-256.  Equal fingerprints therefore guarantee equal optima, and
 equivalent instances produced by different code paths share cache entries.
 """
@@ -103,7 +103,7 @@ def canonical_payload(instance: ProblemInstance, solver_key: str = "") -> str:
     Built from the *normalized* instance, so equivalent instances produce
     identical payloads.  Covers the request sequence, ``k``, ``F``, the warm
     set, the disk count and the placement of every requested block, plus the
-    caller's solver-configuration key.
+    caller's solver key.
     """
     normalized = normalize_instance(instance)
     parts = [
@@ -122,7 +122,7 @@ def canonical_payload(instance: ProblemInstance, solver_key: str = "") -> str:
 
 
 def instance_fingerprint(instance: ProblemInstance, solver_key: str = "") -> str:
-    """SHA-256 fingerprint of the normalized instance + solver configuration.
+    """SHA-256 fingerprint of the normalized instance + solver key.
 
     This is the cache key of the optimum service: equal fingerprints imply
     equal optima (same canonical instance, same solver settings), so disk

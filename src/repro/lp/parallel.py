@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal
 
 from ..disksim.executor import SimulationResult, execute_interval_schedule
 from ..disksim.instance import ProblemInstance
@@ -73,8 +73,6 @@ def optimal_parallel_schedule(
     instance: ProblemInstance,
     *,
     method: Method = "auto",
-    extra_cache: Optional[int] = None,
-    time_limit: Optional[float] = None,
 ) -> ParallelOptimum:
     """Compute a schedule with stall time at most ``s_OPT(sigma, k)`` (Theorem 4).
 
@@ -88,17 +86,13 @@ def optimal_parallel_schedule(
         falls back to the exact MILP otherwise; ``"milp"`` always solves the
         MILP; ``"lp-rounding"`` follows the paper's rounding procedure and
         falls back to the MILP only if the rounded schedule fails validation.
-    extra_cache:
-        Cache locations granted to the LP beyond ``k``; defaults to ``D - 1``
-        as in the paper.  The executed schedule may use up to ``D - 1`` more
-        (rounding), never exceeding ``k + 2(D - 1)``.
-    time_limit:
-        Optional MILP time limit in seconds.
+
+    The LP gets ``D - 1`` cache locations beyond ``k``, as in the paper; the
+    executed schedule may use up to ``D - 1`` more (rounding), never
+    exceeding ``k + 2(D - 1)``.
     """
-    num_disks = instance.num_disks
-    if extra_cache is None:
-        extra_cache = num_disks - 1
-    allowed_capacity = instance.cache_size + extra_cache + (num_disks - 1)
+    extra_cache = instance.num_disks - 1
+    allowed_capacity = instance.cache_size + 2 * extra_cache
 
     started = time.perf_counter()
     model = SynchronizedLPModel(
@@ -149,7 +143,7 @@ def optimal_parallel_schedule(
         if method_used == "auto":
             method_used = "lp-integral"
     else:
-        solution = solve_integral(model, time_limit=time_limit)
+        solution = solve_integral(model)
         if method_used == "auto":
             method_used = "milp"
 

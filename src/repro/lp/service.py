@@ -9,8 +9,8 @@ infrastructure service instead of an ad-hoc call:
 
 * **Canonical identity** — every instance is normalized and fingerprinted
   through :mod:`repro.lp.canonical` (SHA-256 over the normalized instance
-  plus the solver configuration), so equivalent instances produced by any
-  code path share one optimum.
+  plus :data:`SOLVER_KEY`), so equivalent instances produced by any code
+  path share one optimum.
 * **Layered cache** — an in-memory map per service plus an optional
   durable *store* (any object with ``get_optimum(fingerprint)``/
   ``put_optimum(record)`` — in practice the SQLite
@@ -18,11 +18,12 @@ infrastructure service instead of an ad-hoc call:
   by construction).  It is safe between serial runs and pool workers:
   concurrent writers of the same fingerprint write identical bytes, and an
   unreadable record is treated as a miss and re-solved.
-* **One solver policy** — :class:`SolverConfig` pins the method
-  (``auto | milp | lp-rounding``), the extra-cache allowance, the MILP time
-  limit and whether the dominance-pruned single-disk model is used, and is
-  part of the fingerprint, so records solved under different policies can
-  never be confused.
+* **One solver configuration** — every optimum is solved the same way:
+  the reduced single-disk model on one disk, and on ``D`` disks the
+  Theorem 4 driver with ``D - 1`` extra LP locations, which uses the LP
+  relaxation when it is integral and the exact MILP otherwise (never a
+  time-limited incumbent).  :data:`SOLVER_KEY` names that configuration in
+  every fingerprint and on every record.
 * **Accounted cost** — every :class:`OptimumRecord` carries the solve
   wall-clock seconds (as measured by the LP drivers and recorded on
   ``SimMetrics.solve_seconds``), making solver cost a first-class metric of
@@ -36,52 +37,21 @@ attaches the results to its :class:`~repro.analysis.results.RunRecord` s
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Dict, Mapping
 
 from ..disksim.instance import ProblemInstance
-from ..errors import ConfigurationError
 from .canonical import instance_fingerprint, normalize_instance
 from .parallel import optimal_parallel_schedule
 from .single_disk import optimal_single_disk
 
-__all__ = ["SolverConfig", "OptimumRecord", "OptimumService", "compute_optimum_record"]
+__all__ = ["SOLVER_KEY", "OptimumRecord", "OptimumService", "compute_optimum_record"]
 
-_METHODS = ("auto", "milp", "lp-rounding")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Everything that can change what an optimum solve returns.
-
-    The canonical :meth:`key` participates in the instance fingerprint, so
-    optima solved under different configurations never share cache entries.
-    ``method``/``extra_cache``/``time_limit`` are forwarded to
-    :func:`repro.lp.parallel.optimal_parallel_schedule` (single-disk solves
-    are always exact); ``reduced_single_disk`` selects the dominance-pruned
-    single-disk model of :mod:`repro.lp.model`, which is property-tested to
-    produce the same optimum as the full model.
-    """
-
-    method: str = "auto"
-    extra_cache: Optional[int] = None
-    time_limit: Optional[float] = None
-    reduced_single_disk: bool = True
-
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ConfigurationError(
-                f"unknown optimum method {self.method!r}; available: {', '.join(_METHODS)}"
-            )
-
-    def key(self) -> str:
-        """Canonical string form hashed into every optimum fingerprint."""
-        extra = "default" if self.extra_cache is None else str(self.extra_cache)
-        limit = "none" if self.time_limit is None else repr(float(self.time_limit))
-        return (
-            f"method={self.method};extra_cache={extra};time_limit={limit};"
-            f"reduced={int(self.reduced_single_disk)}"
-        )
+#: The solver configuration every optimum is solved under, hashed into every
+#: optimum fingerprint and stamped on every record.  The string is the
+#: historical key of the default configuration, so stored optima, sweep
+#: manifests and ``optimum_solver_key`` values written under it stay valid.
+SOLVER_KEY = "method=auto;extra_cache=default;time_limit=none;reduced=1"
 
 
 @dataclass(frozen=True)
@@ -128,38 +98,29 @@ class OptimumRecord:
         )
 
 
-def compute_optimum_record(instance: ProblemInstance, config: SolverConfig) -> OptimumRecord:
-    """Solve ``instance``'s optimum under ``config`` (no caching).
+def compute_optimum_record(instance: ProblemInstance) -> OptimumRecord:
+    """Solve ``instance``'s optimum (no caching).
 
     Module-level on purpose: it is the single chokepoint every LP solve of
     the service goes through, so tests can monkeypatch it to count solves —
     or to fail loudly when a code path that must be a pure cache hit would
     re-solve.  Single-disk instances get the exact optimum
-    (:func:`optimal_single_disk`, reduced model per the config); multi-disk
+    (:func:`optimal_single_disk` on the reduced model); multi-disk
     instances get the Theorem 4 schedule
     (:func:`optimal_parallel_schedule`), whose stall is at most
     ``s_OPT(sigma, k)``.
     """
     normalized = normalize_instance(instance)
     if normalized.num_disks == 1:
-        optimum = optimal_single_disk(
-            normalized,
-            time_limit=config.time_limit,
-            reduced=config.reduced_single_disk,
-        )
+        optimum = optimal_single_disk(normalized, reduced=True)
         method_used = "single-disk-exact"
         extra_cache_used = 0
     else:
-        optimum = optimal_parallel_schedule(
-            normalized,
-            method=config.method,
-            extra_cache=config.extra_cache,
-            time_limit=config.time_limit,
-        )
+        optimum = optimal_parallel_schedule(normalized)
         method_used = optimum.method_used
         extra_cache_used = optimum.extra_cache_used
     return OptimumRecord(
-        fingerprint=instance_fingerprint(instance, config.key()),
+        fingerprint=instance_fingerprint(instance, SOLVER_KEY),
         stall_time=optimum.stall_time,
         elapsed_time=optimum.elapsed_time,
         lp_lower_bound=optimum.lp_lower_bound,
@@ -167,15 +128,14 @@ def compute_optimum_record(instance: ProblemInstance, config: SolverConfig) -> O
         solve_seconds=optimum.execution.metrics.solve_seconds,
         extra_cache_used=extra_cache_used,
         num_requests=instance.num_requests,
-        solver_key=config.key(),
+        solver_key=SOLVER_KEY,
     )
 
 
 class OptimumService:
     """Facade over optimum computation: fingerprint, look up, solve, store.
 
-    One service instance pins one :class:`SolverConfig`.  ``store`` plugs
-    in a durable record store — any object exposing
+    ``store`` plugs in a durable record store — any object exposing
     ``get_optimum(fingerprint)`` and ``put_optimum(record)``, in practice
     the runner's SQLite :class:`~repro.analysis.store.RunStore`.  Without
     one the service still deduplicates in memory, so repeated algorithms
@@ -185,49 +145,25 @@ class OptimumService:
     warmed caches.
     """
 
-    def __init__(self, config: Optional[SolverConfig] = None, store=None):
-        self.config = config or SolverConfig()
+    def __init__(self, store=None):
         self.record_store = store
         self._memory: Dict[str, OptimumRecord] = {}
         self.solves = 0
 
-    # -- identity -------------------------------------------------------------------
-
-    def fingerprint(self, instance: ProblemInstance) -> str:
-        """The canonical cache key of ``instance`` under this service's config."""
-        return instance_fingerprint(instance, self.config.key())
-
-    # -- cache ----------------------------------------------------------------------
-
-    def lookup(self, fingerprint: str) -> Optional[OptimumRecord]:
-        """The cached record under ``fingerprint``: memory, then the store."""
-        record = self._memory.get(fingerprint)
-        if record is None and self.record_store is not None:
-            record = self.record_store.get_optimum(fingerprint)
-            if record is not None:
-                self._memory[fingerprint] = record
-        return record
-
-    def store(self, record: OptimumRecord) -> None:
-        """Cache ``record`` in memory and in the durable store, if any.
+    def optimum(self, instance: ProblemInstance) -> OptimumRecord:
+        """The optimum of ``instance``: memory, then the store, else solve and store.
 
         The record store serializes concurrent writers itself (SQLite
         transactions), and writers of the same fingerprint are idempotent.
         """
-        self._memory[record.fingerprint] = record
-        if self.record_store is not None:
-            self.record_store.put_optimum(record)
-
-    # -- the one entry point ---------------------------------------------------------
-
-    def optimum(self, instance: ProblemInstance) -> OptimumRecord:
-        """The optimum of ``instance``: cache hit or solve-and-store."""
-        fingerprint = self.fingerprint(instance)
-        record = self.lookup(fingerprint)
+        fingerprint = instance_fingerprint(instance, SOLVER_KEY)
+        record = self._memory.get(fingerprint)
+        if record is None and self.record_store is not None:
+            record = self.record_store.get_optimum(fingerprint)
         if record is None:
-            record = compute_optimum_record(instance, self.config)
-            if record.fingerprint != fingerprint:  # pragma: no cover - safety net
-                record = replace(record, fingerprint=fingerprint)
+            record = compute_optimum_record(instance)
             self.solves += 1
-            self.store(record)
+            if self.record_store is not None:
+                self.record_store.put_optimum(record)
+        self._memory[fingerprint] = record
         return record

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 from ..disksim.executor import SimulationResult, execute_interval_schedule
 from ..disksim.instance import ProblemInstance
@@ -32,7 +31,7 @@ from ..errors import ConfigurationError
 from .model import LPSolution, SynchronizedLPModel
 from .solver import solve_integral, solve_relaxation
 
-__all__ = ["SingleDiskOptimum", "optimal_single_disk", "optimal_single_disk_elapsed"]
+__all__ = ["SingleDiskOptimum", "optimal_single_disk"]
 
 
 @dataclass(frozen=True)
@@ -61,12 +60,7 @@ class SingleDiskOptimum:
         return self.solution.charged_stall(self.instance.fetch_time)
 
 
-def optimal_single_disk(
-    instance: ProblemInstance,
-    *,
-    time_limit: Optional[float] = None,
-    reduced: bool = False,
-) -> SingleDiskOptimum:
+def optimal_single_disk(instance: ProblemInstance, *, reduced: bool = False) -> SingleDiskOptimum:
     """Compute an optimal single-disk schedule for ``instance``.
 
     ``reduced=True`` uses the dominance-pruned model (same optimum, smaller
@@ -87,7 +81,7 @@ def optimal_single_disk(
         aggregate_never_requested=reduced,
     )
     relaxation = solve_relaxation(model)
-    solution = relaxation if relaxation.is_integral else solve_integral(model, time_limit=time_limit)
+    solution = relaxation if relaxation.is_integral else solve_integral(model)
     schedule = model.extract_schedule(solution)
     solve_seconds = time.perf_counter() - started
     execution = execute_interval_schedule(
@@ -100,10 +94,3 @@ def optimal_single_disk(
         execution=execution.with_solve_seconds(solve_seconds),
         lp_lower_bound=relaxation.objective,
     )
-
-
-def optimal_single_disk_elapsed(
-    instance: ProblemInstance, *, time_limit: Optional[float] = None
-) -> int:
-    """Shortcut returning only the optimal elapsed time (requests + minimum stall)."""
-    return optimal_single_disk(instance, time_limit=time_limit).elapsed_time

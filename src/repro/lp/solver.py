@@ -17,10 +17,8 @@ Two entry points:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
-from scipy import optimize, sparse
+from scipy import optimize
 
 from ..errors import InfeasibleError, SolverError
 from .model import LPSolution, SynchronizedLPModel
@@ -64,25 +62,20 @@ def solve_relaxation(model: SynchronizedLPModel) -> LPSolution:
     return model.solution_from_vector(np.asarray(result.x))
 
 
-def solve_integral(model: SynchronizedLPModel, *, time_limit: Optional[float] = None) -> LPSolution:
+def solve_integral(model: SynchronizedLPModel) -> LPSolution:
     """Solve the 0/1 program exactly with HiGHS branch and bound."""
-    constraints = _linear_constraints(model)
-    options = {}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
     result = optimize.milp(
         c=model.objective,
-        constraints=constraints,
+        constraints=_linear_constraints(model),
         integrality=np.ones(model.num_variables),
         bounds=optimize.Bounds(0.0, 1.0),
-        options=options or None,
     )
     if result.status == 2:
         raise InfeasibleError(
             "the synchronized MILP is infeasible; this indicates a modelling bug because "
             "demand-fetching every block is always a feasible schedule"
         )
-    if result.x is None:
+    if not result.success:
         raise SolverError(f"MILP solve failed: {result.message}")
     vector = np.round(np.asarray(result.x))
     solution = model.solution_from_vector(vector)

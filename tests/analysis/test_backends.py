@@ -128,7 +128,18 @@ class TestBackendEquivalence:
         assert len(documents) == 1
         assert {run.backend for run in runs.values()} == set(EQUIVALENCE_BACKENDS)
 
-    def test_optimum_grid_is_identical_modulo_solve_walltime(self, tmp_path):
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {
+                "disks": (1, 2),
+                "algorithms": ("demand", "parallel-aggressive", "parallel-conservative"),
+            },
+        ],
+        ids=["single-disk", "disks-1-2"],
+    )
+    def test_optimum_grid_is_identical_modulo_solve_walltime(self, tmp_path, overrides):
         from repro.analysis.results import RUN_RECORD_COLUMNS
 
         columns = tuple(
@@ -136,7 +147,7 @@ class TestBackendEquivalence:
         )
         spec = self._spec(
             workloads=("loop:blocks=8,loops=3",), cache_sizes=(3,),
-            seeds=(None,), compute_optimum=True,
+            seeds=(None,), compute_optimum=True, **overrides,
         )
         runs = [
             run_experiments(spec, workers=2, backend=name, cache_dir=tmp_path / name)

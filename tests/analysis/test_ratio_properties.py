@@ -22,10 +22,10 @@ import repro.lp.service as service_module
 from repro.algorithms import make_algorithm
 from repro.algorithms.registry import ALGORITHM_REGISTRY
 from repro.analysis.results import RUN_RECORD_COLUMNS
-from repro.analysis.runner import ExperimentSpec, run_experiments
+from repro.analysis.runner import ExperimentSpec, point_cache_key, run_experiments
 from repro.analysis.store import RunStore, store_path_for
 from repro.disksim import ProblemInstance, simulate
-from repro.lp import OptimumService
+from repro.lp import SOLVER_KEY, OptimumService
 from repro.workloads import uniform_random, zipf
 
 _VALUE_COLUMNS = tuple(
@@ -58,6 +58,22 @@ class TestSerialParallelOptima:
             assert record.optimal_elapsed is not None
             assert record.optimum_solve_seconds is not None
 
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_each_solved_optimum_is_written_once(self, tmp_path, monkeypatch, backend):
+        """A cold run stores each optimum it solves exactly once."""
+        written = []
+        put_optimum = RunStore.put_optimum
+
+        def counted(store, record):
+            written.append(record.fingerprint)
+            put_optimum(store, record)
+
+        monkeypatch.setattr(RunStore, "put_optimum", counted)
+        run = run_experiments(_ratio_spec(), workers=2, backend=backend, cache_dir=tmp_path)
+        assert run.optimum_requests > 0
+        assert len(written) == run.optimum_requests
+        assert len(set(written)) == len(written)
+
     def test_warmed_rerun_is_byte_identical_and_never_resolves(
         self, tmp_path, monkeypatch
     ):
@@ -84,22 +100,29 @@ class TestSerialParallelOptima:
         again = run_experiments(_ratio_spec(), cache_dir=tmp_path)
         assert again.to_json() == upgraded.to_json()
 
-    def test_changed_solver_config_reattaches_the_optimum(self, tmp_path):
-        """Cached optima are trusted only under the config that produced them."""
-        from repro.lp import SolverConfig
-
+    def test_stale_solver_key_reattaches_the_optimum(self, tmp_path):
+        """Cached optima are trusted only when they carry ``SOLVER_KEY``."""
         spec = _ratio_spec(workloads=("loop:blocks=8,loops=3",), seeds=(None,))
         first = run_experiments(spec, cache_dir=tmp_path)
-        other = SolverConfig(reduced_single_disk=False)
-        second = run_experiments(spec, cache_dir=tmp_path, optimum_config=other)
-        # Same certified values (the reduced model is exact), but the
-        # records now carry the new configuration's provenance and the
-        # optimum cache holds one entry per configuration.
-        assert [r.optimal_elapsed for r in second] == [r.optimal_elapsed for r in first]
-        assert {r.optimum_solver_key for r in first} == {SolverConfig().key()}
-        assert {r.optimum_solver_key for r in second} == {other.key()}
         with RunStore(store_path_for(tmp_path)) as store:
-            assert store.count_optima() == 2
+            for point in spec.points():
+                key = point_cache_key(point)
+                record = store.get_run(key)
+                store.put_run(key, record.with_optimum(
+                    optimal_stall=record.optimal_stall,
+                    optimal_elapsed=record.optimal_elapsed,
+                    solve_seconds=record.optimum_solve_seconds,
+                    solver_key="method=milp;stale",
+                ))
+        second = run_experiments(spec, cache_dir=tmp_path)
+        # Every point is a cached simulation, but its optimum is re-attached
+        # through the fingerprinted optimum store (a lookup, not a solve).
+        assert second.cached_points == len(second.records)
+        assert second.optimum_requests == 1
+        assert second.to_json() == first.to_json()
+        assert {r.optimum_solver_key for r in second} == {SOLVER_KEY}
+        # The re-stamped records are persisted: the next run requests nothing.
+        assert run_experiments(spec, cache_dir=tmp_path).optimum_requests == 0
 
     def test_one_solve_shared_by_all_algorithms_of_an_instance(self, tmp_path):
         """Optimum solves are deduplicated per instance, not per point."""

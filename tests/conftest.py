@@ -46,9 +46,3 @@ def small_parallel_instance() -> ProblemInstance:
     return ProblemInstance.parallel_disk(
         sequence, cache_size=3, fetch_time=3, layout=layout, initial_cache=["a", "x", "b"]
     )
-
-
-# Shared non-fixture helpers live in tests/helpers.py (importable as
-# ``helpers`` because pytest puts this conftest's directory on sys.path);
-# re-exported here for any legacy uses.
-from helpers import random_single_instances  # noqa: E402,F401

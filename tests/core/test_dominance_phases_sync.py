@@ -7,6 +7,7 @@ import pytest
 from repro.algorithms import Aggressive, ParallelAggressive
 from repro.core import (
     AlgorithmState,
+    SynchronizedComparison,
     compare_synchronized_to_optimal,
     dominates,
     hole_positions,
@@ -133,5 +134,15 @@ class TestSynchronized:
     def test_lemma3_on_tiny_instance(self, small_parallel_instance):
         comparison = compare_synchronized_to_optimal(small_parallel_instance)
         assert comparison.synchronized_stall <= comparison.unrestricted_optimal_stall
-        assert comparison.extra_cache_used <= 2 * (small_parallel_instance.num_disks - 1)
+        assert comparison.extra_cache_used <= small_parallel_instance.num_disks - 1
         assert comparison.lemma3_holds
+
+    def test_lemma3_allows_only_d_minus_1_extra_locations(self):
+        def comparison(extra):
+            return SynchronizedComparison(
+                synchronized_stall=3, unrestricted_optimal_stall=3,
+                extra_cache_used=extra, num_disks=2,
+            )
+
+        assert comparison(1).lemma3_holds
+        assert not comparison(2).lemma3_holds

@@ -36,23 +36,18 @@ PARALLEL_SPECS = (
 )
 
 
-def _fetches(schedule):
-    """Every fetch as a tuple (``TimedFetch`` equality ignores block and victim)."""
-    return [(op.start_time, op.disk, op.block, op.victim) for op in schedule.fetches]
-
-
 def _assert_replay_reproduces_run(instance, spec):
     run = simulate(instance, make_algorithm(spec))
     for engine in ("loop", "scan"):
         replay = execute_schedule(instance, run.schedule, engine=engine)
-        assert _fetches(replay.schedule) == _fetches(run.schedule), engine
+        assert replay.schedule == run.schedule, engine
         assert replay.metrics == run.metrics, engine
 
 
 def _assert_scan_records_the_loop_log(instance, spec):
     loop = simulate(instance, make_algorithm(spec), record_events=True)
     scan = simulate(instance, make_algorithm(spec), engine="scan", record_events=True)
-    assert _fetches(scan.schedule) == _fetches(loop.schedule)
+    assert scan.schedule == loop.schedule
     assert scan.metrics == loop.metrics
     assert list(scan.events) == list(loop.events)
 
@@ -95,7 +90,7 @@ def test_reused_policy_plans_like_a_fresh_one(parallel, spec):
                 instance, make_algorithm(spec), engine=engine
             )
             assert reused_engine == fresh_engine
-            assert _fetches(reused.schedule) == _fetches(fresh.schedule), (seed, engine)
+            assert reused.schedule == fresh.schedule, (seed, engine)
             assert reused.metrics == fresh.metrics, (seed, engine)
 
 
@@ -116,5 +111,5 @@ def test_event_log_only_on_request(engine, record_events):
     else:
         assert ran == "vector"
     assert (result.events is not None) == record_events
-    assert _fetches(result.schedule) == _fetches(plain.schedule)
+    assert result.schedule == plain.schedule
     assert result.metrics == plain.metrics

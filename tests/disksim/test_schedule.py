@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import is_synchronized
 from repro.disksim import IntervalFetch, IntervalSchedule, Schedule, TimedFetch
 from repro.errors import InvalidScheduleError
 
@@ -44,7 +45,7 @@ class TestTimedSchedule:
             ),
         )
         assert schedule.num_fetches == 2
-        assert not schedule.is_synchronized()
+        assert not is_synchronized(schedule)
 
     def test_synchronized_detection(self):
         schedule = Schedule(
@@ -56,7 +57,7 @@ class TestTimedSchedule:
                 TimedFetch(start_time=6, disk=0, block="c"),
             ),
         )
-        assert schedule.is_synchronized()
+        assert is_synchronized(schedule)
 
     def test_unknown_disk_rejected(self):
         with pytest.raises(InvalidScheduleError):
@@ -78,6 +79,20 @@ class TestTimedSchedule:
         )
         assert schedule.extra_cache_used(base_capacity=2) == 1
         assert schedule.extra_cache_used(base_capacity=3) == 0
+
+    def test_equality_compares_blocks_and_victims(self):
+        def schedule(victim):
+            return Schedule(
+                fetch_time=2,
+                num_disks=1,
+                fetches=(
+                    TimedFetch(start_time=0, disk=0, block="a", victim="x"),
+                    TimedFetch(start_time=3, disk=0, block="b", victim=victim),
+                ),
+            )
+
+        assert schedule("a") == schedule("a")
+        assert schedule("a") != schedule("x")
 
     def test_finish_time(self):
         op = TimedFetch(start_time=7, disk=0, block="a")

@@ -11,8 +11,8 @@ from repro.analysis.store import RunStore
 from repro.disksim import DiskLayout, ProblemInstance
 from repro.errors import ConfigurationError
 from repro.lp import (
+    SOLVER_KEY,
     OptimumService,
-    SolverConfig,
     SynchronizedLPModel,
     canonical_payload,
     instance_fingerprint,
@@ -63,8 +63,11 @@ class TestCanonical:
         assert instance_fingerprint(instance) != instance_fingerprint(
             instance.with_cache_size(5)
         )
-        assert instance_fingerprint(instance, SolverConfig().key()) != (
-            instance_fingerprint(instance, SolverConfig(method="milp").key())
+        # The key of every optimum stored so far: changing it orphans them all.
+        assert SOLVER_KEY == "method=auto;extra_cache=default;time_limit=none;reduced=1"
+        assert instance_fingerprint(instance, SOLVER_KEY) != instance_fingerprint(instance)
+        assert OptimumService().optimum(instance).fingerprint == (
+            instance_fingerprint(instance, SOLVER_KEY)
         )
 
     def test_normalized_optimum_is_unchanged(self):
@@ -77,17 +80,6 @@ class TestCanonical:
             optimal_single_disk(original).stall_time
             == optimal_single_disk(normalized).stall_time
         )
-
-
-class TestSolverConfig:
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SolverConfig(method="simplex")
-
-    def test_key_is_canonical(self):
-        assert SolverConfig().key() == SolverConfig().key()
-        assert SolverConfig(method="milp").key() != SolverConfig().key()
-        assert SolverConfig(time_limit=2).key() == SolverConfig(time_limit=2.0).key()
 
 
 class TestServiceCaching:
