@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence, Union
+from typing import Hashable, Sequence
 
 __all__ = ["BlockId", "DiskId", "BlockSeq", "INFINITY"]
 

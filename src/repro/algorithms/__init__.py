@@ -4,7 +4,8 @@ Single disk (Section 2 of the paper): :class:`Aggressive`,
 :class:`Conservative`, the new :class:`Delay` family and :class:`Combination`.
 Parallel disks: :class:`ParallelAggressive` and :class:`ParallelConservative`
 (the Kimbrel–Karlin style baselines the Section 3 LP algorithm is compared
-against).  :class:`DemandFetch` is the no-prefetching baseline.
+against).  :class:`DemandFetch` is the no-prefetching baseline (MIN
+caching).  Delay's ``d`` is the only parameter an algorithm takes.
 """
 
 from .aggressive import Aggressive
@@ -12,7 +13,7 @@ from .base import PrefetchAlgorithm
 from .combination import Combination
 from .conservative import Conservative
 from .delay import Delay
-from .demand import EVICTION_BACKENDS, DemandFetch
+from .demand import DemandFetch
 from .parallel_aggressive import ParallelAggressive, ParallelConservative
 from .registry import ALGORITHM_REGISTRY, make_algorithm
 
@@ -23,7 +24,6 @@ __all__ = [
     "Delay",
     "Combination",
     "DemandFetch",
-    "EVICTION_BACKENDS",
     "ParallelAggressive",
     "ParallelConservative",
     "ALGORITHM_REGISTRY",

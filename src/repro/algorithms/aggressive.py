@@ -16,25 +16,18 @@ algorithm whose measured ratios the E1/E2 experiments compare against those
 bounds.
 
 The paper's eviction rule leaves the choice among *equally* furthest blocks
-open; the engine's native order (and the historical behaviour of this
-reproduction) breaks ties towards the largest block string.  The
-``tiebreak`` knob (``aggressive:tiebreak=low`` in spec form) flips that
-direction, opening a cheap sensitivity axis for the experiments without
-changing the proven bounds — any tie-break satisfies the Theorem 1 analysis.
+open; the engine's native order breaks ties towards the largest block
+string.  Any tie-break satisfies the Theorem 1 analysis.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List
+from typing import List
 
 from ..disksim.executor import FetchDecision, PolicyView
 from .base import PrefetchAlgorithm
 
-__all__ = ["Aggressive", "TIEBREAKS"]
-
-#: Valid victim tie-break directions: ``high`` (largest block string among
-#: the equally furthest, the engine's native order) or ``low`` (smallest).
-TIEBREAKS: FrozenSet[str] = frozenset({"high", "low"})
+__all__ = ["Aggressive"]
 
 
 class Aggressive(PrefetchAlgorithm):
@@ -42,12 +35,6 @@ class Aggressive(PrefetchAlgorithm):
 
     name = "aggressive"
     single_disk = True
-
-    def __init__(self, tiebreak: str = "high") -> None:
-        super().__init__()
-        self.tiebreak = self.validate_choice(tiebreak, TIEBREAKS, "tiebreak")
-        if self.tiebreak != "high":
-            self.name = f"aggressive[tiebreak={self.tiebreak}]"
 
     def decide(self, view: PolicyView) -> List[FetchDecision]:
         if not view.is_idle(0):
@@ -59,7 +46,7 @@ class Aggressive(PrefetchAlgorithm):
             # A free cache slot (cold start, or the extra-memory experiments):
             # fetching into it is always safe and never worse than evicting.
             return self.single_disk_decision(view.instance.sequence[target], None)
-        victim = self.tie_broken_victim(view, self.tiebreak)
+        victim = view.furthest_resident()
         if victim is None or not self.can_evict_for(view, target, victim):
             # Every cached block is requested before the next missing block;
             # Aggressive waits (serving requests) until that changes.

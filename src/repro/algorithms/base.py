@@ -4,15 +4,14 @@ Every algorithm in this package implements the
 :class:`~repro.disksim.executor.PrefetchPolicy` protocol: the simulation
 engine calls ``decide`` at each decision point and the algorithm returns the
 fetches to initiate.  :class:`PrefetchAlgorithm` provides the boilerplate
-(instance bookkeeping, the single-disk guard, deterministic victim selection
-helpers) so that the individual algorithms read close to their description
-in the paper.
+(instance bookkeeping, the single-disk guard, the fetch pre-condition) so
+that the individual algorithms read close to their description in the paper.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import FrozenSet, List, Optional
+from typing import List, Optional
 
 from .._typing import BlockId
 from ..disksim.executor import FetchDecision, PolicyView
@@ -75,44 +74,6 @@ class PrefetchAlgorithm(ABC):
         return self._instance
 
     # -- shared building blocks --------------------------------------------------------
-
-    @staticmethod
-    def tie_broken_victim(
-        view: PolicyView,
-        tiebreak: str,
-        *,
-        measured_from: Optional[int] = None,
-        exclude: FrozenSet[BlockId] = frozenset(),
-    ) -> Optional[BlockId]:
-        """Furthest-next-use victim under the named tie-break direction.
-
-        ``"high"`` is the engine's native ordering (largest block string wins
-        among equally-furthest residents) and costs one heap peek;
-        ``"low"`` prefers the smallest block string and re-scans only the
-        residents tied at the winning distance.
-        """
-        best = view.furthest_resident(from_position=measured_from, exclude=exclude)
-        if best is None or tiebreak == "high":
-            return best
-        start = view.cursor if measured_from is None else measured_from
-        distance = view.next_use(best, from_position=start)
-        tied = [
-            block
-            for block in view.resident
-            if block not in exclude
-            and view.next_use(block, from_position=start) == distance
-        ]
-        return min(tied, key=str)
-
-    @staticmethod
-    def validate_choice(value: str, options: FrozenSet[str], knob: str) -> str:
-        """Validate a knob value against its options (for direct construction)."""
-        lowered = str(value).strip().lower()
-        if lowered not in options:
-            raise ValueError(
-                f"{knob} must be one of {', '.join(sorted(options))}, got {value!r}"
-            )
-        return lowered
 
     @staticmethod
     def can_evict_for(view: PolicyView, target_position: int, victim: BlockId) -> bool:

@@ -12,14 +12,6 @@ strategies has the smaller *proven* bound:
 The resulting approximation guarantee is
 ``min{1 + F/(k + ceil(k/F) - 1), ratio(Delay(d0))}`` — strictly better than
 both Aggressive and Conservative over the whole parameter range.
-
-Both components are configurable (``combination:d=3``,
-``combination:alt=demand:evict=lru``): ``d`` overrides the Corollary 1 delay
-parameter and ``delay``/``alt`` replace the branch algorithms by registry
-spec (any comma-free spec string).  The bound comparison always uses the
-Theorem 3 value of the effective ``d`` against the Theorem 1 value, so a
-custom component changes what *runs*, not which side is *selected* — the
-selection rule is the paper's.
 """
 
 from __future__ import annotations
@@ -37,64 +29,22 @@ __all__ = ["Combination"]
 
 
 class Combination(PrefetchAlgorithm):
-    """Run Delay(d0) or Aggressive, whichever has the smaller proven bound.
-
-    Parameters
-    ----------
-    d:
-        Override of the Corollary 1 delay parameter (default: ``d0``
-        computed from the instance's fetch time at reset).
-    delay:
-        Registry spec replacing the delay-side component (default:
-        ``Delay(d)``).
-    alt:
-        Registry spec replacing the Aggressive-side component (default:
-        ``Aggressive()``).
-    """
+    """Run Delay(d0) or Aggressive, whichever has the smaller proven bound."""
 
     name = "combination"
+    single_disk = True
 
-    def __init__(
-        self,
-        d: Optional[int] = None,
-        delay: Optional[str] = None,
-        alt: Optional[str] = None,
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if d is not None and d < 0:
-            raise ValueError(f"Combination delay parameter d must be non-negative, got {d}")
-        self.d = d
-        self.delay_spec = delay
-        self.alt_spec = alt
         self._delegate: Optional[PrefetchAlgorithm] = None
-        # Validate component specs eagerly (building is cheap and recurses
-        # into nested combinations) so a bad spec fails at construction, not
-        # mid-sweep inside whichever instance happens to select that branch.
-        for nested in (delay, alt):
-            if nested is not None:
-                from .registry import make_algorithm
-
-                make_algorithm(nested)
 
     @staticmethod
     def select_for(instance: ProblemInstance) -> PrefetchAlgorithm:
-        """The concrete strategy the default Combination uses on ``instance``."""
-        return Combination()._select(instance)
-
-    def _select(self, instance: ProblemInstance) -> PrefetchAlgorithm:
-        """The component this (possibly customised) Combination runs."""
+        """The strategy Combination runs on ``instance`` (Corollary 2's rule)."""
         k, fetch_time = instance.cache_size, instance.fetch_time
-        d_effective = self.d if self.d is not None else best_delay_parameter(fetch_time)
-        if delay_bound(d_effective, fetch_time) < aggressive_bound_refined(k, fetch_time):
-            if self.delay_spec is not None:
-                from .registry import make_algorithm
-
-                return make_algorithm(self.delay_spec)
-            return Delay(d_effective)
-        if self.alt_spec is not None:
-            from .registry import make_algorithm
-
-            return make_algorithm(self.alt_spec)
+        d0 = best_delay_parameter(fetch_time)
+        if delay_bound(d0, fetch_time) < aggressive_bound_refined(k, fetch_time):
+            return Delay(d0)
         return Aggressive()
 
     @property
@@ -103,7 +53,7 @@ class Combination(PrefetchAlgorithm):
         return self._delegate
 
     def on_reset(self, instance: ProblemInstance) -> None:
-        self._delegate = self._select(instance)
+        self._delegate = self.select_for(instance)
         self._delegate.reset(instance)
         self.name = f"combination[{self._delegate.name}]"
 

@@ -12,9 +12,9 @@ Implementation
 --------------
 The replacements are precomputed by replaying MIN over the sequence
 (:mod:`repro.paging.belady`).  Each MIN fault yields a planned fetch
-``(block, victim, earliest start position)``; fetches are issued in fault
-order whenever the disk is idle and the cursor has reached the earliest start
-position.
+``(block, victim, earliest start position)`` (:func:`min_plan`, which
+ParallelConservative shares); fetches are issued in fault order whenever the
+disk is idle and the cursor has reached the earliest start position.
 
 Conservative has no tunable knobs — MIN's replacement sequence *is* the
 algorithm — so its registry entry (``conservative``) declares an empty
@@ -29,21 +29,41 @@ from typing import List, Optional
 from .._typing import BlockId
 from ..disksim.executor import FetchDecision, PolicyView
 from ..disksim.instance import ProblemInstance
-from ..paging.base import run_paging
+from ..paging.base import PagingResult, run_paging
 from ..paging.belady import BeladyMIN
 from .base import PrefetchAlgorithm
 
-__all__ = ["Conservative"]
+__all__ = ["Conservative", "PlannedFetch", "min_plan"]
 
 
 @dataclass(frozen=True)
-class _PlannedFetch:
+class PlannedFetch:
     """One precomputed fetch: load ``block``, evict ``victim``, not before ``earliest_pos``."""
 
     block: BlockId
     victim: Optional[BlockId]
     earliest_pos: int
     miss_pos: int
+
+
+def min_plan(instance: ProblemInstance, paging_result: PagingResult) -> List[PlannedFetch]:
+    """MIN's faults on ``instance`` as fetches, each with its earliest start.
+
+    ``paging_result`` is MIN's :func:`run_paging` result over the instance's
+    sequence.  A cold-start fault into a free slot may start immediately;
+    otherwise the victim must stay in cache until its last reference before
+    the miss, and the fetch may start once that reference is served.  The
+    plan is in fault (= sequence) order.
+    """
+    plan: List[PlannedFetch] = []
+    for miss_pos, block, victim in paging_result.evictions:
+        earliest = 0
+        if victim is not None:
+            earliest = instance.sequence.previous_use_before(miss_pos, victim) + 1
+        plan.append(
+            PlannedFetch(block=block, victim=victim, earliest_pos=earliest, miss_pos=miss_pos)
+        )
+    return plan
 
 
 class Conservative(PrefetchAlgorithm):
@@ -54,7 +74,7 @@ class Conservative(PrefetchAlgorithm):
 
     def __init__(self) -> None:
         super().__init__()
-        self._plan: List[_PlannedFetch] = []
+        self._plan: List[PlannedFetch] = []
         self._next_plan_index = 0
 
     def on_reset(self, instance: ProblemInstance) -> None:
@@ -64,22 +84,7 @@ class Conservative(PrefetchAlgorithm):
             BeladyMIN(),
             initial_cache=instance.initial_cache,
         )
-        plan: List[_PlannedFetch] = []
-        for miss_pos, block, victim in result.evictions:
-            if victim is None:
-                # Cold-start fault into a free slot: can start immediately.
-                earliest = 0
-            else:
-                # The victim must stay in cache until its last reference before
-                # the miss; the fetch may start once that reference is served.
-                last_use = instance.sequence.previous_use_before(miss_pos, victim)
-                earliest = last_use + 1
-            plan.append(
-                _PlannedFetch(block=block, victim=victim, earliest_pos=earliest, miss_pos=miss_pos)
-            )
-        # MIN faults are discovered in sequence order, so the plan is already
-        # sorted by miss position; fetches are executed in this order.
-        self._plan = plan
+        self._plan = min_plan(instance, result)
         self._next_plan_index = 0
 
     def decide(self, view: PolicyView) -> List[FetchDecision]:

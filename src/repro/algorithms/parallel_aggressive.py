@@ -16,58 +16,29 @@ these simple strategies can be far from optimal as ``D`` grows.
   globally, exactly as in the single-disk Conservative) but lets each disk
   work through its own queue of planned fetches concurrently.
 
-Within one decision round the disks claim victims and cache slots in turn,
-so the *order* in which idle disks are visited is a real degree of freedom
-the Kimbrel–Karlin analysis leaves open.  Both variants expose it as an
-``order`` knob (``asc``/``desc`` disk ids; spec form
-``parallel-aggressive:order=desc``), and ParallelAggressive additionally
-takes the same victim ``tiebreak`` knob as the single-disk Aggressive.
+Within one decision round the idle disks claim victims and cache slots in
+ascending disk order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from .._typing import BlockId, DiskId
+from .._typing import BlockId
 from ..disksim.executor import FetchDecision, PolicyView
 from ..disksim.instance import ProblemInstance
 from ..paging.base import run_paging
 from ..paging.belady import BeladyMIN
-from .aggressive import TIEBREAKS
 from .base import PrefetchAlgorithm
+from .conservative import PlannedFetch, min_plan
 
-__all__ = ["ParallelAggressive", "ParallelConservative", "DISK_ORDERS"]
-
-#: Valid disk-visit orders for one decision round.
-DISK_ORDERS: FrozenSet[str] = frozenset({"asc", "desc"})
-
-
-def _ordered_disks(view: PolicyView, order: str) -> Tuple[DiskId, ...]:
-    """The idle disks in the configured claim order."""
-    disks = view.idle_disks()
-    return tuple(reversed(disks)) if order == "desc" else disks
+__all__ = ["ParallelAggressive", "ParallelConservative"]
 
 
 class ParallelAggressive(PrefetchAlgorithm):
     """Aggressive prefetching independently on every idle disk."""
 
     name = "parallel-aggressive"
-
-    def __init__(self, order: str = "asc", tiebreak: str = "high") -> None:
-        super().__init__()
-        self.order = self.validate_choice(order, DISK_ORDERS, "order")
-        self.tiebreak = self.validate_choice(tiebreak, TIEBREAKS, "tiebreak")
-        knobs = [
-            f"{knob}={value}"
-            for knob, value, default in (
-                ("order", self.order, "asc"),
-                ("tiebreak", self.tiebreak, "high"),
-            )
-            if value != default
-        ]
-        if knobs:
-            self.name = f"parallel-aggressive[{','.join(knobs)}]"
 
     def decide(self, view: PolicyView) -> List[FetchDecision]:
         decisions: List[FetchDecision] = []
@@ -76,7 +47,7 @@ class ParallelAggressive(PrefetchAlgorithm):
         promised_victims: Set[BlockId] = set()
         promised_blocks: Set[BlockId] = set()
         free_slots = view.free_slots
-        for disk in _ordered_disks(view, self.order):
+        for disk in view.idle_disks():
             target = view.next_missing_position(on_disk=disk, exclude=promised_blocks)
             if target is None:
                 continue
@@ -86,9 +57,7 @@ class ParallelAggressive(PrefetchAlgorithm):
                 promised_blocks.add(block)
                 free_slots -= 1
                 continue
-            victim = self.tie_broken_victim(
-                view, self.tiebreak, exclude=frozenset(promised_victims)
-            )
+            victim = view.furthest_resident(exclude=frozenset(promised_victims))
             if victim is None or view.next_use(victim) <= target:
                 continue
             decisions.append(FetchDecision(disk=disk, block=block, victim=victim))
@@ -97,25 +66,14 @@ class ParallelAggressive(PrefetchAlgorithm):
         return decisions
 
 
-@dataclass(frozen=True)
-class _PlannedFetch:
-    block: BlockId
-    victim: Optional[BlockId]
-    earliest_pos: int
-    miss_pos: int
-
-
 class ParallelConservative(PrefetchAlgorithm):
     """MIN's replacements executed as early as possible, one queue per disk."""
 
     name = "parallel-conservative"
 
-    def __init__(self, order: str = "asc") -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.order = self.validate_choice(order, DISK_ORDERS, "order")
-        if self.order != "asc":
-            self.name = f"parallel-conservative[order={self.order}]"
-        self._queues: Dict[int, List[_PlannedFetch]] = {}
+        self._queues: Dict[int, List[PlannedFetch]] = {}
         self._next_index: Dict[int, int] = {}
 
     def on_reset(self, instance: ProblemInstance) -> None:
@@ -125,15 +83,9 @@ class ParallelConservative(PrefetchAlgorithm):
             BeladyMIN(),
             initial_cache=instance.initial_cache,
         )
-        queues: Dict[int, List[_PlannedFetch]] = {d: [] for d in range(instance.num_disks)}
-        for miss_pos, block, victim in result.evictions:
-            if victim is None:
-                earliest = 0
-            else:
-                earliest = instance.sequence.previous_use_before(miss_pos, victim) + 1
-            queues[instance.disk_of(block)].append(
-                _PlannedFetch(block=block, victim=victim, earliest_pos=earliest, miss_pos=miss_pos)
-            )
+        queues: Dict[int, List[PlannedFetch]] = {d: [] for d in range(instance.num_disks)}
+        for planned in min_plan(instance, result):
+            queues[instance.disk_of(planned.block)].append(planned)
         self._queues = queues
         self._next_index = {d: 0 for d in queues}
 
@@ -141,7 +93,7 @@ class ParallelConservative(PrefetchAlgorithm):
         decisions: List[FetchDecision] = []
         promised_victims: Set[BlockId] = set()
         free_slots = view.free_slots
-        for disk in _ordered_disks(view, self.order):
+        for disk in view.idle_disks():
             queue = self._queues.get(disk, [])
             index = self._next_index.get(disk, 0)
             # Skip entries that became moot (block already present).

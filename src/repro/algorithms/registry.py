@@ -3,8 +3,9 @@
 The CLI, the sweep harness and the benchmarks refer to algorithms by spec
 strings with the same grammar as workload specs
 (``name[:key=value,...]`` — see :mod:`repro.specs`): ``aggressive``,
-``delay:d=3``, ``demand:evict=lru``, ``combination:alt=demand:evict=lru``.
-Every algorithm is an entry of :data:`ALGORITHM_REGISTRY`, a
+``delay:d=3``, ``combination``.  The registry carries the paper's strategies
+and their one free parameter, Delay's ``d``; every other entry is its bare
+name.  Every algorithm is an entry of :data:`ALGORITHM_REGISTRY`, a
 :class:`~repro.specs.Registry` whose typed parameter schemas make parsing
 strict by construction: unknown keys, duplicate keys, malformed items and
 uncoercible values raise :class:`~repro.errors.ConfigurationError` naming
@@ -16,14 +17,14 @@ processes and records in run results.
 from __future__ import annotations
 
 from ..errors import ConfigurationError
-from ..specs import ParamSpec, Registry, choice
-from .aggressive import TIEBREAKS, Aggressive
+from ..specs import ParamSpec, Registry
+from .aggressive import Aggressive
 from .base import PrefetchAlgorithm
 from .combination import Combination
 from .conservative import Conservative
 from .delay import Delay
-from .demand import EVICTION_BACKENDS, DemandFetch
-from .parallel_aggressive import DISK_ORDERS, ParallelAggressive, ParallelConservative
+from .demand import DemandFetch
+from .parallel_aggressive import ParallelAggressive, ParallelConservative
 
 __all__ = ["ALGORITHM_REGISTRY", "make_algorithm"]
 
@@ -34,33 +35,20 @@ ALGORITHM_REGISTRY.add(
     "demand",
     "No prefetching: fetch each block when needed, stall F per fault",
     DemandFetch,
-    [
-        ParamSpec(
-            "evict", choice(*sorted(EVICTION_BACKENDS)), "min",
-            "eviction backend consulted on each fault",
-        ),
-    ],
-    kind="baseline", example="demand:evict=lru",
+    kind="baseline", example="demand",
 )
 
 ALGORITHM_REGISTRY.add(
     "aggressive",
     "Start the next prefetch as soon as a safe victim exists (Cao et al.)",
     Aggressive,
-    [
-        ParamSpec(
-            "tiebreak", choice(*sorted(TIEBREAKS)), "high",
-            "direction among equally-furthest victims (high = engine native)",
-        ),
-    ],
-    kind="single-disk", example="aggressive:tiebreak=low",
+    kind="single-disk", example="aggressive",
 )
 
 ALGORITHM_REGISTRY.add(
     "conservative",
     "MIN's replacements, each fetch started as early as the victim allows",
     Conservative,
-    [],
     kind="single-disk", example="conservative",
 )
 
@@ -78,36 +66,21 @@ ALGORITHM_REGISTRY.add(
     "combination",
     "Run Delay(d0) or Aggressive, whichever has the smaller proven bound",
     Combination,
-    [
-        ParamSpec("d", int, None, "delay parameter override (default: Corollary 1 d0)"),
-        ParamSpec("delay", str, None, "registry spec replacing the delay component"),
-        ParamSpec("alt", str, None, "registry spec replacing the Aggressive component"),
-    ],
-    kind="single-disk", example="combination:alt=demand:evict=lru",
+    kind="single-disk", example="combination",
 )
 
 ALGORITHM_REGISTRY.add(
     "parallel-aggressive",
     "Aggressive prefetching independently on every idle disk (Kimbrel–Karlin)",
     ParallelAggressive,
-    [
-        ParamSpec("order", choice(*sorted(DISK_ORDERS)), "asc", "disk claim order per round"),
-        ParamSpec(
-            "tiebreak", choice(*sorted(TIEBREAKS)), "high",
-            "victim tie-break direction (as in aggressive)",
-        ),
-    ],
-    kind="parallel", example="parallel-aggressive:order=desc",
+    kind="parallel", example="parallel-aggressive",
 )
 
 ALGORITHM_REGISTRY.add(
     "parallel-conservative",
     "MIN's replacements executed concurrently, one fetch queue per disk",
     ParallelConservative,
-    [
-        ParamSpec("order", choice(*sorted(DISK_ORDERS)), "asc", "disk claim order per round"),
-    ],
-    kind="parallel", example="parallel-conservative:order=desc",
+    kind="parallel", example="parallel-conservative",
 )
 
 
@@ -115,7 +88,7 @@ def make_algorithm(spec: str) -> PrefetchAlgorithm:
     """Instantiate an algorithm from its spec string.
 
     ``spec`` is ``name[:key=value,...]`` against the registry's schemas,
-    e.g. ``"aggressive"``, ``"delay:d=3"``, ``"demand:evict=lru"``.  The
+    e.g. ``"aggressive"``, ``"delay:d=3"``, ``"demand"``.  The
     factory's own validation errors become :class:`ConfigurationError`
     naming the spec.  Every call constructs a new object (algorithms carry
     per-run state); the stripped spec is recorded on it

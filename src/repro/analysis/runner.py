@@ -139,8 +139,8 @@ class ExperimentSpec:
             get_layout_builder(layout)  # fail at construction, not in a worker
         for algorithm in self.algorithms:
             # Construct (and discard) each algorithm: building is cheap and,
-            # unlike a schema-only parse, validates nested component specs
-            # (combination:delay=.../alt=...) before any worker starts.
+            # unlike a schema-only parse, runs the factory's own checks
+            # (delay:d=-1) before any worker starts.
             make_algorithm(algorithm)
 
     def points(self) -> List["ExperimentPoint"]:

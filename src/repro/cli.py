@@ -35,7 +35,7 @@ Commands
                 finding, 2 on a missing or unparseable target.
 
 Workload and algorithm specs share the grammar ``name[:key=value,...]``
-(``zipf:n=200,blocks=50,skew=0.8``, ``delay:d=3``, ``demand:evict=lru``) and
+(``zipf:n=200,blocks=50,skew=0.8``, ``delay:d=3``) and
 the :class:`~repro.specs.Registry` type, so common experiments can be run
 without writing Python (``repro workloads`` / ``repro algorithms`` print the
 two registries' catalogs); anything more elaborate should use the library
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--algorithms", "-a", default="aggressive,conservative,combination,demand",
             help="algorithm specs separated by ';' (or ',' when none is parametrised), "
-            "e.g. 'aggressive;delay:d=3;demand:evict=lru'",
+            "e.g. 'aggressive;delay:d=3;demand'",
         )
         p.add_argument("--seeds", default="",
                        help="comma-separated seeds substituted into the workload specs")

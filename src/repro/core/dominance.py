@@ -17,7 +17,7 @@ boundaries — the structural fact on which the Theorem 1 proof rests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 from .._typing import INFINITY, BlockId
 from ..disksim.instance import ProblemInstance

@@ -18,7 +18,7 @@ inequality against the brute-force optimum on small instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..disksim.instance import ProblemInstance
 from ..disksim.schedule import Schedule, TimedFetch

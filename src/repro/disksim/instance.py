@@ -9,7 +9,7 @@ model parameters are validated once, here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import FrozenSet, Iterable, Optional, Sequence
+from typing import FrozenSet, Iterable, Sequence
 
 from .._typing import BlockId
 from ..errors import ConfigurationError

@@ -23,7 +23,7 @@ validate either representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .._typing import BlockId, DiskId
 from ..errors import InvalidScheduleError

@@ -14,7 +14,7 @@ indices; the LP module documents the conversion explicitly where it matters.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from typing import Dict, List, Tuple
 

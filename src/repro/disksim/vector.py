@@ -14,9 +14,9 @@ costs a handful of vectorized array operations regardless of how many rows
 Scope and fallback
 ------------------
 The kernel covers the single-disk native policies whose decision rules are
-pure functions of (resident set, next-use table, cursor): ``Aggressive``
-(both tie-breaks), ``Delay(d)`` and ``Combination`` (resolved to whichever
-component it selects for the instance).  Everything else — parallel-disk
+pure functions of (resident set, next-use table, cursor): ``Aggressive``,
+``Delay(d)`` and ``Combination`` (resolved to whichever component it
+selects for the instance).  Everything else — parallel-disk
 instances, ``Conservative``, ``DemandFetch``, custom policies, block
 identifiers whose string forms collide — transparently falls back to the
 loop engine, per item, inside :func:`run_batch`.  The produced
@@ -59,7 +59,6 @@ class _Plan:
     """Kernel-executable description of a native single-disk policy."""
 
     kind: str  # "aggressive" | "delay"
-    tiebreak: str = "high"
     d: int = 0
 
 
@@ -70,24 +69,24 @@ class _Plan:
 VECTOR_FAMILIES = frozenset({"aggressive", "delay", "combination"})
 
 
-def _resolve_plan(instance: ProblemInstance, policy: Any, _depth: int = 0) -> Optional[_Plan]:
+def _resolve_plan(instance: ProblemInstance, policy: Any) -> Optional[_Plan]:
     """Map ``policy`` to a kernel plan, or ``None`` if the kernel cannot run it.
 
     Only the exact shipped classes qualify (``type() is`` checks): a subclass
     may override ``decide`` arbitrarily, so it falls back to the loop engine.
-    ``Combination`` is resolved through its own selection rule to whichever
-    component it would run on ``instance``.
+    ``Combination`` is resolved through :meth:`Combination.select_for` to
+    whichever component it runs on ``instance``.
     """
     from ..algorithms.aggressive import Aggressive
     from ..algorithms.combination import Combination
     from ..algorithms.delay import Delay
 
+    if type(policy) is Combination:
+        policy = Combination.select_for(instance)
     if type(policy) is Aggressive:
-        return _Plan(kind="aggressive", tiebreak=policy.tiebreak)
+        return _Plan(kind="aggressive")
     if type(policy) is Delay:
         return _Plan(kind="delay", d=policy.d)
-    if type(policy) is Combination and _depth < 8:
-        return _resolve_plan(instance, policy._select(instance), _depth + 1)
     return None
 
 
@@ -214,8 +213,6 @@ def _run_kernel(
     kind_arr = np.array([0 if j.plan.kind == "aggressive" else 1 for j in jobs])
     d_arr = np.array([j.plan.d for j in jobs], dtype=np.int64)
     base_rank = np.arange(NB + 1, dtype=np.int64)
-    tb_low = np.array([j.plan.tiebreak == "low" for j in jobs])
-    rank = np.where(tb_low[:, None], np.int64(NB) - base_rank[None, :], base_rank[None, :])
 
     time = np.zeros(R, dtype=np.int64)
     cursor = np.zeros(R, dtype=np.int64)
@@ -275,7 +272,7 @@ def _run_kernel(
             if has_agg:
                 agg_rows = np.nonzero(full_mask & (kind_arr == 0))[0]
                 if agg_rows.size:
-                    key = np.where(resident, nub * MULT + rank, -1)
+                    key = np.where(resident, nub * MULT + base_rank[None, :], -1)
                     vid = key.argmax(axis=1)
                     vic = vid[agg_rows]
                     ok = nub[agg_rows, vic] > tgt[agg_rows]

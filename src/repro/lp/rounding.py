@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .._typing import BlockId
 from ..disksim.schedule import IntervalFetch, IntervalSchedule
-from ..errors import SolverError
 from .intervals import Interval
 from .model import LPSolution, SynchronizedLPModel
 

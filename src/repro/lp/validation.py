@@ -4,15 +4,15 @@ The simulator already validates *schedules* dynamically; this module checks
 *LP solutions* — assignments to the Section 3 variables ``x(I)``, ``f(I,a)``
 and ``e(I,a)`` — against the model's own constraint matrices (slot
 coverage, per-disk fetch counts, fetch/evict balance, epoch feasibility and
-the ``[0, 1]`` bounds).  It is used by tests to make sure the matrices
-encode what the docstrings claim, and by the Lemma 4 rounding code to
-detect when a time-sliced solution stopped being a feasible 0/1 point.
+the ``[0, 1]`` bounds).  The LP tests use it to make sure the matrices
+encode what the docstrings claim.  The Lemma 4 rounding code does not call
+it: the driver in :mod:`repro.lp.parallel` checks a rounded solution by
+executing its schedule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,14 +1,12 @@
-"""Classical paging (pure caching) policies: Belady's MIN, LRU and FIFO.
+"""Classical paging (pure caching): the eviction-policy protocol and Belady's MIN.
 
-These are the caching-only substrate of the integrated problem; the
-Conservative prefetching algorithm reuses MIN's replacement decisions
-directly.
+These are the caching-only substrate of the integrated problem: the
+Conservative prefetching algorithms replay MIN's replacement decisions and
+demand fetching evicts MIN's victims.
 """
 
 from .base import EvictionPolicy, PagingResult, run_paging
 from .belady import BeladyMIN, min_fault_count
-from .fifo import FIFO
-from .lru import LRU
 
 __all__ = [
     "EvictionPolicy",
@@ -16,6 +14,4 @@ __all__ = [
     "run_paging",
     "BeladyMIN",
     "min_fault_count",
-    "FIFO",
-    "LRU",
 ]

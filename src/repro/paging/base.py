@@ -3,9 +3,9 @@
 The integrated prefetching/caching algorithms of the paper lean on classical
 paging in two places: the *Conservative* algorithm performs exactly the block
 replacements of Belady's optimal offline algorithm MIN, and the experiments
-use pure demand paging (with MIN or LRU replacement) as a no-prefetching
-baseline.  This module defines the small protocol those policies implement
-plus a reference demand-paging simulator for fault counting.
+use pure demand paging with MIN replacement as a no-prefetching baseline.
+This module defines the small protocol MIN implements plus a reference
+demand-paging simulator for fault counting.
 """
 
 from __future__ import annotations

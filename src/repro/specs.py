@@ -39,7 +39,6 @@ __all__ = [
     "REQUIRED",
     "ParamSpec",
     "coerce_bool",
-    "choice",
     "split_spec",
     "coerce_params",
     "with_params",
@@ -62,26 +61,6 @@ def coerce_bool(text: str) -> bool:
     # Coercer protocol: coerce_params converts this into a ConfigurationError
     # that names the spec and parameter.
     raise ValueError(f"not a boolean: {text!r}")
-
-
-def choice(*options: str) -> Callable[[str], str]:
-    """A coercer accepting exactly the given lower-case options.
-
-    The returned callable's ``__name__`` renders as ``a|b|c`` so catalog
-    rows and error messages list the valid values.
-    """
-    allowed = tuple(options)
-
-    def coerce(text: str) -> str:
-        lowered = text.strip().lower()
-        if lowered not in allowed:
-            # Coercer protocol: converted by coerce_params, which attaches
-            # the offending spec.
-            raise ValueError(f"expected one of {'|'.join(allowed)}, got {text!r}")
-        return lowered
-
-    coerce.__name__ = "|".join(allowed)
-    return coerce
 
 
 _TYPE_NAMES: Dict[Callable, str] = {

@@ -14,26 +14,31 @@ import inspect
 
 import pytest
 
-from repro.algorithms import (
-    ALGORITHM_REGISTRY,
-    Aggressive,
-    Combination,
-    Delay,
-    DemandFetch,
-    PrefetchAlgorithm,
-    make_algorithm,
-)
+from helpers import REGISTRY_SPECS
+from repro.algorithms import ALGORITHM_REGISTRY, PrefetchAlgorithm, make_algorithm
 from repro.disksim import ProblemInstance, simulate
 from repro.errors import ConfigurationError
-from repro.paging import FIFO, LRU, run_paging
 from repro.specs import with_params
-from repro.workloads import uniform_random, zipf
+from repro.workloads import uniform_random
 from repro.workloads.multidisk import striped_instance
 
 ALL_ALGORITHMS = sorted(ALGORITHM_REGISTRY)
 
 #: Required parameters per algorithm (the contract suite's base specs).
 BASE_SPECS = {"delay": "delay:d=2"}
+
+#: The policy name each registry spec records on its kind's instance.  Run
+#: records and the sweep and ratio JSON carry it as the ``algorithm`` field.
+RECORDED_NAMES = {
+    "aggressive": "aggressive",
+    "combination": "combination[aggressive]",
+    "conservative": "conservative",
+    "delay:d=0": "delay(0)",
+    "delay:d=3": "delay(3)",
+    "demand": "demand[MIN]",
+    "parallel-aggressive": "parallel-aggressive",
+    "parallel-conservative": "parallel-conservative",
+}
 
 
 def base_spec(name: str) -> str:
@@ -58,13 +63,8 @@ class TestRegistryContract:
     @pytest.mark.parametrize("name", ALL_ALGORITHMS)
     def test_accepts_every_documented_parameter(self, name):
         entry = ALGORITHM_REGISTRY[name]
-        # None-defaulted parameters are optional sentinels with no spec
-        # rendering; every other default must round-trip through the grammar.
-        defaults = {
-            p.name: p.default
-            for p in entry.params
-            if not p.required and p.default is not None
-        }
+        # Every default must round-trip through the grammar.
+        defaults = {p.name: p.default for p in entry.params if not p.required}
         spec = with_params(base_spec(name), **defaults)
         assert isinstance(make_algorithm(spec), PrefetchAlgorithm)
 
@@ -90,7 +90,7 @@ class TestRegistryContract:
     @pytest.mark.parametrize("name", ALL_ALGORITHMS)
     def test_summary_docstring_and_factory_accept_the_schema(self, name):
         # The coerced parameters reach the factory as keyword arguments; it
-        # may take more (DemandFetch's eviction_policy), never fewer.
+        # may take more, never fewer.
         entry = ALGORITHM_REGISTRY[name]
         assert entry.summary.strip()
         assert (entry.build.__doc__ or "").strip()
@@ -124,12 +124,6 @@ class TestStrictParsing:
         with pytest.raises(ConfigurationError, match="malformed parameter '3'"):
             make_algorithm("delay:3")
 
-    def test_choice_parameter_lists_options(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            make_algorithm("demand:evict=rand")
-        message = str(excinfo.value)
-        assert "lru" in message and "fifo" in message and "min" in message
-
     def test_factory_validation_becomes_configuration_error(self):
         with pytest.raises(ConfigurationError, match="non-negative"):
             make_algorithm("delay:d=-3")
@@ -140,94 +134,15 @@ class TestRegistration:
         assert "delay:<d>" not in ALGORITHM_REGISTRY
         assert "delay" in ALGORITHM_REGISTRY
 
+    def test_only_delay_takes_a_parameter(self):
+        # The paper's strategies have one free parameter, Delay's d
+        # (Theorem 3); every other entry is its bare name.
+        params = {name: entry.param_names for name, entry in ALGORITHM_REGISTRY.items()}
+        assert params.pop("delay") == ("d",)
+        assert set(params.values()) == {()}
 
-class TestKnobs:
-    def test_demand_lru_matches_classical_paging(self):
-        """demand:evict=lru performs exactly LRU's faults (stall = faults*F)."""
-        sequence = zipf(80, 16, seed=4)
-        instance = ProblemInstance.single_disk(sequence, cache_size=5, fetch_time=3)
-        result = simulate(instance, make_algorithm("demand:evict=lru"))
-        paging = run_paging(sequence, 5, LRU())
-        assert result.metrics.num_fetches == paging.faults
-        assert result.metrics.stall_time == paging.faults * 3
-
-    def test_demand_fifo_matches_classical_paging(self):
-        sequence = zipf(80, 16, seed=9)
-        instance = ProblemInstance.single_disk(sequence, cache_size=5, fetch_time=2)
-        result = simulate(instance, make_algorithm("demand:evict=fifo"))
-        paging = run_paging(sequence, 5, FIFO())
-        assert result.metrics.num_fetches == paging.faults
-
-    def test_demand_evict_changes_behaviour(self):
-        sequence = zipf(120, 20, seed=7)
-        instance = ProblemInstance.single_disk(sequence, cache_size=5, fetch_time=3)
-        stalls = {
-            evict: simulate(instance, make_algorithm(f"demand:evict={evict}")).stall_time
-            for evict in ("min", "lru", "fifo")
-        }
-        # MIN is offline-optimal: never worse than the online policies.
-        assert stalls["min"] <= stalls["lru"]
-        assert stalls["min"] <= stalls["fifo"]
-
-    def test_demand_rejects_conflicting_constructor_arguments(self):
-        with pytest.raises(ValueError):
-            DemandFetch(LRU(), evict="fifo")
-
-    def test_aggressive_tiebreak_stays_within_guarantee(self):
-        for seed in (1, 2, 3):
-            instance = ProblemInstance.single_disk(
-                uniform_random(50, 14, seed=seed), cache_size=6, fetch_time=4
-            )
-            high = simulate(instance, make_algorithm("aggressive"))
-            low = simulate(instance, make_algorithm("aggressive:tiebreak=low"))
-            demand = simulate(instance, make_algorithm("demand")).elapsed_time
-            # Any tie-break satisfies the Theorem 1 analysis.
-            assert high.elapsed_time <= 2 * demand
-            assert low.elapsed_time <= 2 * demand
-            assert low.metrics.num_requests == high.metrics.num_requests
-
-    def test_aggressive_tiebreak_default_is_native_order(self):
-        instance = _instance_for("single-disk")
-        assert (
-            simulate(instance, make_algorithm("aggressive:tiebreak=high")).metrics
-            == simulate(instance, Aggressive()).metrics
-        )
-
-    def test_invalid_knob_value_rejected_directly(self):
-        with pytest.raises(ValueError, match="tiebreak"):
-            Aggressive(tiebreak="sideways")
-
-    def test_parallel_order_knob_changes_claim_order(self):
-        instance = _instance_for("parallel")
-        asc = simulate(instance, make_algorithm("parallel-aggressive:order=asc"))
-        desc = simulate(instance, make_algorithm("parallel-aggressive:order=desc"))
-        # Both are feasible runs over the same instance; the knob only
-        # reorders claims within a round.
-        assert asc.metrics.num_requests == desc.metrics.num_requests
-        assert desc.policy_name == "parallel-aggressive[order=desc]"
-
-    def test_combination_d_override_selects_delay(self):
-        instance = ProblemInstance.single_disk(
-            uniform_random(30, 10, seed=1), cache_size=2, fetch_time=8
-        )
-        combo = make_algorithm("combination:d=5")
-        simulate(instance, combo)
-        assert isinstance(combo.chosen, Delay)
-        assert combo.chosen.d == 5
-
-    def test_combination_alt_component_used_when_cache_large(self):
-        instance = ProblemInstance.single_disk(
-            uniform_random(30, 10, seed=1), cache_size=256, fetch_time=4
-        )
-        combo = make_algorithm("combination:alt=demand:evict=lru")
-        simulate(instance, combo)
-        assert isinstance(combo.chosen, DemandFetch)
-        assert combo.chosen.name == "demand[LRU]"
-
-    def test_combination_default_matches_select_for(self):
-        instance = _instance_for("single-disk")
-        combo = Combination()
-        result = simulate(instance, combo)
-        delegate = simulate(instance, Combination.select_for(instance))
-        assert result.elapsed_time == delegate.elapsed_time
-
+    @pytest.mark.parametrize("spec", REGISTRY_SPECS)
+    def test_spec_records_its_policy_name(self, spec):
+        kind = "parallel" if spec.startswith("parallel-") else "single-disk"
+        result = simulate(_instance_for(kind), make_algorithm(spec))
+        assert result.policy_name == RECORDED_NAMES[spec]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import family_spec
+from helpers import family_spec, random_instance
 from repro.algorithms import (
     ALGORITHM_REGISTRY,
     Aggressive,
@@ -15,11 +15,13 @@ from repro.algorithms import (
     make_algorithm,
 )
 from repro.algorithms import registry as registry_module
-from repro.disksim import DiskLayout, ProblemInstance, execute_schedule, simulate
+from repro.disksim import ProblemInstance, execute_schedule, simulate
 from repro.errors import ConfigurationError
+from repro.paging import BeladyMIN, run_paging
 from repro.specs import Registry
 from repro.workloads import parallel_disk_example, uniform_random
 from repro.workloads.multidisk import striped_instance
+from repro.workloads.spec import LAYOUT_BUILDERS, build_workload_instance
 
 
 def _parallel_instances():
@@ -61,13 +63,21 @@ class TestParallelAggressive:
         dual = simulate(two_disks, ParallelAggressive()).elapsed_time
         assert dual <= single
 
-    def test_reduces_to_aggressive_on_one_disk(self):
-        sequence = uniform_random(30, 10, seed=7)
-        instance = ProblemInstance.single_disk(sequence, cache_size=5, fetch_time=3)
-        assert (
-            simulate(instance, ParallelAggressive()).elapsed_time
-            == simulate(instance, Aggressive()).elapsed_time
-        )
+
+class TestOneDiskReduction:
+    @pytest.mark.parametrize(
+        "parallel_spec, single_spec",
+        [("parallel-aggressive", "aggressive"), ("parallel-conservative", "conservative")],
+    )
+    def test_parallel_form_runs_the_single_disk_form(self, parallel_spec, single_spec):
+        """On one disk each parallel baseline makes its single-disk
+        strategy's fetches: same schedule, same metrics."""
+        for seed in range(100):
+            instance = random_instance(seed)
+            parallel = simulate(instance, make_algorithm(parallel_spec))
+            single = simulate(instance, make_algorithm(single_spec))
+            assert parallel.schedule == single.schedule, seed
+            assert parallel.metrics == single.metrics, seed
 
 
 class TestParallelConservative:
@@ -82,6 +92,23 @@ class TestParallelConservative:
             conservative = simulate(instance, ParallelConservative()).elapsed_time
             demand = simulate(instance, DemandFetch()).elapsed_time
             assert conservative <= demand
+
+    @pytest.mark.parametrize("disks", [2, 3])
+    @pytest.mark.parametrize("layout", sorted(LAYOUT_BUILDERS))
+    def test_makes_exactly_mins_replacements(self, layout, disks):
+        """Grouping MIN's plan by disk loses and adds no replacement: the
+        fetches are MIN's (block, victim) pairs on every layout."""
+        for workload in ("zipf", "mixed"):
+            instance = build_workload_instance(
+                workload, cache_size=6, fetch_time=3, disks=disks, layout=layout
+            )
+            paging = run_paging(
+                instance.sequence, instance.cache_size, BeladyMIN(),
+                initial_cache=instance.initial_cache,
+            )
+            fetches = simulate(instance, ParallelConservative()).schedule.fetches
+            made = sorted((f.block, str(f.victim)) for f in fetches)
+            assert made == sorted((block, str(victim)) for _, block, victim in paging.evictions)
 
 
 class TestRegistry:
@@ -143,15 +170,14 @@ class TestDiskCountGuard:
         algorithm = make_algorithm(family_spec(name))
         with pytest.raises(
             ConfigurationError,
-            match="is a single-disk algorithm but the instance has 2 disks; "
+            match=f"^{name}\\b.* is a single-disk algorithm but the instance has 2 disks; "
             "use parallel-aggressive or parallel-conservative",
         ):
             simulate(self._two_disk_instance(), algorithm)
 
     @pytest.mark.parametrize(
         "spec",
-        ["demand", "parallel-aggressive", "parallel-conservative",
-         "combination:alt=parallel-aggressive"],
+        ["demand", "parallel-aggressive", "parallel-conservative"],
     )
     def test_any_layout_algorithms_run_on_two_disks(self, spec):
         instance = self._two_disk_instance()

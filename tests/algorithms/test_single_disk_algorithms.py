@@ -13,12 +13,16 @@ from repro.algorithms import (
     Delay,
     DemandFetch,
 )
+from repro.algorithms.conservative import min_plan
 from repro.core.bounds import aggressive_bound_refined, best_delay_parameter, delay_best_bound
 from repro.disksim import ProblemInstance, RequestSequence, simulate
-from repro.paging import BeladyMIN, min_fault_count
-from repro.workloads import single_disk_example, uniform_random, zipf
+from repro.paging import BeladyMIN, min_fault_count, run_paging
+from repro.workloads.spec import WORKLOAD_REGISTRY, build_workload_instance
 
 from helpers import random_single_instances
+
+#: Every workload family that builds from its defaults (``trace`` needs a file).
+GENERATED_WORKLOADS = sorted(name for name in WORKLOAD_REGISTRY if name != "trace")
 
 
 class TestAggressive:
@@ -70,6 +74,29 @@ class TestConservative:
             )
             assert result.metrics.num_fetches == faults
             assert result.metrics.num_demand_fetches <= faults
+
+    @pytest.mark.parametrize("workload", GENERATED_WORKLOADS)
+    def test_replays_the_min_plan(self, workload):
+        """The plan is MIN's faults, each starting right after its victim's
+        last use before the miss, and Conservative makes exactly its fetches."""
+        # k - 1 = 4 is a multiple of F - 1 = 2, as thm2 requires.
+        instance = build_workload_instance(workload, cache_size=5, fetch_time=3)
+        sequence = instance.sequence
+        paging = run_paging(
+            sequence, instance.cache_size, BeladyMIN(), initial_cache=instance.initial_cache
+        )
+        plan = min_plan(instance, paging)
+        assert [(p.miss_pos, p.block, p.victim) for p in plan] == list(paging.evictions)
+        for planned in plan:
+            if planned.victim is None:
+                assert planned.earliest_pos == 0
+                continue
+            assert planned.earliest_pos <= planned.miss_pos
+            assert planned.victim not in sequence[planned.earliest_pos : planned.miss_pos]
+            if planned.earliest_pos > 0:
+                assert sequence[planned.earliest_pos - 1] == planned.victim
+        fetches = simulate(instance, Conservative()).schedule.fetches
+        assert [(f.block, f.victim) for f in fetches] == [(p.block, p.victim) for p in plan]
 
     def test_at_most_twice_optimal_on_small_instances(self, small_cold_instance):
         from repro.lp import optimal_single_disk
@@ -132,7 +159,7 @@ class TestDemandFetch:
     def test_stall_is_fetch_time_per_fault(self):
         """With MIN replacement and no prefetching, every fault stalls F units."""
         for instance in random_single_instances(4):
-            result = simulate(instance, DemandFetch(BeladyMIN()))
+            result = simulate(instance, DemandFetch())
             faults = min_fault_count(
                 instance.sequence, instance.cache_size, instance.initial_cache
             )

@@ -85,11 +85,11 @@ class TestSpec:
         with pytest.raises(ConfigurationError, match="unknown algorithm"):
             _small_spec(algorithms=("nope",))
 
-    def test_bad_nested_component_spec_rejected_at_construction(self):
-        # combination's delay/alt values are specs themselves; a bad one must
-        # fail here, not inside a worker once that branch gets selected.
-        with pytest.raises(ConfigurationError, match="unknown algorithm"):
-            _small_spec(algorithms=("combination:alt=bogus",))
+    def test_factory_check_rejected_at_construction(self):
+        # The spec parses; Delay's own check must still fail here, not
+        # inside a worker.
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            _small_spec(algorithms=("delay:d=-1",))
 
     def test_instance_kind_workload_in_grid(self):
         spec = _small_spec(workloads=("thm2:phases=2",), cache_sizes=(13,),

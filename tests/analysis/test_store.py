@@ -60,7 +60,7 @@ _records = st.builds(
     _record,
     point=st.text(min_size=1, max_size=20),
     workload=st.one_of(st.none(), st.text(min_size=1, max_size=30)),
-    algorithm_spec=st.sampled_from(["aggressive", "delay:d=2", "demand:evict=lru"]),
+    algorithm_spec=st.sampled_from(["aggressive", "delay:d=2", "demand"]),
     layout=st.one_of(st.none(), st.sampled_from(["striped", "partitioned"])),
     cache_size=st.integers(min_value=1, max_value=64),
     fetch_time=st.integers(min_value=1, max_value=16),

@@ -25,14 +25,12 @@ SINGLE_DISK_SPECS = (
     "delay:d=3",
     "combination",
     "demand",
-    "demand:evict=lru",
-    "demand:evict=fifo",
 )
 
 PARALLEL_SPECS = (
     "parallel-aggressive",
     "parallel-conservative",
-    "demand:evict=lru",
+    "demand",
 )
 
 

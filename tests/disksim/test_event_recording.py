@@ -27,27 +27,16 @@ from repro.disksim.executor import _EngineState
 #: engine must keep reproducing.
 REFERENCE_LOGS = {
     (False, "aggressive"): "e836f9915a799f89",
-    (False, "aggressive:tiebreak=low"): "3009ce2df27a95a4",
     (False, "combination"): "6c2bfa70e612126f",
     (False, "conservative"): "e9dd0c3f62f0e16a",
     (False, "delay:d=0"): "e836f9915a799f89",
     (False, "delay:d=3"): "00c190db59c8bb79",
     (False, "demand"): "e87f862d2ab8bae5",
-    (False, "demand:evict=lru"): "c74a07d2bdf8bf46",
-    (False, "demand:evict=fifo"): "adaca72e444a8e93",
     (False, "parallel-aggressive"): "e836f9915a799f89",
-    (False, "parallel-aggressive:tiebreak=low"): "3009ce2df27a95a4",
-    (False, "parallel-aggressive:order=desc"): "e836f9915a799f89",
     (False, "parallel-conservative"): "e9dd0c3f62f0e16a",
-    (False, "parallel-conservative:order=desc"): "e9dd0c3f62f0e16a",
     (True, "demand"): "623c094819821959",
-    (True, "demand:evict=lru"): "0450ec3698f2f555",
-    (True, "demand:evict=fifo"): "e5cfcd299d464548",
     (True, "parallel-aggressive"): "cb229782b34cfc23",
-    (True, "parallel-aggressive:tiebreak=low"): "fb8e7547f1fd9f8b",
-    (True, "parallel-aggressive:order=desc"): "78c8bedf52db1621",
     (True, "parallel-conservative"): "726bf7e62ffed1ce",
-    (True, "parallel-conservative:order=desc"): "52aa30f4c81f0006",
 }
 
 BATTERY_SIZE = 24
@@ -174,10 +163,10 @@ def heap_builds(monkeypatch):
 @pytest.mark.parametrize(
     "parallel, spec",
     [
-        (False, "aggressive:tiebreak=low"),
+        (False, "aggressive"),
         (False, "delay:d=3"),
         (False, "noop"),
-        (True, "parallel-aggressive:tiebreak=low"),
+        (True, "parallel-aggressive"),
         (True, "parallel-conservative"),
         (True, "noop"),
         (True, "beside-a-fetch"),

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.algorithms import Aggressive, Conservative, DemandFetch
 from repro.disksim import (
-    EventKind,
     FetchDecision,
     IntervalFetch,
     IntervalSchedule,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro._typing import INFINITY
-from repro.disksim import DiskLayout, EvictionHeap, MissTracker, RequestSequence, SequenceIndex
+from repro.disksim import DiskLayout, EvictionHeap, RequestSequence, SequenceIndex
 
 
 def _tracker(sequence, present=(), layout=None):

@@ -39,6 +39,7 @@ from repro.disksim import (
     simulate_vector,
     simulate_with_engine,
 )
+from repro.workloads import uniform_random
 
 # The same five single-disk families as the indexed-vs-scan oracle: the
 # kernel natively covers Aggressive/Delay/Combination and must *fall back*
@@ -51,11 +52,10 @@ SINGLE_DISK_FACTORIES = (
     lambda seed: DemandFetch(),
 )
 
-#: Every registered single-disk-capable algorithm spec (both Aggressive
-#: tie-breaks, two Delay depths, Combination and the two fallback families).
+#: Every registered single-disk-capable algorithm spec (two Delay depths,
+#: Combination and the two fallback families).
 ALL_SPECS = (
     "aggressive",
-    "aggressive:tiebreak=low",
     "delay:d=2",
     "delay:d=7",
     "combination",
@@ -122,6 +122,47 @@ def test_run_batch_mixes_covered_and_fallback_pairs():
         assert outcome.metrics == simulate(inst, policy, engine="loop").metrics
 
 
+@pytest.mark.parametrize(
+    "cache_size, fetch_time, component",
+    [(2, 8, Delay), (32, 4, Aggressive)],
+    ids=["delay-branch", "aggressive-branch"],
+)
+def test_combination_runs_on_the_kernel_as_its_selected_component(
+    cache_size, fetch_time, component
+):
+    """Both branches of Corollary 2's rule resolve to a kernel plan, and the
+    kernel's run and recorded name match the loop engine's."""
+    instance = ProblemInstance.single_disk(
+        uniform_random(200, 96, seed=7), cache_size=cache_size, fetch_time=fetch_time
+    )
+    selected = Combination.select_for(instance)
+    assert type(selected) is component
+    vector, engine = simulate_with_engine(instance, Combination(), engine="vector")
+    assert engine == "vector"
+    loop = simulate(instance, Combination(), engine="loop")
+    assert vector.schedule == loop.schedule
+    assert vector.metrics == loop.metrics
+    assert vector.policy_name == loop.policy_name == f"combination[{selected.name}]"
+
+
+@pytest.mark.parametrize("spec", ["aggressive", "delay:d=2"])
+def test_kernel_breaks_victim_ties_in_the_engine_order(spec):
+    """The warm cache holds six blocks that are never requested, so the first
+    six victims are all ties; both engines take them in descending ``str``
+    order, the engine's native tie order."""
+    warm = ["w5", "w0", "w3", "w1", "w4", "w2"]
+    sequence = RequestSequence([f"b{i % 9}" for i in range(40)])
+    instance = ProblemInstance.single_disk(
+        sequence, cache_size=6, fetch_time=3, initial_cache=warm
+    )
+    vector, engine = simulate_with_engine(instance, make_algorithm(spec), engine="vector")
+    assert engine == "vector"
+    loop = simulate(instance, make_algorithm(spec), engine="loop")
+    assert vector.schedule == loop.schedule
+    assert vector.metrics == loop.metrics
+    assert [f.victim for f in loop.schedule.fetches[:6]] == sorted(warm, reverse=True)
+
+
 def _normalized_json(result_set):
     """Sorted-key record dumps with the engine provenance field normalized."""
     dumps = []
@@ -171,7 +212,6 @@ def test_property_equivalence_on_arbitrary_sequences(blocks, cache_size, fetch_t
     )
     for policy_factory in (
         lambda s: Aggressive(),
-        lambda s: Aggressive(tiebreak="low"),
         lambda s: Delay(delay),
         lambda s: Combination(),
     ):

@@ -10,7 +10,7 @@ directory when it loads ``tests/conftest.py`` — so test modules can simply
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from repro.algorithms.registry import ALGORITHM_REGISTRY
 from repro.disksim import DiskLayout, ProblemInstance
@@ -64,23 +64,17 @@ def random_instance(seed: int, *, parallel: bool = False, max_disks: int = 4) ->
     )
 
 
-#: One spec per registry family and option variant.  Every family runs on a
+#: One spec per registry family (two Delay depths).  Every family runs on a
 #: single disk, so single-disk batteries run them all.
 REGISTRY_SPECS = (
     "aggressive",
-    "aggressive:tiebreak=low",
     "combination",
     "conservative",
     "delay:d=0",
     "delay:d=3",
     "demand",
-    "demand:evict=lru",
-    "demand:evict=fifo",
     "parallel-aggressive",
-    "parallel-aggressive:tiebreak=low",
-    "parallel-aggressive:order=desc",
     "parallel-conservative",
-    "parallel-conservative:order=desc",
 )
 
 #: Single-disk algorithms reject striped blocks, so parallel-disk batteries

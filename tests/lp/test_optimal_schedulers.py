@@ -6,7 +6,7 @@ import pytest
 
 from repro.algorithms import Aggressive, Conservative, Delay, DemandFetch, ParallelAggressive
 from repro.analysis import brute_force_optimal_stall
-from repro.disksim import DiskLayout, ProblemInstance, RequestSequence, simulate
+from repro.disksim import ProblemInstance, simulate
 from repro.errors import ConfigurationError
 from repro.lp import (
     SynchronizedLPModel,

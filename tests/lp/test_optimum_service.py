@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import repro.lp.service as service_module
 from repro.analysis.store import RunStore
-from repro.disksim import DiskLayout, ProblemInstance
+from repro.disksim import ProblemInstance
 from repro.errors import ConfigurationError
 from repro.lp import (
     SOLVER_KEY,

@@ -39,6 +39,17 @@ class TestParseWorkload:
             parse_workload("zipf:n=abc")
 
 
+#: Settings the paper's strategies do not take: Delay's d is the only
+#: algorithm parameter, so each of these is an unknown parameter.
+UNKNOWN_ALGORITHM_PARAMS = (
+    "aggressive:tiebreak=low",
+    "demand:evict=lru",
+    "parallel-aggressive:order=desc",
+    "parallel-conservative:order=desc",
+    "combination:alt=demand",
+)
+
+
 class TestCommands:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
@@ -111,13 +122,13 @@ class TestCommands:
                 "ratios",
                 "-w", "zipf:n=30,blocks=8,seed=2",
                 "-k", "5", "-F", "3",
-                "-a", "aggressive;delay:d=2;demand:evict=lru",
+                "-a", "aggressive;delay:d=2;demand",
             ]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "3 points" in out and "1 optimum requests" in out
-        assert "delay(2)" in out and "demand[LRU]" in out
+        assert "delay(2)" in out and "demand[MIN]" in out
         assert "optimal_stall" in out
 
     def test_ratios_parallel_disk_point(self, capsys, tmp_path):
@@ -213,7 +224,7 @@ class TestCommands:
         code = main(["algorithms", "demand"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "evict" in out and "lru" in out
+        assert "parameters: (none)" in out
 
     def test_sweep_accepts_parametrised_specs(self, capsys):
         code = main(
@@ -221,14 +232,14 @@ class TestCommands:
                 "sweep",
                 "-w", "zipf:n=30,blocks=8",
                 "-k", "4", "-F", "3",
-                "-a", "delay:d=3;demand:evict=fifo",
+                "-a", "delay:d=3;demand",
                 "--seeds", "0",
             ]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "2 points" in out
-        assert "delay(3)" in out and "demand[FIFO]" in out
+        assert "delay(3)" in out and "demand[MIN]" in out
 
     def test_simulate_with_layout(self, capsys):
         code = main(
@@ -387,6 +398,10 @@ class TestCommands:
             ),
             ["sweep", "-w", "zipf:n=60,blocks=20", "-k", "4", "-F", "3", "-D", "1,2",
              "-a", "aggressive"],
+            *(
+                ["sweep", "-w", "zipf:n=40", "-k", "4", "-F", "2", "-a", spec]
+                for spec in UNKNOWN_ALGORITHM_PARAMS
+            ),
         ],
     )
     def test_bad_specs_exit_cleanly(self, capsys, command):
@@ -397,6 +412,8 @@ class TestCommands:
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+        if command[-1] in UNKNOWN_ALGORITHM_PARAMS:
+            assert "unknown parameter" in captured.err
 
     @pytest.mark.parametrize(
         "command",

@@ -37,6 +37,20 @@ ALGORITHM_PARAMS = [
 ]
 
 
+#: Settings the algorithms no longer take, each with a value it once accepted:
+#: Delay's ``d`` is the only algorithm parameter left.
+REMOVED_ALGORITHM_PARAMS = [
+    ("aggressive", "tiebreak", "low"),
+    ("combination", "alt", "demand"),
+    ("combination", "d", "5"),
+    ("combination", "delay", "delay:d=5"),
+    ("demand", "evict", "lru"),
+    ("parallel-aggressive", "order", "desc"),
+    ("parallel-aggressive", "tiebreak", "low"),
+    ("parallel-conservative", "order", "desc"),
+]
+
+
 def _spec_id(pair) -> str:
     return f"{pair[0]}:{pair[1]}"
 
@@ -66,6 +80,18 @@ def test_algorithm_parameter_builds_or_raises_a_repro_error(param, value):
         make_algorithm(f"{algorithm}:{name}={value}")
     except ReproError:
         pass
+
+
+@pytest.mark.parametrize("param", REMOVED_ALGORITHM_PARAMS, ids=_spec_id)
+@_bad_values
+def test_removed_algorithm_parameter_is_unknown(param, value):
+    algorithm, name, accepted_once = param
+    for setting in (accepted_once, value):
+        with pytest.raises(
+            ConfigurationError,
+            match=f"unknown parameter\\(s\\) '{name}'; valid parameters: \\(none\\)",
+        ):
+            make_algorithm(f"{algorithm}:{name}={setting}")
 
 
 @pytest.mark.parametrize("disks", [0, -1])
