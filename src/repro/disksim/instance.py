@@ -137,12 +137,6 @@ class ProblemInstance:
         """A copy of the instance with different initial cache contents."""
         return replace(self, initial_cache=frozenset(initial_cache))
 
-    def with_extra_cache(self, extra: int) -> "ProblemInstance":
-        """A copy with ``extra`` additional cache slots (Section 3 allowances)."""
-        if extra < 0:
-            raise ConfigurationError(f"extra cache must be non-negative, got {extra}")
-        return replace(self, cache_size=self.cache_size + extra)
-
     def describe(self) -> str:
         """One-line human-readable summary used in reports and logs."""
         return (

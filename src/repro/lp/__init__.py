@@ -2,13 +2,13 @@
 
 The Section 3 synchronized LP (:mod:`repro.lp.model` — variables
 ``x(I)``/``f(I,a)``/``e(I,a)`` over fetch intervals, objective
-``sum_I x(I)(F - |I|)``), its LP/MILP solvers (:mod:`repro.lp.solver`), the
-paper's time-slicing rounding (:mod:`repro.lp.rounding`), the two
-user-facing drivers — :func:`optimal_single_disk` (exact single-disk
-optimum, the denominator of every Section 2 approximation ratio) and
-:func:`optimal_parallel_schedule` (the Theorem 4 algorithm) — and the
-optimum service (:mod:`repro.lp.service`): one solver configuration
-(``SOLVER_KEY``), canonical instance fingerprinting
+``sum_I x(I)(F - |I|)``, and the per-disk schedule extraction), its LP/MILP
+solvers (:mod:`repro.lp.solver`; the exact MILP stands in for the paper's
+Lemma 4 rounding), the two user-facing entry points —
+:func:`optimal_single_disk` (exact single-disk optimum, the denominator of
+every Section 2 approximation ratio) and :func:`optimal_parallel_schedule`
+(the Theorem 4 algorithm) — and the optimum service
+(:mod:`repro.lp.service`): one solver configuration (``SOLVER_KEY``), canonical instance fingerprinting
 (:mod:`repro.lp.canonical`) plus a disk-backed, parallel-safe cache that
 makes optimum computation a batched pipeline stage instead of a per-call
 expense.
@@ -16,16 +16,8 @@ expense.
 
 from .canonical import canonical_payload, instance_fingerprint, normalize_instance
 from .intervals import Interval, IntervalStructure, enumerate_intervals, interval_structure
-from .model import (
-    AGGREGATE_BLOCK,
-    DUMMY_PREFIX,
-    PADDING_PREFIX,
-    LPSolution,
-    SynchronizedLPModel,
-)
-from .normalize import normalize_integral_solution
+from .model import AGGREGATE_BLOCK, DUMMY_PREFIX, LPSolution, SynchronizedLPModel
 from .parallel import ParallelOptimum, optimal_parallel_schedule
-from .rounding import RoundedSolution, candidate_offsets, round_solution
 from .service import SOLVER_KEY, OptimumRecord, OptimumService, compute_optimum_record
 from .single_disk import SingleDiskOptimum, optimal_single_disk
 from .solver import solve_integral, solve_relaxation
@@ -41,19 +33,14 @@ __all__ = [
     "enumerate_intervals",
     "AGGREGATE_BLOCK",
     "DUMMY_PREFIX",
-    "PADDING_PREFIX",
     "LPSolution",
     "SynchronizedLPModel",
     "SOLVER_KEY",
     "OptimumRecord",
     "OptimumService",
     "compute_optimum_record",
-    "normalize_integral_solution",
     "ParallelOptimum",
     "optimal_parallel_schedule",
-    "RoundedSolution",
-    "candidate_offsets",
-    "round_solution",
     "SingleDiskOptimum",
     "optimal_single_disk",
     "solve_integral",

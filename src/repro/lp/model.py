@@ -13,8 +13,7 @@ Constraints (following the paper, with the variable-sparsity refinements
 described below):
 
 1. at most one fetch interval overlaps the service of any request;
-2. per interval and disk, the number of blocks fetched from that disk equals
-   (strict mode) or is at most (relaxed mode) ``x(I)``;
+2. per interval and disk, at most ``x(I)`` blocks are fetched from that disk;
 3. per interval, #fetches = #evictions (cache occupancy stays constant);
 4. every requested block is in cache at each of its references: it is fetched
    before its first reference (unless initially resident), and between
@@ -58,19 +57,12 @@ Deviations from the paper (documented substitutions)
   never requested.  The builder synthesises such dummy blocks to fill the
   effective capacity whatever the user-supplied initial cache is, so warm
   starts are supported.
-* In strict mode (``require_all_disks=True``, the paper's synchronized
-  schedules) every selected interval must fetch one block from *every* disk.
-  Late in the sequence a disk may have no requested block left to fetch; the
-  paper's Lemma 3 pads such intervals with "an arbitrary block from that
-  disk".  The builder adds one never-requested *padding block* per disk whose
-  fetch and eviction amounts are tied together per interval, which makes the
-  padding representable without affecting the objective.
-* Relaxed mode (the default for computing optimal synchronized schedules via
-  the exact MILP) replaces the per-disk equality by ``<=``, i.e. intervals may
-  leave some disks idle.  Every strict solution maps to a relaxed one by
-  dropping padding fetches, so the relaxed optimum is never worse and the
-  Lemma 3 guarantee (stall <= s_OPT(sigma, k) with ``k + D - 1`` locations)
-  carries over.
+* Constraint 2 is an inequality: an interval may leave some disks idle,
+  where the paper's synchronized schedules fetch from every disk and pad an
+  idle disk with "an arbitrary block from that disk" (Lemma 3).  Dropping
+  the padding fetches maps every padded solution to one of this model, so
+  its optimum is never worse and Lemma 3's guarantee (stall <= s_OPT(sigma,
+  k) with ``k + D - 1`` locations) carries over.
 """
 
 from __future__ import annotations
@@ -91,17 +83,19 @@ __all__ = [
     "LPSolution",
     "SynchronizedLPModel",
     "DUMMY_PREFIX",
-    "PADDING_PREFIX",
     "AGGREGATE_BLOCK",
 ]
 
 #: Prefix of synthesised never-requested blocks that fill the initial cache.
 DUMMY_PREFIX = "__initdummy"
-#: Prefix of synthesised per-disk padding blocks (strict mode only).
-PADDING_PREFIX = "__pad"
 #: Sentinel block standing for *any* never-requested resident block in the
 #: dominance-pruned reduced model (``aggregate_never_requested=True``).
 AGGREGATE_BLOCK = "__nragg"
+#: Variables of an integral solution are 0 or 1; above this they count as 1.
+_ONE = 0.5
+
+#: A fetch unit of an extracted schedule: ``(start, end, block, victim)``.
+_Unit = Tuple[int, int, BlockId, Optional[BlockId]]
 
 
 @dataclass(frozen=True)
@@ -114,33 +108,30 @@ class LPSolution:
     evictions: Dict[Tuple[Interval, BlockId], float]
     is_integral: bool
 
-    def selected_intervals(self, threshold: float = 0.5) -> List[Interval]:
-        """Intervals with ``x(I)`` above ``threshold``, in the canonical order."""
-        chosen = [interval for interval, value in self.x.items() if value > threshold]
-        return sorted(chosen)
+    def selected_intervals(self) -> List[Interval]:
+        """Intervals with ``x(I) = 1`` (integral solutions), in the canonical order."""
+        return sorted(interval for interval, value in self.x.items() if value > _ONE)
 
-    def charged_stall(self, fetch_time: int, threshold: float = 0.5) -> int:
+    def charged_stall(self, fetch_time: int) -> int:
         """Total charged stall of the selected intervals (integral solutions)."""
-        return sum(i.charged_stall(fetch_time) for i in self.selected_intervals(threshold))
+        return sum(i.charged_stall(fetch_time) for i in self.selected_intervals())
 
 
 class SynchronizedLPModel:
-    """Builder/solver wrapper for the synchronized prefetching/caching LP."""
+    """The synchronized prefetching/caching LP: matrices, solutions, schedules.
+
+    The model has ``k + D - 1`` cache locations, as in the paper's Lemma 3;
+    on a single disk that is the true capacity ``k``.
+    """
 
     def __init__(
         self,
         instance: ProblemInstance,
         *,
-        extra_cache: Optional[int] = None,
-        require_all_disks: bool = False,
         aggregate_never_requested: bool = False,
     ):
         self.instance = instance
         self.num_disks = instance.num_disks
-        if extra_cache is None:
-            extra_cache = self.num_disks - 1
-        if extra_cache < 0:
-            raise ConfigurationError("extra_cache must be non-negative")
         if aggregate_never_requested and self.num_disks != 1:
             # The [0, 1] bound on the aggregate variable relies on "at most
             # one fetch (hence eviction) per interval", which only holds on a
@@ -148,9 +139,7 @@ class SynchronizedLPModel:
             raise ConfigurationError(
                 "aggregate_never_requested is a single-disk reduction (D == 1)"
             )
-        self.extra_cache = extra_cache
-        self.capacity = instance.cache_size + extra_cache
-        self.require_all_disks = require_all_disks
+        self.capacity = instance.cache_size + self.num_disks - 1
         self.aggregate_never_requested = aggregate_never_requested
         self.fetch_time = instance.fetch_time
         self.num_requests = instance.num_requests
@@ -183,12 +172,9 @@ class SynchronizedLPModel:
                 f"({self.capacity})"
             )
         self.dummy_blocks: List[BlockId] = [f"{DUMMY_PREFIX}{i}" for i in range(num_dummies)]
-        self.padding_blocks: Dict[int, BlockId] = {}
         self.active_disks: List[int] = sorted(
             {instance.disk_of(b) for b in requested}
         ) or [0]
-        if self.require_all_disks:
-            self.padding_blocks = {d: f"{PADDING_PREFIX}{d}" for d in self.active_disks}
 
         # The instance handed to the executor: same sequence, capacity extended,
         # initial cache padded with the dummies.
@@ -260,12 +246,6 @@ class SynchronizedLPModel:
                 for interval in self.intervals:
                     add_e(interval, block)
 
-        # Padding blocks: fetch and evict variables everywhere (strict mode).
-        for block in self.padding_blocks.values():
-            for interval in self.intervals:
-                add_f(interval, block)
-                add_e(interval, block)
-
         self.num_variables = counter
         self.requested_blocks = requested
         self.initially_resident = initially_resident
@@ -289,7 +269,7 @@ class SynchronizedLPModel:
             if cols:
                 ub_rows.append((cols, [1.0] * len(cols), 1.0))
 
-        # 2. per interval and active disk: sum of fetches from the disk vs x(I).
+        # 2. per interval and active disk: sum of fetches from the disk <= x(I).
         blocks_by_disk: Dict[int, List[BlockId]] = {d: [] for d in self.active_disks}
         for block in requested:
             blocks_by_disk[instance.disk_of(block)].append(block)
@@ -303,14 +283,7 @@ class SynchronizedLPModel:
                     if key in self._f_index:
                         cols.append(self._f_index[key])
                         coefs.append(1.0)
-                pad = self.padding_blocks.get(disk)
-                if pad is not None:
-                    cols.append(self._f_index[(interval, pad)])
-                    coefs.append(1.0)
-                if self.require_all_disks:
-                    eq_rows.append((cols, coefs, 0.0))
-                else:
-                    ub_rows.append((cols, coefs, 0.0))
+                ub_rows.append((cols, coefs, 0.0))
 
         # 3. per interval: #fetches == #evictions.
         fetch_cols_by_interval: Dict[Interval, List[int]] = {i: [] for i in self.intervals}
@@ -388,17 +361,6 @@ class SynchronizedLPModel:
                 ]
                 if cols:
                     ub_rows.append((cols, [1.0] * len(cols), 1.0))
-
-        # Padding blocks: fetch amount == evict amount in every interval.
-        for block in self.padding_blocks.values():
-            for interval in self.intervals:
-                eq_rows.append(
-                    (
-                        [self._f_index[(interval, block)], self._e_index[(interval, block)]],
-                        [1.0, -1.0],
-                        0.0,
-                    )
-                )
 
         self._A_eq, self._b_eq = self._assemble(eq_rows)
         self._A_ub, self._b_ub = self._assemble(ub_rows)
@@ -521,109 +483,87 @@ class SynchronizedLPModel:
                 out[(interval, AGGREGATE_BLOCK)] = value
         return out
 
-    def extract_schedule(self, solution: LPSolution, *, threshold: float = 0.5) -> IntervalSchedule:
+    def extract_schedule(self, solution: LPSolution) -> IntervalSchedule:
         """Convert an integral solution into an executable :class:`IntervalSchedule`.
 
-        Padding-block operations and degenerate fetch+evict pairs of the same
-        block in the same interval are dropped; evictions are paired with the
-        remaining fetches of their interval in deterministic order.
+        Each selected interval's fetched blocks are paired with its evicted
+        blocks, both in name order, after cancelling degenerate pairs that
+        fetch and evict one block in the same interval.  That gives *fetch
+        units* ``(start, end, block, victim)``: the victim leaves the cache
+        when the fetch starts, the block must be in by the interval's end.
+        Two passes per disk (the fetched block's disk) then make the units
+        realisable at the LP's charged stall, since one disk runs its
+        fetches one after another:
 
-        The extraction then applies the paper's fetch-ordering normalisation
-        (property (1) of Section 3): per disk, the fetched blocks are
-        re-assigned to the selected intervals so that, walking the intervals
-        in increasing deadline order, blocks are fetched in increasing order
-        of the reference they are needed for.  Without this step an integral
-        LP point can charge its stall to different intervals than a serial
-        execution would actually incur it in, and the executed stall could
-        exceed the LP objective; with it the executed stall never does (a
-        property the test-suite checks on randomised instances).
+        1. Endpoint normalisation (Section 3).  Two units with
+           ``(i, j)`` strictly nested in ``(i', j')`` would put the inner
+           fetch inside the outer one's window.  They become ``(i', j)``
+           with the inner block and the outer victim and ``(i, j')`` with
+           the outer block and the inner victim, so every block keeps its
+           deadline, every victim its eviction time, every fetch a victim,
+           and the pair's charge ``2F - |I| - |I'|`` is unchanged.  Each
+           step lowers the sum of squared spans, so the pass ends.
+        2. Fetch order (property (1)).  Walking the units in the paper's
+           order ``<`` (start, then end), blocks are re-assigned so that an
+           earlier unit fetches a block needed earlier; each unit keeps its
+           victim.  A unit whose new block is its own victim keeps no
+           victim.
+
+        Without these passes an integral LP point can charge its stall to
+        other intervals than a serial execution incurs it in, and the
+        executed stall could exceed the LP objective; with them it does
+        not (the test-suite checks this on randomised instances and
+        against brute force, on one disk and on several).
         """
         if not solution.is_integral:
             raise SolverError("extract_schedule needs an integral solution")
-        # Endpoint normalisation (nested intervals must share an endpoint) is a
-        # precondition for the solution to be realisable at its charged stall.
-        from .normalize import normalize_integral_solution
-
-        solution = normalize_integral_solution(solution)
-        synthetic = set(self.padding_blocks.values())
         sequence = self.instance.sequence
+        fetched_in: Dict[Interval, List[BlockId]] = {}
+        evicted_in: Dict[Interval, List[BlockId]] = {}
+        for (interval, block), value in solution.fetches.items():
+            if value > _ONE:
+                fetched_in.setdefault(interval, []).append(block)
+        for (interval, block), value in solution.evictions.items():
+            if value > _ONE:
+                evicted_in.setdefault(interval, []).append(block)
 
-        # Collect per-interval fetch/evict sets (padding dropped, degenerate
-        # same-block pairs cancelled).
-        raw: List[Tuple[Interval, List[BlockId], List[BlockId]]] = []
-        for interval in solution.selected_intervals(threshold):
-            fetched = sorted(
-                (
-                    block
-                    for (iv, block), value in solution.fetches.items()
-                    if iv == interval and value > threshold and block not in synthetic
-                ),
-                key=str,
-            )
-            evicted = sorted(
-                (
-                    block
-                    for (iv, block), value in solution.evictions.items()
-                    if iv == interval and value > threshold and block not in synthetic
-                ),
-                key=str,
-            )
+        units_by_disk: Dict[int, List[_Unit]] = {}
+        for interval in solution.selected_intervals():
+            fetched = fetched_in.get(interval, [])
+            evicted = evicted_in.get(interval, [])
             both = set(fetched) & set(evicted)
-            fetched = [b for b in fetched if b not in both]
-            evicted = [b for b in evicted if b not in both]
-            raw.append((interval, fetched, evicted))
-
-        # Property (1): per disk, re-assign fetch jobs (block + the reference
-        # position it must arrive for) to that disk's fetch slots so that the
-        # slot with the earlier interval deadline receives the job with the
-        # earlier needed-by position.
-        slots_by_disk: Dict[int, List[Tuple[Interval, int]]] = {}
-        jobs_by_disk: Dict[int, List[Tuple[int, BlockId]]] = {}
-        for raw_idx, (interval, fetched, _evicted) in enumerate(raw):
-            for block in fetched:
-                disk = self.instance.disk_of(block)
-                # 1-based position of the reference this fetch is for.
-                needed_by = sequence.next_use_from(interval.end - 1, block)
-                needed_by = needed_by + 1 if needed_by < 10**17 else 10**17
-                slots_by_disk.setdefault(disk, []).append((interval, raw_idx))
-                jobs_by_disk.setdefault(disk, []).append((needed_by, block))
-        assignment: Dict[Tuple[int, int], BlockId] = {}
-        for disk, slots in slots_by_disk.items():
-            ordered_slots = sorted(
-                range(len(slots)), key=lambda s: (slots[s][0].start, slots[s][0].end, s)
-            )
-            ordered_jobs = sorted(jobs_by_disk[disk], key=lambda job: (job[0], str(job[1])))
-            for slot_rank, slot_idx in enumerate(ordered_slots):
-                interval, raw_idx = slots[slot_idx]
-                assignment[(disk, slot_idx)] = ordered_jobs[slot_rank][1]
-
-        # Rebuild the per-interval fetch lists from the normalised assignment.
-        normalised: Dict[int, List[BlockId]] = {idx: [] for idx in range(len(raw))}
-        for disk, slots in slots_by_disk.items():
-            for slot_idx, (interval, raw_idx) in enumerate(slots):
-                normalised[raw_idx].append(assignment[(disk, slot_idx)])
+            fetched = sorted((b for b in fetched if b not in both), key=str)
+            evicted = sorted((b for b in evicted if b not in both), key=str)
+            for pos, block in enumerate(fetched):
+                victim = evicted[pos] if pos < len(evicted) else None
+                units_by_disk.setdefault(self.instance.disk_of(block), []).append(
+                    (interval.start, interval.end, block, victim)
+                )
 
         fetch_ops: List[IntervalFetch] = []
-        for raw_idx, (interval, _original_fetched, evicted) in enumerate(raw):
-            fetched = sorted(normalised[raw_idx], key=str)
-            victims = list(evicted)
-            # A block re-assigned into an interval that also evicts it would be
-            # both victim and fetched block; hand that eviction to another
-            # fetch of the same interval instead.
-            victims = [v for v in victims if v not in fetched] + [
-                v for v in victims if v in fetched
-            ]
-            for pos, block in enumerate(fetched):
-                victim = victims[pos] if pos < len(victims) else None
-                if victim == block:
-                    victim = None
+        for disk, units in units_by_disk.items():
+            while (pair := _strictly_nested(units)) is not None:
+                inner, outer = pair
+                start, end, block, victim = units[inner]
+                outer_start, outer_end, outer_block, outer_victim = units[outer]
+                units[inner] = (outer_start, end, block, outer_victim)
+                units[outer] = (start, outer_end, outer_block, victim)
+            units.sort(key=lambda unit: unit[:2])
+            # The reference each block is fetched for: its first use from the
+            # unit's end on (normalisation keeps a block's end).
+            jobs = sorted(
+                ((sequence.next_use_from(end - 1, block), str(block), block)
+                 for _start, end, block, _victim in units),
+                key=lambda job: job[:2],
+            )
+            for (start, end, _block, victim), (_use, _name, block) in zip(units, jobs):
                 fetch_ops.append(
                     IntervalFetch(
-                        start_pos=interval.start,
-                        end_pos=interval.end,
-                        disk=self.instance.disk_of(block),
+                        start_pos=start,
+                        end_pos=end,
+                        disk=disk,
                         block=block,
-                        victim=victim,
+                        victim=None if victim == block else victim,
                     )
                 )
         return IntervalSchedule(
@@ -650,3 +590,17 @@ class SynchronizedLPModel:
             f"{0 if self._A_eq is None else self._A_eq.shape[0]} equalities, "
             f"{0 if self._A_ub is None else self._A_ub.shape[0]} inequalities"
         )
+
+
+def _strictly_nested(units: List[_Unit]) -> Optional[Tuple[int, int]]:
+    """Indices ``(inner, outer)`` of two units whose intervals strictly nest, or ``None``."""
+    order = sorted(range(len(units)), key=lambda u: units[u][:2])
+    for rank, outer in enumerate(order):
+        outer_start, outer_end = units[outer][:2]
+        for inner in order[rank + 1 :]:
+            start, end = units[inner][:2]
+            if start >= outer_end:
+                break
+            if outer_start < start and end < outer_end:
+                return inner, outer
+    return None

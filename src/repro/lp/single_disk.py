@@ -1,14 +1,16 @@
 """Optimal single-disk prefetching/caching schedules.
 
 For ``D = 1`` every schedule is trivially synchronized (a single disk never
-runs two fetches at once), so the Section 3 model with ``extra_cache = 0``
-computes the true optimum ``s_OPT(sigma, k)`` — this is the Albers–Garg–
-Leonardi result that optimal single-disk schedules can be found in polynomial
-time, realised here through the same LP as the parallel case (variables
+runs two fetches at once), so the Section 3 model, whose ``k + D - 1``
+locations are exactly ``k`` here, computes the true optimum
+``s_OPT(sigma, k)`` — this is the Albers–Garg–Leonardi result that optimal
+single-disk schedules can be found in polynomial time, realised here
+through the same LP as the parallel case (variables
 ``x(I)``/``f(I,a)``/``e(I,a)``, the Section 3 constraints, objective
 ``sum_I x(I)(F - |I|)``; see :mod:`repro.lp.model`).  The single-disk
 experiments (E1–E5) use these optima as the denominator of every measured
-approximation ratio.
+approximation ratio.  The relaxation is used when it is integral and the
+exact MILP otherwise (:mod:`repro.lp.solver`).
 
 ``reduced=True`` builds the dominance-pruned single-disk model
 (``aggregate_never_requested`` — interchangeable never-requested resident
@@ -74,12 +76,7 @@ def optimal_single_disk(instance: ProblemInstance, *, reduced: bool = False) -> 
             f"optimal_single_disk needs a single-disk instance, got D={instance.num_disks}"
         )
     started = time.perf_counter()
-    model = SynchronizedLPModel(
-        instance,
-        extra_cache=0,
-        require_all_disks=False,
-        aggregate_never_requested=reduced,
-    )
+    model = SynchronizedLPModel(instance, aggregate_never_requested=reduced)
     relaxation = solve_relaxation(model)
     solution = relaxation if relaxation.is_integral else solve_integral(model)
     schedule = model.extract_schedule(solution)

@@ -4,15 +4,16 @@ Two entry points:
 
 * :func:`solve_relaxation` — the continuous relaxation via ``scipy``'s HiGHS
   LP solver.  Its optimal value lower-bounds the best synchronized schedule
-  and (by Lemma 3) the optimal unrestricted stall time ``s_OPT(sigma, k)``
-  when the model is built with ``extra_cache = D - 1``.
+  over the model's ``k + D - 1`` locations and (by Lemma 3) the optimal
+  unrestricted stall time ``s_OPT(sigma, k)``.
 
 * :func:`solve_integral` — the exact 0/1 optimum via ``scipy.optimize.milp``
-  (HiGHS branch and bound).  The paper instead proves that an optimal
-  *fractional* solution decomposes into integral solutions of no larger stall
-  (Lemma 4); the MILP is the computational substitution documented in
-  DESIGN.md and is cross-checked against the LP bound and against brute force
-  in the tests.
+  (HiGHS branch and bound).  The paper instead rounds an optimal
+  *fractional* solution by time slicing into integral solutions of no larger
+  stall (Lemma 4); this repository does not implement that rounding.  The
+  MILP is the substitution documented in DESIGN.md, used whenever the
+  relaxation is fractional, and is cross-checked against the LP bound and
+  against brute force in the tests.
 """
 
 from __future__ import annotations

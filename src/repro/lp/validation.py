@@ -5,9 +5,8 @@ The simulator already validates *schedules* dynamically; this module checks
 and ``e(I,a)`` — against the model's own constraint matrices (slot
 coverage, per-disk fetch counts, fetch/evict balance, epoch feasibility and
 the ``[0, 1]`` bounds).  The LP tests use it to make sure the matrices
-encode what the docstrings claim.  The Lemma 4 rounding code does not call
-it: the driver in :mod:`repro.lp.parallel` checks a rounded solution by
-executing its schedule.
+encode what the docstrings claim; :mod:`repro.lp.parallel` and
+:mod:`repro.lp.single_disk` check their schedules by executing them.
 """
 
 from __future__ import annotations

@@ -46,12 +46,9 @@ class TestDerived:
         )
         assert inst.cold_misses() == 2  # b and c
 
-    def test_with_cache_size_and_extra(self):
+    def test_with_cache_size(self):
         inst = ProblemInstance.single_disk(["a"], cache_size=2, fetch_time=2)
         assert inst.with_cache_size(5).cache_size == 5
-        assert inst.with_extra_cache(3).cache_size == 5
-        with pytest.raises(ConfigurationError):
-            inst.with_extra_cache(-1)
 
     def test_with_initial_cache(self):
         inst = ProblemInstance.single_disk(["a", "b"], cache_size=2, fetch_time=2)

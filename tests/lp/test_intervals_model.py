@@ -61,7 +61,7 @@ class TestEnumeration:
 
 class TestModelConstruction:
     def test_model_dimensions_single_disk(self):
-        model = SynchronizedLPModel(single_disk_example(), extra_cache=0)
+        model = SynchronizedLPModel(single_disk_example())
         assert model.capacity == 4
         assert model.num_intervals == len(enumerate_intervals(10, 4))
         assert model.num_variables > model.num_intervals
@@ -69,30 +69,25 @@ class TestModelConstruction:
 
     def test_dummy_blocks_fill_capacity(self):
         inst = ProblemInstance.single_disk(["a", "b", "c"], cache_size=3, fetch_time=2)
-        model = SynchronizedLPModel(inst, extra_cache=0)
+        model = SynchronizedLPModel(inst)
         assert len(model.dummy_blocks) == 3
         assert len(model.augmented_instance.initial_cache) == 3
 
-    def test_parallel_model_padding_only_in_strict_mode(self):
-        relaxed = SynchronizedLPModel(parallel_disk_example(), require_all_disks=False)
-        strict = SynchronizedLPModel(parallel_disk_example(), require_all_disks=True)
-        assert not relaxed.padding_blocks
-        assert set(strict.padding_blocks) == {0, 1}
-        assert strict.num_variables > relaxed.num_variables
-
-    def test_negative_extra_cache_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SynchronizedLPModel(single_disk_example(), extra_cache=-1)
+    def test_parallel_model_has_d_minus_one_extra_locations(self):
+        instance = parallel_disk_example()
+        model = SynchronizedLPModel(instance)
+        assert model.capacity == instance.cache_size + instance.num_disks - 1
+        assert len(model.augmented_instance.initial_cache) == model.capacity
 
     def test_relaxation_solution_is_feasible_for_model(self):
-        model = SynchronizedLPModel(single_disk_example(), extra_cache=0)
+        model = SynchronizedLPModel(single_disk_example())
         solution = solve_relaxation(model)
         report = validate_solution(model, solution)
         assert report.is_feasible
         assert report.objective == pytest.approx(solution.objective)
 
     def test_relaxation_lower_bounds_paper_example(self):
-        model = SynchronizedLPModel(single_disk_example(), extra_cache=0)
+        model = SynchronizedLPModel(single_disk_example())
         solution = solve_relaxation(model)
         # The paper's best option needs exactly 1 unit of stall.
         assert solution.objective <= 1.0 + 1e-6

@@ -1,20 +1,24 @@
-"""Tests for the optimal schedulers (single disk, Theorem 4 parallel, rounding)."""
+"""Tests for the optimal schedulers (single disk, Theorem 4 parallel) and
+the per-disk schedule extraction."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import Aggressive, Conservative, Delay, DemandFetch, ParallelAggressive
 from repro.analysis import brute_force_optimal_stall
-from repro.disksim import ProblemInstance, simulate
+from repro.disksim import DiskLayout, ProblemInstance, RequestSequence, simulate
+from repro.disksim.executor import execute_interval_schedule
 from repro.errors import ConfigurationError
 from repro.lp import (
+    Interval,
+    LPSolution,
     SynchronizedLPModel,
-    normalize_integral_solution,
     optimal_parallel_schedule,
     optimal_single_disk,
-    solve_integral,
-    solve_relaxation,
+    validate_solution,
 )
 from repro.workloads import (
     parallel_disk_example,
@@ -22,7 +26,8 @@ from repro.workloads import (
     uniform_random,
     zipf,
 )
-from repro.workloads.multidisk import striped_instance
+from repro.workloads.multidisk import contiguous_partitioned_instance, striped_instance
+from repro.workloads.spec import build_workload_instance
 
 
 class TestSingleDiskOptimum:
@@ -85,14 +90,6 @@ class TestParallelOptimum:
         assert optimum.stall_time <= baseline.stall_time
         assert optimum.stall_time <= optimum.charged_stall
 
-    def test_lp_rounding_path(self):
-        instance = striped_instance(uniform_random(24, 8, seed=9), 5, 3, 2)
-        rounded = optimal_parallel_schedule(instance, method="lp-rounding")
-        exact = optimal_parallel_schedule(instance, method="milp")
-        assert rounded.stall_time <= exact.charged_stall
-        assert rounded.extra_cache_used <= 2  # 2(D-1) with D=2
-        assert rounded.method_used.startswith("lp-rounding") or rounded.method_used == "milp"
-
     def test_single_disk_instance_accepted(self):
         instance = ProblemInstance.single_disk(
             ["a", "b", "c", "a"], cache_size=2, fetch_time=2
@@ -105,35 +102,115 @@ class TestParallelOptimum:
         assert optimum.lp_lower_bound <= optimum.charged_stall + 1e-6
 
 
-class TestNormalization:
-    def test_nested_intervals_get_common_endpoints(self):
+def _strictly_nested_on_one_disk(schedule) -> bool:
+    ops = schedule.fetches
+    return any(
+        a.disk == b.disk and a.start_pos < b.start_pos and b.end_pos < a.end_pos
+        for a in ops
+        for b in ops
+    )
+
+
+class TestPerDiskExtraction:
+    """``extract_schedule`` normalises fetch units one disk at a time."""
+
+    def test_nested_pair_fetching_one_and_two_blocks(self):
+        # Disk 0 holds a and b, disk 1 holds x and y.  The hand-built point
+        # fetches a and x in (0, 4) and b in (1, 2), nested in it on disk 0.
+        # Swapping whole eviction sets between the two intervals would leave
+        # one fetch without a victim and one victim never evicted.
+        instance = ProblemInstance.parallel_disk(
+            RequestSequence(["y", "b", "y", "a", "x"]),
+            cache_size=3,
+            fetch_time=3,
+            layout=DiskLayout.partitioned([["a", "b"], ["x", "y"]]),
+            initial_cache=["y"],
+        )
+        model = SynchronizedLPModel(instance)
+        d0, d1, d2 = model.dummy_blocks
+        outer, inner = Interval(0, 4), Interval(1, 2)
+        solution = LPSolution(
+            objective=3.0,
+            x={outer: 1.0, inner: 1.0},
+            fetches={(outer, "a"): 1.0, (outer, "x"): 1.0, (inner, "b"): 1.0},
+            evictions={(outer, d0): 1.0, (outer, d1): 1.0, (inner, d2): 1.0},
+            is_integral=True,
+        )
+        assert validate_solution(model, solution).is_feasible
+
+        schedule = model.extract_schedule(solution)
+        assert sorted(op.block for op in schedule.fetches) == ["a", "b", "x"]
+        assert all(op.victim is not None for op in schedule.fetches)
+        assert sorted(op.victim for op in schedule.fetches) == [d0, d1, d2]
+        assert not _strictly_nested_on_one_disk(schedule)
+
+        execution = execute_interval_schedule(
+            model.augmented_instance, schedule, capacity_override=model.capacity
+        )
+        assert execution.stall_time <= solution.charged_stall(instance.fetch_time)
+
+    def test_single_disk_fetches_never_strictly_nest(self):
         instance = ProblemInstance.single_disk(
             zipf(40, 12, seed=0, prefix="nrm_"), cache_size=6, fetch_time=4
         )
-        model = SynchronizedLPModel(instance, extra_cache=0)
-        relaxation = solve_relaxation(model)
-        solution = relaxation if relaxation.is_integral else solve_integral(model)
-        normalized = normalize_integral_solution(solution)
-        assert normalized.objective == pytest.approx(solution.objective)
-        selected = normalized.selected_intervals()
-        for outer_idx, outer in enumerate(selected):
-            for inner in selected[outer_idx + 1 :]:
-                strictly_nested = (
-                    outer.start < inner.start and inner.end < outer.end
-                )
-                assert not strictly_nested
+        assert not _strictly_nested_on_one_disk(optimal_single_disk(instance).schedule)
 
-    def test_charged_stall_preserved(self):
+    def test_single_disk_charged_stall_preserved(self):
         instance = ProblemInstance.single_disk(
             uniform_random(30, 9, seed=4, prefix="nrm2_"), cache_size=5, fetch_time=3
         )
-        model = SynchronizedLPModel(instance, extra_cache=0)
-        relaxation = solve_relaxation(model)
-        solution = relaxation if relaxation.is_integral else solve_integral(model)
-        normalized = normalize_integral_solution(solution)
-        assert normalized.charged_stall(instance.fetch_time) == solution.charged_stall(
-            instance.fetch_time
+        optimum = optimal_single_disk(instance)
+        assert optimum.schedule.charged_stall() == optimum.charged_stall
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n=st.integers(min_value=4, max_value=16),
+        blocks=st.integers(min_value=2, max_value=8),
+        k=st.integers(min_value=1, max_value=4),
+        fetch_time=st.integers(min_value=1, max_value=5),
+        disks=st.sampled_from([2, 3]),
+        partitioned=st.booleans(),
+    )
+    def test_tiny_parallel_instances_replay_within_bounds(
+        self, seed, n, blocks, k, fetch_time, disks, partitioned
+    ):
+        """Property: stall <= LP objective and <= s_OPT(k), extra <= D - 1."""
+        sequence = uniform_random(n, blocks, seed=seed, prefix="t")
+        build = contiguous_partitioned_instance if partitioned else striped_instance
+        instance = build(sequence, k, fetch_time, disks)
+        optimum = optimal_parallel_schedule(instance)
+        assert not _strictly_nested_on_one_disk(optimum.schedule)
+        assert optimum.stall_time <= optimum.charged_stall
+        assert optimum.stall_time <= brute_force_optimal_stall(instance).stall_time
+        assert optimum.extra_cache_used <= disks - 1
+
+
+class TestParallelPins:
+    """Instances whose LP optimum nests intervals that fetch different
+    numbers of blocks on a shared disk.  An extraction that swaps whole
+    eviction sets between nested intervals leaves a fetch without a victim
+    (the replay raises ``InvalidScheduleError``) or a victim never evicted
+    (stall 30 over an LP objective of 16 and s_OPT(k) = 19 on the D = 2
+    loop, stall 11 over 8 on the D = 3 loop)."""
+
+    @pytest.mark.parametrize(
+        "spec,k,fetch_time,disks,layout",
+        [
+            ("scan:blocks=12", 3, 4, 2, "partitioned"),
+            ("zipf:n=30,blocks=10,seed=0", 3, 4, 2, "striped"),
+            ("loop:blocks=8,loops=3", 4, 3, 2, "partitioned"),
+            ("loop:blocks=8,loops=3", 4, 3, 3, "partitioned"),
+        ],
+    )
+    def test_replays_within_objective_and_brute_force(self, spec, k, fetch_time, disks, layout):
+        instance = build_workload_instance(
+            spec, cache_size=k, fetch_time=fetch_time, disks=disks, layout=layout
         )
+        optimum = optimal_parallel_schedule(instance)
+        assert optimum.stall_time <= optimum.charged_stall
+        assert optimum.stall_time <= brute_force_optimal_stall(instance).stall_time
+        assert optimum.extra_cache_used <= disks - 1
 
 
 class TestExecutedStallWithinCharged:

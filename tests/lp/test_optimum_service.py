@@ -176,10 +176,8 @@ class TestReducedModel:
 
     def test_reduced_model_is_smaller_on_cold_instances(self):
         instance = _instance(12, n=30, blocks=10, k=6)
-        full = SynchronizedLPModel(instance, extra_cache=0)
-        pruned = SynchronizedLPModel(
-            instance, extra_cache=0, aggregate_never_requested=True
-        )
+        full = SynchronizedLPModel(instance)
+        pruned = SynchronizedLPModel(instance, aggregate_never_requested=True)
         assert pruned.num_variables < full.num_variables
 
     def test_reduced_model_rejected_on_parallel_instances(self):

@@ -150,6 +150,27 @@ class TestCommands:
         assert row["disks"] == 2 and row["layout"] == "striped"
         assert 0 <= row["optimal_stall"] <= row["stall_time"]
 
+    def test_ratios_parallel_baselines_never_beat_the_optimum(self, capsys, tmp_path):
+        """On D = 2 every algorithm's elapsed ratio to the Theorem 4 optimum is >= 1."""
+        import json as json_module
+
+        json_path = tmp_path / "ratios.json"
+        code = main(
+            [
+                "ratios",
+                "-w", "loop:blocks=8,loops=3",
+                "-k", "4", "-F", "3", "-D", "2",
+                "--layouts", "partitioned",
+                "-a", "parallel-aggressive;parallel-conservative;demand",
+                "--json", str(json_path),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        rows = json_module.loads(json_path.read_text())["results"]
+        assert len(rows) == 3
+        assert all(row["elapsed_ratio"] >= 1 for row in rows)
+
     def test_sweep_command(self, capsys, tmp_path):
         json_path = tmp_path / "sweep.json"
         code = main(
