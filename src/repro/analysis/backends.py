@@ -14,11 +14,12 @@ contract:
   start-up would dominate.
 * :class:`ProcessPoolBackend` — a ``ProcessPoolExecutor`` for CPU-bound
   fan-out (the default for ``workers > 1``).
-* **Adaptive chunking** — the process backend batches items into chunks
-  sized by :func:`adaptive_chunk_size` (derived from the task count and
-  the worker count), amortising per-task IPC overhead on large grids while
-  keeping every worker busy on small ones; the thread backend shares
-  memory, so it schedules per item.
+* **Task sizing** — the pools dispatch every item as its own task; the
+  runner's planner sizes the items instead.  It cuts a grid's points into
+  runs of :func:`adaptive_chunk_size` points (derived from the point count
+  and the worker count), which amortises per-task IPC overhead on large
+  grids, keeps every worker busy on small ones, and lets the points of one
+  run share their generated sequences.
 
 The pool backends scope their executors to each ``map`` call, so a backend
 holds no resources between calls.  Backends are addressed by name
@@ -55,18 +56,19 @@ _R = TypeVar("_R")
 #: enough that per-chunk dispatch overhead stays amortised.
 _CHUNKS_PER_WORKER = 4
 
-#: Never batch more than this many tasks into one chunk: an upper bound on
+#: Never put more than this many items into one chunk: an upper bound on
 #: the work lost when a worker dies and on scheduling granularity.
 _MAX_CHUNK = 64
 
 
 def adaptive_chunk_size(num_tasks: int, workers: int) -> int:
-    """The chunk size the pool backends use for ``num_tasks`` over ``workers``.
+    """How many of ``num_tasks`` items one task should carry over ``workers``.
 
-    Aims for :data:`_CHUNKS_PER_WORKER` chunks per worker (so stragglers
-    rebalance), clamped to ``[1, _MAX_CHUNK]``.  Small grids therefore run
-    one task per dispatch; a 10,000-point grid on 8 workers runs 64-task
-    chunks instead of 10,000 round-trips.
+    The runner's planner cuts runs of grid points to this size.  Aims for
+    :data:`_CHUNKS_PER_WORKER` chunks per worker (so stragglers rebalance),
+    clamped to ``[1, _MAX_CHUNK]``.  Small grids therefore run one point
+    per task; a 10,000-point grid on 8 workers runs 64-point tasks instead
+    of 10,000 round-trips.
     """
     if num_tasks <= 0:
         return 1
@@ -117,21 +119,18 @@ class _PoolBackend(ExecutionBackend):
     def map(self, fn: Callable[[_T], _R], items: Sequence[_T]) -> Iterator[_R]:
         """Fan ``items`` out over the pool, yielding results in order.
 
-        The whole task list is submitted up front (one shared queue), so
-        heterogeneous tasks — simulations and LP solves — interleave across
-        the pool instead of running in phases.  The process pool batches
-        items into adaptively sized chunks (``Executor.map``'s native
-        ``chunksize``) to amortise IPC; the thread pool shares memory, so
-        chunking would only coarsen scheduling and ``chunksize`` is a no-op
-        there.  Results stream back in submission order as they complete;
-        the pool is shut down when the iterator is exhausted or closed.
+        The whole task list is submitted up front (one shared queue), one
+        item per task, so heterogeneous tasks — simulation runs, vector
+        batches and LP solves — interleave across the pool instead of
+        running in phases.  Results stream back in submission order as they
+        complete; the pool is shut down when the iterator is exhausted or
+        closed.
         """
         items = list(items)
         if not items:
             return
-        size = adaptive_chunk_size(len(items), self.workers)
         with self._executor_type(max_workers=self.workers) as pool:
-            yield from pool.map(fn, items, chunksize=size)
+            yield from pool.map(fn, items)
 
 
 class ThreadPoolBackend(_PoolBackend):

@@ -15,6 +15,11 @@ against the optimum:
   :mod:`~repro.analysis.backends` executor (``serial``/``thread``/
   ``process``, selected by ``ExperimentSpec(backend=...)`` or the CLI
   ``--backend``; ``auto`` fans out over processes when ``workers > 1``).
+  The planner sizes the tasks: stacked vector-kernel batches, and runs of
+  consecutive grid points sized by
+  :func:`~repro.analysis.backends.adaptive_chunk_size` from the point count
+  and the worker count.  A run generates each workload spec's sequence
+  once and places it per point.
   Determinism is preserved by construction: a point is regenerated from its
   spec inside the worker (all workload generators take explicit seeds), and
   results are collected in grid order regardless of completion order, so
@@ -25,10 +30,11 @@ against the optimum:
   :class:`~repro.analysis.store.RunStore`), every point's record persists
   in one WAL-mode SQLite file, keyed by a SHA-256 fingerprint of the
   *instance content* (sequence, cache size, fetch time, layout, warm set),
-  the algorithm spec and the engine.  Records are written as they
-  complete, and each declared grid registers a sweep manifest, so a killed
-  sweep keeps its progress and :func:`prepare_sweep` (``repro sweep
-  --resume``) reports exactly what remains.
+  the algorithm spec and the engine.  Each task's records are written in
+  one transaction as it completes, and each declared grid registers a
+  sweep manifest, so a killed sweep keeps its progress and
+  :func:`prepare_sweep` (``repro sweep --resume``) reports exactly what
+  remains.
 
 * **Optimum pipeline** — ``ExperimentSpec(compute_optimum=True)`` routes
   every point's instance through the optimum service
@@ -58,13 +64,20 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..algorithms.registry import make_algorithm
 from ..disksim.executor import canonical_engine, simulate_with_engine
 from ..disksim.instance import ProblemInstance
+from ..disksim.sequence import RequestSequence
 from ..disksim.vector import VECTOR_FAMILIES, run_batch
 from ..errors import ConfigurationError, PointEvaluationError
 from ..lp.canonical import instance_fingerprint
 from ..lp.service import SOLVER_KEY, OptimumRecord, OptimumService
 from ..specs import with_params
-from ..workloads.spec import WORKLOAD_REGISTRY, build_workload_instance, get_layout_builder
-from .backends import ExecutionBackend, make_backend, resolve_backend_name
+from ..workloads.spec import (
+    WORKLOAD_REGISTRY,
+    build_workload_instance,
+    generate_sequence,
+    get_layout_builder,
+    place_sequence,
+)
+from .backends import ExecutionBackend, adaptive_chunk_size, make_backend, resolve_backend_name
 from .results import ResultSet, RunRecord
 from .store import RunStore, SweepProgress, store_path_for
 
@@ -195,19 +208,34 @@ class ExperimentPoint:
     label: Optional[str] = None
     instance: Optional[ProblemInstance] = field(default=None, compare=False)
 
-    def build_instance(self) -> ProblemInstance:
-        """The problem instance of this point (built or passed through)."""
+    def build_instance(
+        self, sequences: Optional[Dict[str, Optional[RequestSequence]]] = None
+    ) -> ProblemInstance:
+        """The problem instance of this point (built or passed through).
+
+        ``sequences`` is one task's memo of the last sequence it generated,
+        keyed by workload spec: a point of that spec is only placed at its
+        ``k``, ``F``, disk count and layout.  Grid order lists a spec's
+        points consecutively, so one entry shares every sequence a run
+        can share while holding no more than one in memory.
+        """
         if self.instance is not None:
             return self.instance
         if self.workload is None:
             raise ConfigurationError("ExperimentPoint needs a workload spec or an instance")
-        return build_workload_instance(
-            self.workload,
+        placement = dict(
             cache_size=self.cache_size,
             fetch_time=self.fetch_time,
             disks=self.disks,
             layout=self.layout,
         )
+        if sequences is not None and self.workload not in sequences:
+            sequences.clear()
+            sequences[self.workload] = generate_sequence(self.workload)
+        sequence = None if sequences is None else sequences[self.workload]
+        if sequence is None:  # no memo, or an instance-kind construction
+            return build_workload_instance(self.workload, **placement)
+        return place_sequence(sequence, **placement)
 
     def describe(self) -> str:
         """Stable human-readable label of the point."""
@@ -299,16 +327,19 @@ def sweep_key_for(spec: ExperimentSpec) -> str:
 # ---------------------------------------------------------------------------------
 
 
-def _evaluate_point(point: ExperimentPoint) -> RunRecord:
-    """Worker entry: simulate one point and return its typed record.
+def _evaluate_point(
+    point: ExperimentPoint, sequences: Dict[str, Optional[RequestSequence]]
+) -> RunRecord:
+    """Simulate one point of a run and return its typed record.
 
-    Module-level (picklable) so it can run inside a pool; everything it
-    needs travels inside the :class:`ExperimentPoint`.  Any failure is
-    re-raised as a :class:`PointEvaluationError` naming the grid point, so
-    a parallel sweep's traceback says exactly which point died.
+    Everything the point needs travels inside the :class:`ExperimentPoint`;
+    ``sequences`` is its run's memo of generated sequences (see
+    :meth:`ExperimentPoint.build_instance`).  Any failure is re-raised as a
+    :class:`PointEvaluationError` naming the grid point, so a parallel
+    sweep's traceback says exactly which point died.
     """
     try:
-        instance = point.build_instance()
+        instance = point.build_instance(sequences)
         algorithm = make_algorithm(point.algorithm)
         result, engine = simulate_with_engine(instance, algorithm, engine=point.engine)
     except Exception as exc:
@@ -331,6 +362,18 @@ def _evaluate_point(point: ExperimentPoint) -> RunRecord:
         layout=point.recorded_layout(),
         engine=engine,
     )
+
+
+def _evaluate_run(points: Tuple[ExperimentPoint, ...]) -> List[RunRecord]:
+    """Worker entry: simulate a run of grid points, one by one, in order.
+
+    Points of the run that share a ``sequence``-kind workload spec share its
+    generated sequence; each is placed at its own ``k``, ``F``, disk count
+    and layout.  The memo is local to the task, so nothing outlives it (a
+    ``trace:`` file read by a later task is read afresh).
+    """
+    sequences: Dict[str, Optional[RequestSequence]] = {}
+    return [_evaluate_point(point, sequences) for point in points]
 
 
 def _evaluate_batch(points: Tuple[ExperimentPoint, ...]) -> List[RunRecord]:
@@ -373,7 +416,7 @@ def _evaluate_batch(points: Tuple[ExperimentPoint, ...]) -> List[RunRecord]:
 def _compute_point_optimum(task: Tuple[ExperimentPoint, Optional[str]]) -> OptimumRecord:
     """Worker entry: compute (or fetch from the shared store) one optimum.
 
-    Runs interleaved with :func:`_evaluate_point` on the same backend, so
+    Runs interleaved with :func:`_evaluate_run` on the same backend, so
     optimum solves proceed alongside algorithm simulations.  The
     worker-local :class:`OptimumService` consults the shared run store
     first — a warmed store makes this a fingerprint lookup, never an LP
@@ -394,14 +437,14 @@ def _compute_point_optimum(task: Tuple[ExperimentPoint, Optional[str]]) -> Optim
 
 
 def _run_task(task: Tuple[str, object]):
-    """Dispatch one tagged task (``sim`` or ``opt``) to its worker entry.
+    """Dispatch one tagged task (``sim``, ``simbatch`` or ``opt``) to its worker entry.
 
     The runner submits simulations and optimum solves as one mixed task
     list, so a single backend interleaves both kinds across its workers.
     """
     kind, payload = task
     if kind == "sim":
-        return _evaluate_point(payload)
+        return _evaluate_run(payload)
     if kind == "simbatch":
         return _evaluate_batch(payload)
     return _compute_point_optimum(payload)
@@ -412,8 +455,8 @@ def _run_task(task: Tuple[str, object]):
 # ---------------------------------------------------------------------------------
 
 #: A same-shape group smaller than this is not worth a stacked kernel pass
-#: (the numpy setup overhead eats the win); its points run as ordinary
-#: per-point tasks instead.
+#: (the numpy setup overhead eats the win); its points join the runs
+#: instead.
 MIN_VECTOR_BATCH = 8
 
 #: Ceiling on points per stacked pass: keeps worker task sizes (and the
@@ -426,7 +469,7 @@ def _vector_eligible(point: ExperimentPoint) -> bool:
 
     Positive answers are re-validated pair-by-pair inside
     :func:`~repro.disksim.vector.run_batch` (which degrades to the loop
-    engine); a negative answer just routes the point to a per-point task.
+    engine); a negative answer just routes the point to a run.
     """
     if point.disks != 1:
         return False
@@ -459,43 +502,43 @@ def _vector_bucket_key(point: ExperimentPoint) -> Tuple[object, ...]:
     )
 
 
-def _plan_execution_units(pending):
+def _plan_execution_units(pending, workers: int):
     """Group pending ``(position, point, key)`` triples into execution units.
 
-    Returns ``[(kind, items), ...]`` where ``kind`` is ``"sim"`` (one item,
-    one :func:`_evaluate_point` task) or ``"simbatch"`` (one stacked
-    :func:`_evaluate_batch` task for a same-shape bucket).  Every pending
-    triple lands in exactly one unit; units appear in first-occurrence grid
-    order and each bucket keeps its items in grid order, so zipping the
-    streamed results against the units reproduces the serial order exactly.
-    Buckets smaller than :data:`MIN_VECTOR_BATCH` are demoted to per-point
-    tasks, buckets larger than :data:`MAX_VECTOR_BATCH` are chunked.
+    Returns ``[(kind, items), ...]`` where ``kind`` is ``"simbatch"`` (one
+    stacked :func:`_evaluate_batch` task for a same-shape bucket) or
+    ``"sim"`` (one :func:`_evaluate_run` task for a run of points).  Buckets
+    smaller than :data:`MIN_VECTOR_BATCH` are demoted, buckets larger than
+    :data:`MAX_VECTOR_BATCH` are chunked.  Every other point, in grid order,
+    is cut into runs of :func:`~repro.analysis.backends.adaptive_chunk_size`
+    consecutive points for ``workers``: long enough that a run's points
+    share their sequences, short enough that every worker gets several.
+    Every pending triple lands in exactly one unit, each unit keeps its
+    items in grid order and units appear in first-occurrence grid order.
     """
-    units = []
     buckets: Dict[Tuple[object, ...], List] = {}
+    loose = []
     for item in pending:
-        _position, point, _key = item
+        point = item[1]
         engine = canonical_engine(point.engine)
         if engine in ("vector", "auto") and _vector_eligible(point):
-            bucket = _vector_bucket_key(point)
-            group = buckets.get(bucket)
-            if group is None:
-                group = buckets[bucket] = [item]
-                units.append(("simbatch", group))
-            else:
-                group.append(item)
+            buckets.setdefault(_vector_bucket_key(point), []).append(item)
         else:
-            units.append(("sim", [item]))
-    planned = []
-    for kind, items in units:
-        if kind == "sim" or len(items) < MIN_VECTOR_BATCH:
-            planned.extend(("sim", [item]) for item in items)
+            loose.append(item)
+    units = []
+    for items in buckets.values():
+        if len(items) < MIN_VECTOR_BATCH:
+            loose.extend(items)
         else:
-            planned.extend(
+            units.extend(
                 ("simbatch", items[start:start + MAX_VECTOR_BATCH])
                 for start in range(0, len(items), MAX_VECTOR_BATCH)
             )
-    return planned
+    loose.sort(key=lambda item: item[0])
+    size = adaptive_chunk_size(len(loose), workers)
+    units.extend(("sim", loose[start:start + size]) for start in range(0, len(loose), size))
+    units.sort(key=lambda unit: unit[1][0][0])
+    return units
 
 
 # ---------------------------------------------------------------------------------
@@ -515,7 +558,8 @@ def _execute_points(
     ``keys`` holds each point's store key (``None`` entries without a store).
 
     Fresh simulation records are persisted to the store *as they stream
-    back* from the backend, so a killed run keeps every completed point.
+    back* from the backend, one transaction per unit, so a killed run keeps
+    every completed unit.
     With ``compute_optimum``, optimum solves are deduplicated per instance
     identity and dispatched as ``opt`` tasks interleaved with the pending
     simulations; their results are attached to every record of that
@@ -564,27 +608,25 @@ def _execute_points(
 
     identities = list(needs_optimum)
     store_path = None if store is None else str(store.path)
-    units = _plan_execution_units(pending)
+    units = _plan_execution_units(pending, backend.workers)
     tasks: List[Tuple[str, object]] = [
-        ("sim", items[0][1]) if kind == "sim"
-        else ("simbatch", tuple(item[1] for item in items))
-        for kind, items in units
+        (kind, tuple(item[1] for item in items)) for kind, items in units
     ]
     tasks.extend(("opt", (representative[identity], store_path)) for identity in identities)
 
     solved: List[OptimumRecord] = []
     if tasks:
         results = backend.map(_run_task, tasks)
-        # Simulation results stream back first (submission order); persist
-        # each one immediately so an interrupted run loses no progress.  A
-        # "sim" unit yields one record, a "simbatch" unit one record per
-        # point (in the unit's grid order).
-        for (kind, items), result in zip(units, results):
-            unit_records = [result] if kind == "sim" else result
-            for (position, _point, key), record in zip(items, unit_records):
+        # Simulation results stream back first (submission order), one
+        # record per point in the unit's grid order; persist each unit
+        # immediately so an interrupted run loses no finished unit.
+        for (_kind, items), unit_records in zip(units, results):
+            for (position, _point, _key), record in zip(items, unit_records):
                 records[position] = record
-                if store is not None:
-                    store.put_run(key, record)
+            if store is not None:
+                store.put_runs(
+                    (key, record) for (_p, _point, key), record in zip(items, unit_records)
+                )
         solved = list(results)
 
     for identity, optimum_record in zip(identities, solved):

@@ -98,8 +98,12 @@ class OptimumRecord:
         )
 
 
-def compute_optimum_record(instance: ProblemInstance) -> OptimumRecord:
+def compute_optimum_record(instance: ProblemInstance, fingerprint: str) -> OptimumRecord:
     """Solve ``instance``'s optimum (no caching).
+
+    ``fingerprint`` is the instance's :func:`instance_fingerprint` under
+    :data:`SOLVER_KEY`, which the caller computed for its cache lookup; the
+    record carries it.
 
     Module-level on purpose: it is the single chokepoint every LP solve of
     the service goes through, so tests can monkeypatch it to count solves —
@@ -120,7 +124,7 @@ def compute_optimum_record(instance: ProblemInstance) -> OptimumRecord:
         method_used = optimum.method_used
         extra_cache_used = optimum.extra_cache_used
     return OptimumRecord(
-        fingerprint=instance_fingerprint(instance, SOLVER_KEY),
+        fingerprint=fingerprint,
         stall_time=optimum.stall_time,
         elapsed_time=optimum.elapsed_time,
         lp_lower_bound=optimum.lp_lower_bound,
@@ -161,7 +165,7 @@ class OptimumService:
         if record is None and self.record_store is not None:
             record = self.record_store.get_optimum(fingerprint)
         if record is None:
-            record = compute_optimum_record(instance)
+            record = compute_optimum_record(instance, fingerprint)
             self.solves += 1
             if self.record_store is not None:
                 self.record_store.put_optimum(record)

@@ -32,12 +32,16 @@ Multi-disk layouts are spec-addressable too: :data:`LAYOUT_BUILDERS` maps
 ``striped | hashed | roundrobin | partitioned`` to the
 :mod:`repro.workloads.multidisk` builders, and
 :func:`build_workload_instance` combines workload x layout x disk count
-into a ready :class:`ProblemInstance`.
+into a ready :class:`ProblemInstance`.  For ``sequence`` kind that is two
+steps, generation (:func:`generate_sequence`, which depends on the spec
+alone) and placement (:func:`place_sequence`, which adds ``k``, ``F``, the
+disk count and the layout), so a caller placing one spec at many grid
+points can generate its sequence once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from ..disksim.instance import ProblemInstance
 from ..disksim.sequence import RequestSequence
@@ -72,6 +76,8 @@ __all__ = [
     "WORKLOAD_REGISTRY",
     "LAYOUT_BUILDERS",
     "parse_workload",
+    "generate_sequence",
+    "place_sequence",
     "build_workload_instance",
 ]
 
@@ -337,6 +343,39 @@ def parse_workload(spec: str) -> RequestSequence:
     return built
 
 
+def generate_sequence(spec: str) -> Optional[RequestSequence]:
+    """Generation, the first step of :func:`build_workload_instance`.
+
+    A ``sequence``-kind spec yields its request sequence, which depends on
+    the spec alone, so it can be generated once and placed at many
+    (``k``, ``F``, disks, layout) points with :func:`place_sequence`.  An
+    ``instance``-kind spec yields ``None``: its construction takes ``k``
+    and ``F``, so only :func:`build_workload_instance` builds it.
+    """
+    entry, _raw, params = WORKLOAD_REGISTRY.parse(spec)
+    return entry.build(**params) if entry.kind == "sequence" else None
+
+
+def place_sequence(
+    sequence: RequestSequence,
+    *,
+    cache_size: int,
+    fetch_time: int,
+    disks: int = 1,
+    layout: str = "striped",
+) -> ProblemInstance:
+    """Placement, the second step: ``sequence`` with ``k``, ``F`` and its disks.
+
+    One disk needs no placement; ``disks > 1`` places the blocks with the
+    named :data:`LAYOUT_BUILDERS` strategy.  A disk count below 1 is a
+    :class:`ConfigurationError`.
+    """
+    _check_disk_count(disks)
+    if disks > 1:
+        return get_layout_builder(layout)(sequence, cache_size, fetch_time, disks)
+    return ProblemInstance.single_disk(sequence, cache_size, fetch_time)
+
+
 def build_workload_instance(
     spec: str,
     *,
@@ -347,29 +386,34 @@ def build_workload_instance(
 ) -> ProblemInstance:
     """Build the full problem instance described by ``spec`` x layout x disks.
 
-    ``sequence``-kind workloads are combined with the caller's cache size,
-    fetch time and (for ``disks > 1``) the named placement strategy from
-    :data:`LAYOUT_BUILDERS`.  ``instance``-kind workloads (``thm2``, ``cao``)
-    carry their own warm cache; ``k``/``F`` pinned in the spec win over the
-    caller's values, and multi-disk placement is rejected (the constructions
-    are single-disk proofs).  A disk count below 1 is a
+    ``sequence``-kind workloads are generated (:func:`generate_sequence`)
+    and placed (:func:`place_sequence`) with the caller's cache size, fetch
+    time and, for ``disks > 1``, the named strategy from
+    :data:`LAYOUT_BUILDERS`.  ``instance``-kind workloads (``thm2``,
+    ``cao``) carry their own warm cache; ``k``/``F`` pinned in the spec win
+    over the caller's values, and multi-disk placement is rejected (the
+    constructions are single-disk proofs).  A disk count below 1 is a
     :class:`ConfigurationError`.
     """
+    _check_disk_count(disks)
+    sequence = generate_sequence(spec)
+    if sequence is not None:
+        return place_sequence(
+            sequence, cache_size=cache_size, fetch_time=fetch_time, disks=disks, layout=layout
+        )
+    entry, raw, params = WORKLOAD_REGISTRY.parse(spec)
+    if disks > 1:
+        raise ConfigurationError(
+            f"workload {entry.name!r} in spec {spec!r} is a single-disk "
+            f"construction; it cannot be placed on {disks} disks"
+        )
+    if "k" not in raw:
+        params["k"] = cache_size
+    if "F" not in raw:
+        params["F"] = fetch_time
+    return entry.build(**params)
+
+
+def _check_disk_count(disks: int) -> None:
     if disks < 1:
         raise ConfigurationError(f"the disk count must be at least 1, got {disks}")
-    entry, raw, params = WORKLOAD_REGISTRY.parse(spec)
-    if entry.kind == "instance":
-        if disks > 1:
-            raise ConfigurationError(
-                f"workload {entry.name!r} in spec {spec!r} is a single-disk "
-                f"construction; it cannot be placed on {disks} disks"
-            )
-        if "k" not in raw:
-            params["k"] = cache_size
-        if "F" not in raw:
-            params["F"] = fetch_time
-        return entry.build(**params)
-    sequence = entry.build(**params)
-    if disks > 1:
-        return get_layout_builder(layout)(sequence, cache_size, fetch_time, disks)
-    return ProblemInstance.single_disk(sequence, cache_size, fetch_time)

@@ -118,8 +118,24 @@ class TestBackendEquivalence:
         base.update(overrides)
         return ExperimentSpec(**base)
 
-    def test_plain_grid_is_byte_identical_across_backends(self):
-        spec = self._spec()
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {
+                "workloads": ("markov:n=300,blocks=60",),
+                "cache_sizes": (8,),
+                "fetch_times": (4,),
+                "disks": (2, 4),
+                "layouts": ("striped", "partitioned"),
+                "algorithms": ("parallel-aggressive", "parallel-conservative"),
+                "seeds": (0, 1, 2),
+            },
+        ],
+        ids=["single-disk", "parallel-disk-runs"],
+    )
+    def test_plain_grid_is_byte_identical_across_backends(self, overrides):
+        spec = self._spec(**overrides)
         runs = {
             name: run_experiments(spec, workers=2, backend=name)
             for name in EQUIVALENCE_BACKENDS

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from repro.analysis import runner as runner_module
+from repro.analysis.backends import adaptive_chunk_size, make_backend
 from repro.analysis.runner import (
     ExperimentPoint,
     ExperimentSpec,
@@ -16,6 +18,7 @@ from repro.disksim import ProblemInstance
 from repro.errors import ConfigurationError, PointEvaluationError
 from repro.lp import instance_fingerprint
 from repro.workloads import single_disk_example, zipf
+from repro.workloads import spec as spec_module
 
 
 def _small_spec(**overrides):
@@ -114,6 +117,27 @@ class TestRun:
         assert row["elapsed_time"] == row["num_requests"] + row["stall_time"]
         assert row["layout"] is None  # single disk: no placement
 
+    def test_a_run_generates_each_distinct_sequence_once(self, monkeypatch):
+        """A run places one generated sequence at every point of its spec."""
+        spec = _small_spec(
+            workloads=("markov:n=60,blocks=20",), cache_sizes=(4,), seeds=(0, 1, 2),
+            disks=(2, 4), layouts=("striped", "partitioned"),
+            algorithms=("parallel-aggressive", "parallel-conservative"),
+        )
+        points = tuple(spec.points())
+        alone = [runner_module._evaluate_run((point,))[0] for point in points]
+        generated = []
+        original = spec_module.markov_phases
+
+        def counting(*args, **kwargs):
+            generated.append(kwargs["seed"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spec_module, "markov_phases", counting)
+        shared = runner_module._evaluate_run(points)
+        assert len(points) == 24 and generated == [0, 1, 2]
+        assert shared == alone
+
     def test_multi_disk_rows_record_layout(self):
         spec = _small_spec(
             cache_sizes=(4,), seeds=(0,), algorithms=("parallel-aggressive",),
@@ -187,6 +211,21 @@ class TestWorkerFailures:
         # names the unreadable path.
         assert "ConfigurationError" in message
         assert "/nonexistent/never.txt" in message
+
+    @pytest.mark.parametrize("workers,backend", [(0, "serial"), (2, "process")])
+    def test_failure_mid_run_names_that_point(self, workers, backend):
+        # k=0 fails when the run places its shared sequence; every other
+        # point of the grid is valid.
+        spec = _small_spec(cache_sizes=(4, 0), algorithms=("aggressive",), seeds=tuple(range(10)))
+        points = spec.points()
+        failing = next(i for i, point in enumerate(points) if point.cache_size == 0)
+        size = adaptive_chunk_size(len(points), make_backend(backend, workers).workers)
+        assert failing % size != 0  # a later point of its run, not the first
+        with pytest.raises(PointEvaluationError) as excinfo:
+            run_experiments(spec, workers=workers, backend=backend)
+        message = str(excinfo.value)
+        assert f"experiment point [{points[failing].describe()}] failed" in message
+        assert "cache_size must be >= 1" in message
 
 
 class TestFingerprint:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import repro.analysis.runner as runner_module
 import repro.lp.service as service_module
+from repro.analysis.backends import adaptive_chunk_size
 from repro.analysis.runner import (
     ExperimentSpec,
     point_cache_key,
@@ -21,6 +22,7 @@ from repro.analysis.runner import (
 from repro.analysis.results import RunRecord
 from repro.analysis.store import RunStore, store_path_for
 from repro.disksim.metrics import SimMetrics
+from repro.errors import PointEvaluationError
 from repro.lp.service import OptimumRecord, OptimumService
 
 
@@ -350,6 +352,23 @@ class TestResume:
         with RunStore(store_path_for(tmp_path)) as store:
             assert store.get_run(key) == first.records[0]
 
+    def test_failed_run_keeps_every_finished_unit(self, tmp_path):
+        """Each unit's records are stored together once the unit finishes."""
+        spec = _spec(
+            workloads=("zipf:n=40,blocks=10", "trace:path=/nonexistent/never.txt"),
+            cache_sizes=(4,), seeds=tuple(range(10)),
+        )
+        points = spec.points()
+        failing = next(i for i, point in enumerate(points) if "trace" in point.workload)
+        size = adaptive_chunk_size(len(points), 1)
+        finished = failing - failing % size  # the runs before the failing one
+        assert finished > 0 and failing % size > 0
+        with pytest.raises(PointEvaluationError):
+            run_experiments(spec, cache_dir=tmp_path)
+        with RunStore(store_path_for(tmp_path)) as store:
+            stored = [store.get_run(point_cache_key(point)) is not None for point in points]
+        assert stored == [position < finished for position in range(len(points))]
+
     def test_killed_sweep_resumes_from_stored_records(self, tmp_path, monkeypatch):
         """Records persisted before a crash count as progress on resume."""
         spec = _spec()
@@ -373,9 +392,9 @@ class TestResume:
         evaluated = []
         original = runner_module._evaluate_point
 
-        def counting(point):
+        def counting(point, sequences):
             evaluated.append(point.describe())
-            return original(point)
+            return original(point, sequences)
 
         monkeypatch.setattr(runner_module, "_evaluate_point", counting)
         resumed = run_experiments(spec, cache_dir=tmp_path)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import family_spec, random_instance
 from repro.algorithms import make_algorithm
 from repro.algorithms.registry import ALGORITHM_REGISTRY
+from repro.analysis.backends import adaptive_chunk_size
 from repro.analysis.runner import (
     MAX_VECTOR_BATCH,
     MIN_VECTOR_BATCH,
@@ -63,9 +64,10 @@ def _pending(spec):
     ),
     num_seeds=st.integers(min_value=1, max_value=12),
     engine=st.sampled_from(["vector", "auto", "loop"]),
+    workers=st.integers(min_value=1, max_value=4),
 )
 def test_every_pending_point_lands_in_exactly_one_unit(
-    workloads, cache_sizes, algorithms, num_seeds, engine
+    workloads, cache_sizes, algorithms, num_seeds, engine, workers
 ):
     """Property: the planner partitions the grid — no point dropped, none duplicated."""
     spec = _spec(
@@ -76,13 +78,17 @@ def test_every_pending_point_lands_in_exactly_one_unit(
         engine=engine,
     )
     pending = _pending(spec)
-    units = _plan_execution_units(pending)
+    units = _plan_execution_units(pending, workers)
     flattened = [item for _kind, items in units for item in items]
     assert sorted(position for position, _p, _k in flattened) == list(range(len(pending)))
     assert {id(item) for item in flattened} == {id(item) for item in pending}
+    run_positions = [p for kind, items in units if kind == "sim" for p, _point, _k in items]
+    run_size = adaptive_chunk_size(len(run_positions), workers)
+    # Runs cut the non-batched points, in grid order, into consecutive slices.
+    assert run_positions == sorted(run_positions)
     for kind, items in units:
         if kind == "sim":
-            assert len(items) == 1
+            assert 1 <= len(items) <= run_size
         else:
             assert MIN_VECTOR_BATCH <= len(items) <= MAX_VECTOR_BATCH
             # A stacked unit holds one shape bucket, in grid order.
@@ -91,26 +97,41 @@ def test_every_pending_point_lands_in_exactly_one_unit(
         assert all(kind == "sim" for kind, _items in units)
 
 
-def test_small_buckets_demote_to_per_point_tasks():
+def test_small_buckets_demote_to_runs():
     spec = _spec(seeds=tuple(range(MIN_VECTOR_BATCH - 1)))
-    units = _plan_execution_units(_pending(spec))
+    units = _plan_execution_units(_pending(spec), 1)
     assert all(kind == "sim" for kind, _items in units)
+    assert sum(len(items) for _kind, items in units) == MIN_VECTOR_BATCH - 1
     spec = _spec(seeds=tuple(range(MIN_VECTOR_BATCH)))
-    units = _plan_execution_units(_pending(spec))
+    units = _plan_execution_units(_pending(spec), 1)
     assert [kind for kind, _items in units] == ["simbatch"]
+
+
+def test_runs_are_sized_from_the_point_count_and_the_workers():
+    """160 loop points on 2 workers: 8 runs of 20 consecutive points."""
+    spec = _spec(
+        workloads=("markov:n=60,blocks=20",), engine="auto", seeds=tuple(range(20)),
+        disks=(2, 4), layouts=("striped", "partitioned"),
+        algorithms=("parallel-aggressive", "parallel-conservative"),
+    )
+    units = _plan_execution_units(_pending(spec), 2)
+    assert [kind for kind, _items in units] == ["sim"] * 8
+    assert [[p for p, _point, _k in items] for _kind, items in units] == [
+        list(range(start, start + 20)) for start in range(0, 160, 20)
+    ]
 
 
 def test_oversized_buckets_chunk_at_the_batch_ceiling():
     spec = _spec(seeds=tuple(range(MAX_VECTOR_BATCH + 5)))
-    units = _plan_execution_units(_pending(spec))
+    units = _plan_execution_units(_pending(spec), 1)
     assert [kind for kind, _items in units] == ["simbatch", "simbatch"]
     assert [len(items) for _kind, items in units] == [MAX_VECTOR_BATCH, 5]
 
 
-def test_ineligible_points_run_per_point():
+def test_ineligible_points_join_runs():
     """Uncovered families and parallel-disk points never enter a bucket."""
     spec = _spec(algorithms=("aggressive", "conservative"), seeds=tuple(range(8)))
-    units = _plan_execution_units(_pending(spec))
+    units = _plan_execution_units(_pending(spec), 1)
     kinds = {}
     for kind, items in units:
         for _position, point, _key in items:
@@ -124,7 +145,7 @@ def test_prescreen_buckets_exactly_the_families_the_kernel_plans(family):
     """The runner stacks a single-disk family into a kernel batch exactly when
     the vector planner has a plan for it."""
     spec = family_spec(family)
-    units = _plan_execution_units(_pending(_spec(algorithms=(spec,))))
+    units = _plan_execution_units(_pending(_spec(algorithms=(spec,))), 1)
     planned = ineligibility_reason(random_instance(0), make_algorithm(spec)) is None
     assert {kind for kind, _items in units} == ({"simbatch"} if planned else {"sim"})
 

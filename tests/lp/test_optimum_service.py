@@ -91,6 +91,23 @@ class TestServiceCaching:
         assert service.solves == 1
         assert first == second
 
+    def test_one_solve_fingerprints_its_instance_once(self, monkeypatch):
+        """The service hands the fingerprint it looked up to the solve."""
+        calls = []
+        original = service_module.instance_fingerprint
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "instance_fingerprint", counting)
+        instance = ProblemInstance.single_disk(zipf(30, 8, seed=0), cache_size=4, fetch_time=3)
+        service = OptimumService()
+        record = service.optimum(instance)
+        assert service.solves == 1
+        assert calls == [(instance, SOLVER_KEY)]
+        assert record.fingerprint == original(instance, SOLVER_KEY)
+
     def test_warmed_cache_never_resolves(self, tmp_path, monkeypatch):
         instance = _instance(7, n=16, blocks=6, k=3)
         with RunStore(tmp_path / "runs.sqlite") as store:
