@@ -4,7 +4,7 @@ in single and parallel disk systems* (SPAA 2003 / Information and Computation 20
 The package provides:
 
 * :mod:`repro.disksim` — the single/parallel disk simulation substrate,
-* :mod:`repro.paging` — classical paging with Belady's MIN,
+* :mod:`repro.paging` — Belady's MIN, run on the engine's furthest-next-use heap,
 * :mod:`repro.algorithms` — Aggressive, Conservative, Delay(d), Combination and
   the parallel-disk baselines,
 * :mod:`repro.lp` — the Section 3 linear-programming machinery and exact

@@ -4,8 +4,9 @@ Single disk (Section 2 of the paper): :class:`Aggressive`,
 :class:`Conservative`, the new :class:`Delay` family and :class:`Combination`.
 Parallel disks: :class:`ParallelAggressive` and :class:`ParallelConservative`
 (the Kimbrel–Karlin style baselines the Section 3 LP algorithm is compared
-against).  :class:`DemandFetch` is the no-prefetching baseline (MIN
-caching).  Delay's ``d`` is the only parameter an algorithm takes.
+against).  :class:`DemandFetch` is the no-prefetching baseline: it leaves every
+fetch to the engine's forced demand fetch, whose victims are MIN's.  Delay's
+``d`` is the only parameter an algorithm takes.
 """
 
 from .aggressive import Aggressive

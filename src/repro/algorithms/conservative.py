@@ -11,7 +11,8 @@ it as the other end of the spectrum that the Delay(d) family spans.
 Implementation
 --------------
 The replacements are precomputed by replaying MIN over the sequence
-(:mod:`repro.paging.belady`).  Each MIN fault yields a planned fetch
+(:func:`repro.paging.run_paging`, one pass over the engine's
+furthest-next-use heap).  Each MIN fault yields a planned fetch
 ``(block, victim, earliest start position)`` (:func:`min_plan`, which
 ParallelConservative shares); fetches are issued in fault order whenever the
 disk is idle and the cursor has reached the earliest start position.
@@ -30,7 +31,6 @@ from .._typing import BlockId
 from ..disksim.executor import FetchDecision, PolicyView
 from ..disksim.instance import ProblemInstance
 from ..paging.base import PagingResult, run_paging
-from ..paging.belady import BeladyMIN
 from .base import PrefetchAlgorithm
 
 __all__ = ["Conservative", "PlannedFetch", "min_plan"]
@@ -79,10 +79,7 @@ class Conservative(PrefetchAlgorithm):
 
     def on_reset(self, instance: ProblemInstance) -> None:
         result = run_paging(
-            instance.sequence,
-            instance.cache_size,
-            BeladyMIN(),
-            initial_cache=instance.initial_cache,
+            instance.sequence, instance.cache_size, initial_cache=instance.initial_cache
         )
         self._plan = min_plan(instance, result)
         self._next_plan_index = 0

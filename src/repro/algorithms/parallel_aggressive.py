@@ -28,7 +28,6 @@ from .._typing import BlockId
 from ..disksim.executor import FetchDecision, PolicyView
 from ..disksim.instance import ProblemInstance
 from ..paging.base import run_paging
-from ..paging.belady import BeladyMIN
 from .base import PrefetchAlgorithm
 from .conservative import PlannedFetch, min_plan
 
@@ -78,10 +77,7 @@ class ParallelConservative(PrefetchAlgorithm):
 
     def on_reset(self, instance: ProblemInstance) -> None:
         result = run_paging(
-            instance.sequence,
-            instance.cache_size,
-            BeladyMIN(),
-            initial_cache=instance.initial_cache,
+            instance.sequence, instance.cache_size, initial_cache=instance.initial_cache
         )
         queues: Dict[int, List[PlannedFetch]] = {d: [] for d in range(instance.num_disks)}
         for planned in min_plan(instance, result):

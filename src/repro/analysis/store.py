@@ -228,10 +228,6 @@ class RunStore:
             ).fetchone()
         return None if row is None else _decode_row(RunRecord.from_json_dict, row[0])
 
-    def put_run(self, key: str, record: RunRecord) -> None:
-        """Upsert one record under ``key`` (see :meth:`put_runs`)."""
-        self.put_runs([(key, record)])
-
     def put_runs(self, items: Iterable[Tuple[str, RunRecord]]) -> None:
         """Upsert a batch of ``(key, record)`` pairs in one transaction.
 

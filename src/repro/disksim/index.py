@@ -36,7 +36,10 @@ structures that turn those queries into amortised O(log k) operations:
   cursor, so runs whose policy never asks (Conservative) pay nothing.
 
 All three are consulted through :class:`~repro.disksim.executor.PolicyView`;
-policies never touch them directly.
+policies never touch them directly.  Belady's MIN
+(:func:`repro.paging.run_paging`) is one pass over an :class:`EvictionHeap`
+of its own, so the engine's forced demand fetches and MIN's replacements
+follow one eviction rule.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .._typing import INFINITY, BlockId, DiskId
 from .disk import DiskLayout
 from .sequence import RequestSequence
 
-__all__ = ["SequenceIndex", "MissTracker", "EvictionHeap", "ReversedStr"]
+__all__ = ["SequenceIndex", "MissTracker", "EvictionHeap"]
 
 
 class SequenceIndex:
@@ -211,8 +214,8 @@ class MissTracker:
 class ReversedStr:
     """String wrapper with inverted ordering (turns heapq into a max-heap key).
 
-    Both furthest-next-use heaps — :class:`EvictionHeap` and the MIN paging
-    policy's — break next-use ties by the larger block string this way.
+    :class:`EvictionHeap` breaks next-use ties by the larger block string
+    this way.
     """
 
     __slots__ = ("value",)
@@ -314,10 +317,3 @@ class EvictionHeap:
         for entry in stash:
             heappush(heap, entry)
         return found
-
-    def next_use_of_best(self, cursor: int) -> int:
-        """Next use of :meth:`best`'s answer (``INFINITY`` when heap empty)."""
-        block = self.best(cursor)
-        if block is None:
-            return INFINITY
-        return self._sequence.next_use_from(cursor, block)

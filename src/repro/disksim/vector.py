@@ -32,12 +32,11 @@ the point of the kernel; a caller that needs the log passes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .._typing import BlockId
-from ..errors import ConfigurationError
 from .instance import ProblemInstance
 from .metrics import SimMetrics
 from .schedule import Schedule, TimedFetch
@@ -542,33 +541,21 @@ def run_batch(
 
 def simulate_batch(
     instances: Sequence[ProblemInstance],
-    algorithm: Union[str, Callable[[], object], object],
+    spec: str,
     *,
     schedules: bool = False,
 ) -> List[BatchOutcome]:
     """Run one algorithm over many instances in a single stacked kernel pass.
 
-    ``algorithm`` may be a registry spec string (``"delay:d=3"``), a
-    zero-argument factory, or a policy object (reused across rows; safe
-    because every row resets it before reading its state).  Returns one
-    :class:`BatchOutcome` per instance, in input order.
+    ``spec`` is a registry spec string (``"delay:d=3"``); every row gets its
+    own policy object built from it.  Returns one :class:`BatchOutcome` per
+    instance, in input order.
     """
-    pairs = []
-    for instance in instances:
-        if isinstance(algorithm, str):
-            from ..algorithms.registry import make_algorithm
+    from ..algorithms.registry import make_algorithm
 
-            policy = make_algorithm(algorithm)
-        elif hasattr(algorithm, "decide") and not isinstance(algorithm, type):
-            policy = algorithm
-        elif callable(algorithm):
-            policy = algorithm()
-        else:
-            raise ConfigurationError(
-                f"simulate_batch expects a spec string, factory or policy, got {algorithm!r}"
-            )
-        pairs.append((instance, policy))
-    return run_batch(pairs, schedules=schedules)
+    return run_batch(
+        [(instance, make_algorithm(spec)) for instance in instances], schedules=schedules
+    )
 
 
 def simulate_vector(

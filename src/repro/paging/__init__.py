@@ -1,17 +1,14 @@
-"""Classical paging (pure caching): the eviction-policy protocol and Belady's MIN.
+"""Classical paging (pure caching): Belady's MIN.
 
-These are the caching-only substrate of the integrated problem: the
-Conservative prefetching algorithms replay MIN's replacement decisions and
-demand fetching evicts MIN's victims.
+This is the caching-only substrate of the integrated problem: the
+Conservative prefetching algorithms replay MIN's replacement decisions.
+MIN runs on the simulation engine's furthest-next-use heap, whose victims
+the engine's forced demand fetches also take.
 """
 
-from .base import EvictionPolicy, PagingResult, run_paging
-from .belady import BeladyMIN, min_fault_count
+from .base import PagingResult, run_paging
 
 __all__ = [
-    "EvictionPolicy",
     "PagingResult",
     "run_paging",
-    "BeladyMIN",
-    "min_fault_count",
 ]

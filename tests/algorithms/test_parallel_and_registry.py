@@ -17,7 +17,7 @@ from repro.algorithms import (
 from repro.algorithms import registry as registry_module
 from repro.disksim import ProblemInstance, execute_schedule, simulate
 from repro.errors import ConfigurationError
-from repro.paging import BeladyMIN, run_paging
+from repro.paging import run_paging
 from repro.specs import Registry
 from repro.workloads import parallel_disk_example, uniform_random
 from repro.workloads.multidisk import striped_instance
@@ -103,8 +103,7 @@ class TestParallelConservative:
                 workload, cache_size=6, fetch_time=3, disks=disks, layout=layout
             )
             paging = run_paging(
-                instance.sequence, instance.cache_size, BeladyMIN(),
-                initial_cache=instance.initial_cache,
+                instance.sequence, instance.cache_size, initial_cache=instance.initial_cache
             )
             fetches = simulate(instance, ParallelConservative()).schedule.fetches
             made = sorted((f.block, str(f.victim)) for f in fetches)

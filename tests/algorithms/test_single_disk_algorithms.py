@@ -16,7 +16,7 @@ from repro.algorithms import (
 from repro.algorithms.conservative import min_plan
 from repro.core.bounds import aggressive_bound_refined, best_delay_parameter, delay_best_bound
 from repro.disksim import ProblemInstance, RequestSequence, simulate
-from repro.paging import BeladyMIN, min_fault_count, run_paging
+from repro.paging import run_paging
 from repro.workloads.spec import WORKLOAD_REGISTRY, build_workload_instance
 
 from helpers import random_single_instances
@@ -52,10 +52,9 @@ class TestAggressive:
             assert aggressive <= demand
 
     def test_fetch_count_at_least_min_faults(self, small_cold_instance):
-        result = simulate(small_cold_instance, Aggressive())
-        faults = min_fault_count(
-            small_cold_instance.sequence, small_cold_instance.cache_size
-        )
+        instance = small_cold_instance
+        result = simulate(instance, Aggressive())
+        faults = run_paging(instance.sequence, instance.cache_size).faults
         assert result.metrics.num_fetches >= faults
 
 
@@ -69,9 +68,9 @@ class TestConservative:
         """Conservative performs exactly MIN's replacements (same fetch count)."""
         for instance in random_single_instances(4):
             result = simulate(instance, Conservative())
-            faults = min_fault_count(
+            faults = run_paging(
                 instance.sequence, instance.cache_size, instance.initial_cache
-            )
+            ).faults
             assert result.metrics.num_fetches == faults
             assert result.metrics.num_demand_fetches <= faults
 
@@ -82,9 +81,7 @@ class TestConservative:
         # k - 1 = 4 is a multiple of F - 1 = 2, as thm2 requires.
         instance = build_workload_instance(workload, cache_size=5, fetch_time=3)
         sequence = instance.sequence
-        paging = run_paging(
-            sequence, instance.cache_size, BeladyMIN(), initial_cache=instance.initial_cache
-        )
+        paging = run_paging(sequence, instance.cache_size, initial_cache=instance.initial_cache)
         plan = min_plan(instance, paging)
         assert [(p.miss_pos, p.block, p.victim) for p in plan] == list(paging.evictions)
         for planned in plan:
@@ -160,9 +157,9 @@ class TestDemandFetch:
         """With MIN replacement and no prefetching, every fault stalls F units."""
         for instance in random_single_instances(4):
             result = simulate(instance, DemandFetch())
-            faults = min_fault_count(
+            faults = run_paging(
                 instance.sequence, instance.cache_size, instance.initial_cache
-            )
+            ).faults
             assert result.stall_time == faults * instance.fetch_time
             assert result.metrics.num_fetches == faults
 

@@ -108,12 +108,12 @@ class TestSerialParallelOptima:
             for point in spec.points():
                 key = point_cache_key(point)
                 record = store.get_run(key)
-                store.put_run(key, record.with_optimum(
+                store.put_runs([(key, record.with_optimum(
                     optimal_stall=record.optimal_stall,
                     optimal_elapsed=record.optimal_elapsed,
                     solve_seconds=record.optimum_solve_seconds,
                     solver_key="method=milp;stale",
-                ))
+                ))])
         second = run_experiments(spec, cache_dir=tmp_path)
         # Every point is a cached simulation, but its optimum is re-attached
         # through the fingerprinted optimum store (a lookup, not a solve).

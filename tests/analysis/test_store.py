@@ -129,16 +129,16 @@ class TestRunPersistence:
     def test_round_trip_is_equality(self, tmp_path):
         with RunStore(tmp_path / "s.sqlite") as store:
             record = _record()
-            store.put_run("k1", record)
+            store.put_runs([("k1", record)])
             assert store.get_run("k1") == record
             assert store.get_run("missing") is None
             assert store.count_runs() == 1
 
     def test_upsert_replaces(self, tmp_path):
         with RunStore(tmp_path / "s.sqlite") as store:
-            store.put_run("k", _record())
+            store.put_runs([("k", _record())])
             upgraded = _record(optimal_stall=1, optimal_elapsed=12)
-            store.put_run("k", upgraded)
+            store.put_runs([("k", upgraded)])
             assert store.count_runs() == 1
             assert store.get_run("k") == upgraded
 
@@ -153,7 +153,7 @@ class TestRunPersistence:
 
     def test_corrupt_row_is_a_miss(self, tmp_path):
         with RunStore(tmp_path / "s.sqlite") as store:
-            store.put_run("k", _record())
+            store.put_runs([("k", _record())])
             with store._conn:
                 store._conn.execute("UPDATE runs SET record = '{not json'")
             assert store.get_run("k") is None
@@ -169,7 +169,7 @@ class TestRunPersistence:
         table, field = target
         body = _RUN_BODY if table == "runs" else _OPTIMUM.as_json_dict()
         with RunStore(tmp_path_factory.mktemp("corrupt") / "s.sqlite") as store:
-            store.put_run("k", _record())
+            store.put_runs([("k", _record())])
             store.put_optimum(_OPTIMUM)
             with store._conn:
                 store._conn.execute(
@@ -385,7 +385,7 @@ class TestResume:
                 [(point_cache_key(p), p.describe()) for p in points],
             )
             for point, record in list(zip(points, full.records))[:half]:
-                store.put_run(point_cache_key(point), record)
+                store.put_runs([(point_cache_key(point), record)])
             progress = prepare_sweep(spec, store)
             assert progress.done == half and progress.remaining == half
 

@@ -131,8 +131,9 @@ class TestEvictionHeap:
         assert heap.best(0) == "b"
 
     def test_never_reused_block_has_infinite_key(self):
-        seq = RequestSequence(["a", "b", "a"])
+        seq = RequestSequence(["z", "b", "z"])
         heap = EvictionHeap(seq)
         heap.add("b", 2)  # added after its only use: next use is INFINITY
+        heap.add("z", 2)  # next used at 2, and "z" wins string ties
+        assert seq.next_use_from(2, "b") == INFINITY
         assert heap.best(2) == "b"
-        assert heap.next_use_of_best(2) == INFINITY

@@ -1,4 +1,4 @@
-"""Tests for the classical paging substrate (run_paging and MIN)."""
+"""Tests for the classical paging substrate: MIN (run_paging)."""
 
 from __future__ import annotations
 
@@ -10,37 +10,39 @@ from hypothesis import strategies as st
 
 from repro.disksim import RequestSequence
 from repro.errors import ConfigurationError
-from repro.paging import BeladyMIN, EvictionPolicy, min_fault_count, run_paging
+from repro.paging import run_paging
 
 
 class TestRunPaging:
     def test_simple_min_run(self):
         seq = RequestSequence(["a", "b", "c", "a", "b", "d", "a"])
-        result = run_paging(seq, 2, BeladyMIN())
+        result = run_paging(seq, 2)
         assert result.faults + result.hits == len(seq)
-        assert result.faults == min_fault_count(seq, 2)
-        assert 0 < result.fault_rate <= 1
+        assert result.faults == len(result.evictions)
+        assert 0 < result.faults <= len(seq)
 
     def test_initial_cache_reduces_faults(self):
         seq = RequestSequence(["a", "b", "a", "b"])
-        cold = run_paging(seq, 2, BeladyMIN())
-        warm = run_paging(seq, 2, BeladyMIN(), initial_cache=["a", "b"])
+        cold = run_paging(seq, 2)
+        warm = run_paging(seq, 2, initial_cache=["a", "b"])
         assert cold.faults == 2
         assert warm.faults == 0
 
     def test_eviction_record(self):
         seq = RequestSequence(["a", "b", "c"])
-        result = run_paging(seq, 2, BeladyMIN())
-        assert result.eviction_at(2) in {"a", "b"}
-        assert result.eviction_at(0) is None  # free slot, no eviction
+        result = run_paging(seq, 2)
+        # free slots for a and b, then c evicts one of them
+        assert result.evictions[:2] == ((0, "a", None), (1, "b", None))
+        position, block, victim = result.evictions[2]
+        assert (position, block) == (2, "c") and victim in {"a", "b"}
 
     def test_invalid_cache_size(self):
         with pytest.raises(ConfigurationError):
-            run_paging(["a"], 0, BeladyMIN())
+            run_paging(["a"], 0)
 
     def test_oversized_initial_cache(self):
         with pytest.raises(ConfigurationError):
-            run_paging(["a"], 1, BeladyMIN(), initial_cache=["x", "y"])
+            run_paging(["a"], 1, initial_cache=["x", "y"])
 
 
 class TestBelady:
@@ -48,47 +50,57 @@ class TestBelady:
         # The textbook reference string: MIN faults 7 times with 3 frames
         # (LRU faults 10 times, FIFO 9).
         seq = RequestSequence(["a", "b", "c", "d", "a", "b", "e", "a", "b", "c", "d", "e"])
-        assert min_fault_count(seq, 3) == 7
+        assert run_paging(seq, 3).faults == 7
 
     def test_min_evicts_furthest(self):
         seq = RequestSequence(["a", "b", "c", "a", "b"])
-        result = run_paging(seq, 2, BeladyMIN())
+        result = run_paging(seq, 2)
         # at the fault for c (position 2), a is next used at 3, b at 4 -> evict b
-        assert result.eviction_at(2) == "b"
+        assert result.evictions[2] == (2, "c", "b")
 
     def test_never_requested_again_evicted_first(self):
         seq = RequestSequence(["a", "b", "z", "a", "b", "a", "b"])
-        result = run_paging(seq, 2, BeladyMIN(), initial_cache=["a", "b"])
+        result = run_paging(seq, 2, initial_cache=["a", "b"])
         # the fault for z must evict a or b, then the evicted one faults back once
         assert result.faults == 2
 
 
-class _RandomVictim(EvictionPolicy):
-    """Evicts a random resident block, drawn from a seeded generator."""
+def _reference_paging(sequence, cache_size, choose_victim, warm=()):
+    """Demand paging with a pluggable victim rule: (faults, eviction tuples).
 
-    name = "random"
+    ``choose_victim(sequence, position, resident)`` names the block to evict
+    when the request at ``position`` faults with a full cache.
+    """
+    seq = RequestSequence(sequence)
+    resident = set(warm)
+    evictions = []
+    for position, block in enumerate(seq):
+        if block in resident:
+            continue
+        victim = None
+        if len(resident) >= cache_size:
+            victim = choose_victim(seq, position, resident)
+            resident.discard(victim)
+        resident.add(block)
+        evictions.append((position, block, victim))
+    return len(evictions), tuple(evictions)
 
-    def __init__(self, seed):
-        self._seed = seed
 
-    def reset(self, sequence, cache_size):
-        self._rng = random.Random(self._seed)
-
-    def choose_victim(self, position, resident, requested):
-        return self._rng.choice(sorted(resident, key=str))
+def _scan_min(seq, position, resident):
+    """MIN by a scan: furthest next use strictly after the fault, ties
+    broken by the larger block string (the rule the heap must reproduce)."""
+    return max(resident, key=lambda b: (seq.next_use_from(position + 1, b), str(b)))
 
 
-class _NearestNextUse(EvictionPolicy):
-    """Evicts the resident block requested soonest: MIN's rule reversed."""
+def _nearest_next_use(seq, position, resident):
+    """The resident block requested soonest: MIN's rule reversed."""
+    return min(resident, key=lambda b: (seq.next_use_from(position + 1, b), str(b)))
 
-    name = "nearest"
 
-    def reset(self, sequence, cache_size):
-        self._sequence = sequence
-
-    def choose_victim(self, position, resident, requested):
-        seq = self._sequence
-        return min(resident, key=lambda b: (seq.next_use_from(position + 1, b), str(b)))
+def _random_victim(seed):
+    """A random resident block, drawn from a generator seeded per run."""
+    rng = random.Random(seed)
+    return lambda seq, position, resident: rng.choice(sorted(resident, key=str))
 
 
 @settings(max_examples=40, deadline=None)
@@ -99,28 +111,13 @@ class _NearestNextUse(EvictionPolicy):
 def test_property_min_is_optimal_among_policies(blocks, cache_size):
     """MIN never faults more than any other policy (Belady's optimality)."""
     seq = RequestSequence(blocks)
-    min_faults = run_paging(seq, cache_size, BeladyMIN()).faults
-    for policy in (_NearestNextUse(), *(_RandomVictim(seed) for seed in range(3))):
-        assert min_faults <= run_paging(seq, cache_size, policy).faults
+    min_faults = run_paging(seq, cache_size).faults
+    rules = (_nearest_next_use, *(_random_victim(seed) for seed in range(3)))
+    for rule in rules:
+        faults, _ = _reference_paging(blocks, cache_size, rule)
+        assert min_faults <= faults
     # faults are at least the number of distinct blocks beyond the (empty) cache
     assert min_faults >= min(len(set(blocks)), 1)
-
-
-class _ScanMIN(EvictionPolicy):
-    """Reference MIN: scan every resident block on each fault.
-
-    The rule ``BeladyMIN``'s heap must reproduce exactly: furthest next use
-    strictly after the fault, ties broken by the larger block string.
-    """
-
-    name = "MIN"
-
-    def reset(self, sequence, cache_size):
-        self._sequence = sequence
-
-    def choose_victim(self, position, resident, requested):
-        seq = self._sequence
-        return max(resident, key=lambda b: (seq.next_use_from(position + 1, b), str(b)))
 
 
 @st.composite
@@ -147,6 +144,8 @@ def _paging_cases(draw):
 def test_property_heap_min_equals_scan_rule(case):
     """MIN's lazy heap picks exactly the scan rule's victims, fault by fault."""
     sequence, cache_size, warm = case
-    assert run_paging(sequence, cache_size, BeladyMIN(), warm) == run_paging(
-        sequence, cache_size, _ScanMIN(), warm
+    result = run_paging(sequence, cache_size, warm)
+    assert (result.faults, result.evictions) == _reference_paging(
+        sequence, cache_size, _scan_min, warm
     )
+    assert result.hits == len(sequence) - result.faults
