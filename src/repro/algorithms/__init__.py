@@ -2,6 +2,8 @@
 
 Single disk (Section 2 of the paper): :class:`Aggressive`,
 :class:`Conservative`, the new :class:`Delay` family and :class:`Combination`.
+Aggressive is ``Delay(0)``, as the paper defines it, and Combination runs one
+member of that family, so the family's one rule serves all three.
 Parallel disks: :class:`ParallelAggressive` and :class:`ParallelConservative`
 (the Kimbrel–Karlin style baselines the Section 3 LP algorithm is compared
 against).  :class:`DemandFetch` is the no-prefetching baseline: it leaves every
@@ -9,11 +11,10 @@ fetch to the engine's forced demand fetch, whose victims are MIN's.  Delay's
 ``d`` is the only parameter an algorithm takes.
 """
 
-from .aggressive import Aggressive
 from .base import PrefetchAlgorithm
 from .combination import Combination
 from .conservative import Conservative
-from .delay import Delay
+from .delay import Aggressive, Delay
 from .demand import DemandFetch
 from .parallel_aggressive import ParallelAggressive, ParallelConservative
 from .registry import ALGORITHM_REGISTRY, make_algorithm

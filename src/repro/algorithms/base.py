@@ -4,7 +4,7 @@ Every algorithm in this package implements the
 :class:`~repro.disksim.executor.PrefetchPolicy` protocol: the simulation
 engine calls ``decide`` at each decision point and the algorithm returns the
 fetches to initiate.  :class:`PrefetchAlgorithm` provides the boilerplate
-(instance bookkeeping, the single-disk guard, the fetch pre-condition) so
+(instance bookkeeping, the single-disk guard, the disk-0 decision) so
 that the individual algorithms read close to their description in the paper.
 """
 
@@ -74,15 +74,6 @@ class PrefetchAlgorithm(ABC):
         return self._instance
 
     # -- shared building blocks --------------------------------------------------------
-
-    @staticmethod
-    def can_evict_for(view: PolicyView, target_position: int, victim: BlockId) -> bool:
-        """Whether ``victim`` is not requested again before ``target_position``.
-
-        This is the pre-condition all the paper's algorithms place on a fetch:
-        the evicted block must not be referenced before the fetched block.
-        """
-        return view.next_use(victim) > target_position
 
     @staticmethod
     def single_disk_decision(block: BlockId, victim: Optional[BlockId]) -> List[FetchDecision]:

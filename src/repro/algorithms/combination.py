@@ -5,9 +5,12 @@ strategies has the smaller *proven* bound:
 
 * ``Delay(d0)`` with the Corollary 1 parameter ``d0 = ceil((sqrt(3)-1)F/2)``
   whose ratio tends to √3, or
-* the standard Aggressive strategy, whose Theorem 1 ratio
+* the standard Aggressive strategy (``Delay(0)``), whose Theorem 1 ratio
   ``1 + F/(k + ceil(k/F) - 1)`` is better whenever the cache is large relative
   to the fetch time.
+
+Either way Combination runs a member of the Delay family, so the vector
+kernel runs it as the ``Delay(d)`` that :meth:`Combination.select_for` picks.
 
 The resulting approximation guarantee is
 ``min{1 + F/(k + ceil(k/F) - 1), ratio(Delay(d0))}`` — strictly better than
@@ -21,9 +24,8 @@ from typing import List, Optional
 from ..core.bounds import aggressive_bound_refined, best_delay_parameter, delay_bound
 from ..disksim.executor import FetchDecision, PolicyView
 from ..disksim.instance import ProblemInstance
-from .aggressive import Aggressive
 from .base import PrefetchAlgorithm
-from .delay import Delay
+from .delay import Aggressive, Delay
 
 __all__ = ["Combination"]
 

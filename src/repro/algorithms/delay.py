@@ -11,8 +11,9 @@ Quoting Section 2 of the paper:
      after r_{i-1} such that the evicted block b is not requested again
      before r_j."
 
-``Delay(0)`` is exactly the Aggressive strategy; ``Delay(n)`` (with ``n`` the
-sequence length) is the Conservative strategy.  Theorem 3 bounds the
+``Delay(0)`` is exactly the Aggressive strategy, so :class:`Aggressive` is
+defined here as ``Delay(0)``; ``Delay(n)`` (with ``n`` the sequence length) is
+the Conservative strategy.  Theorem 3 bounds the
 approximation ratio of Delay(d) by
 ``max{(d+F)/F, (d+2F)/(d+F), 3(d+F)/(d+2F)}``, and Corollary 1 shows the best
 choice ``d0 = ceil((sqrt(3)-1) F / 2)`` drives the ratio to sqrt(3) ≈ 1.73 —
@@ -27,7 +28,9 @@ victim ``b`` (the resident block whose next use measured from position
 remaining reference before ``j`` — which is precisely "the earliest point in
 time such that the evicted block is not requested again before r_j".  While
 such a reference remains, the algorithm simply keeps serving requests, which
-realises the delay.
+realises the delay.  When the victim is judged at the cursor (always so for
+``d = 0``, i.e. Aggressive) that wait is the decline itself, so it is not
+checked twice.
 
 The registry spec form is ``delay:d=<int>``; ``d`` is required because the
 paper's family is parametrised by definition — ``repro algorithms delay``
@@ -41,7 +44,7 @@ from typing import List
 from ..disksim.executor import FetchDecision, PolicyView
 from .base import PrefetchAlgorithm
 
-__all__ = ["Delay"]
+__all__ = ["Aggressive", "Delay"]
 
 
 class Delay(PrefetchAlgorithm):
@@ -86,9 +89,35 @@ class Delay(PrefetchAlgorithm):
             # Every cached block is requested (at or after the judging point)
             # before the missing block: serve without initiating a fetch.
             return []
-        if view.next_use(victim) <= target:
+        if judge_from > cursor and view.next_use(victim) <= target:
             # The chosen victim still has a reference between the cursor and
             # the miss: wait (keep serving) until that reference has been
             # served, i.e. start the fetch at the earliest consistent time.
             return []
         return self.single_disk_decision(sequence[target], victim)
+
+
+class Aggressive(Delay):
+    """The Aggressive algorithm (Cao et al.), single-disk version: ``Delay(0)``.
+
+    Aggressive starts prefetch operations as early as possible:
+
+        "Whenever the algorithm is not prefetching a block, it initiates a
+         prefetch for the next missing block in the sequence provided it can
+         evict a block from cache that is not requested before the block to be
+         fetched.  In this case it evicts the block whose next reference is
+         furthest in the future."
+
+    That is Delay's rule with the victim judged at the cursor.  Theorem 1 of
+    the paper shows its elapsed-time approximation ratio is at most
+    ``min{1 + F/(k + ceil(k/F) - 1), 2}`` (improving the ``min{1 + F/k, 2}``
+    bound of Cao et al.), and Theorem 2 shows this is essentially tight.  The
+    closed forms live in :mod:`repro.core.bounds`; the E1/E2 experiments
+    compare this class's measured ratios against them.  The paper leaves the
+    choice among equally furthest blocks open; the engine's native order takes
+    the largest block string, and any tie-break satisfies Theorem 1's analysis.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(0)
+        self.name = "aggressive"

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from ..errors import ConfigurationError
 from ..specs import ParamSpec, Registry
-from .aggressive import Aggressive
 from .base import PrefetchAlgorithm
 from .combination import Combination
 from .conservative import Conservative
-from .delay import Delay
+from .delay import Aggressive, Delay
 from .demand import DemandFetch
 from .parallel_aggressive import ParallelAggressive, ParallelConservative
 

@@ -20,14 +20,13 @@ from .executor import (
     simulate,
     simulate_with_engine,
 )
-from .index import EvictionHeap, MissTracker, SequenceIndex
+from .index import EvictionHeap, MissTracker
 from .instance import ProblemInstance
 from .metrics import SimMetrics
 from .schedule import IntervalFetch, IntervalSchedule, Schedule, TimedFetch
 from .sequence import RequestSequence
 from .vector import (
     BatchOutcome,
-    ineligibility_reason,
     run_batch,
     simulate_batch,
     simulate_vector,
@@ -41,7 +40,6 @@ __all__ = [
     "EventLog",
     "FetchDecision",
     "PolicyView",
-    "ineligibility_reason",
     "PrefetchPolicy",
     "SimulationResult",
     "canonical_engine",
@@ -55,7 +53,6 @@ __all__ = [
     "simulate_vector",
     "EvictionHeap",
     "MissTracker",
-    "SequenceIndex",
     "ProblemInstance",
     "SimMetrics",
     "IntervalFetch",

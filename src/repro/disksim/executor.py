@@ -25,8 +25,7 @@ accounting, while a *driver* object supplies what differs between
 policy-driven simulation and schedule replay (which fetches to issue at a
 decision point, what to do when the needed block is absent, position
 barriers).  The loop consumes the runtime indices of
-:mod:`repro.disksim.index` — a :class:`~repro.disksim.index.SequenceIndex`
-built once per instance, plus an incremental
+:mod:`repro.disksim.index` — an incremental
 :class:`~repro.disksim.index.MissTracker` per run and an
 :class:`~repro.disksim.index.EvictionHeap` built on the first query that
 needs it — so the derived queries policies are phrased in terms of (next
@@ -71,7 +70,7 @@ from .._typing import BlockId, DiskId
 from ..errors import ConfigurationError, InvalidScheduleError, PolicyError
 from .cache import CacheState
 from .events import Event, EventKind, EventLog
-from .index import EvictionHeap, MissTracker, SequenceIndex
+from .index import EvictionHeap, MissTracker
 from .instance import ProblemInstance
 from .metrics import SimMetrics
 from .schedule import IntervalSchedule, Schedule, TimedFetch
@@ -368,16 +367,16 @@ class SimulationResult:
 class _EngineState:
     """Mutable engine internals shared by the execution entry points.
 
-    With ``engine="loop"`` (the indexed event loop) the state owns the
-    per-instance :class:`SequenceIndex` (built once, cached across runs), a
-    :class:`MissTracker`, and an :class:`EvictionHeap` mirroring the resident
-    set.  The heap is built by :meth:`eviction_heap` on the first query that
-    needs it and from then on maintained incrementally by the fetch
-    lifecycle methods below, so policies that never ask for a
-    furthest-next-use victim (Conservative follows MIN's plan) never pay
-    for its per-serve upkeep.  ``"vector"`` and ``"auto"`` degrade to
-    ``"loop"`` here: the event loop is the replay/fallback engine the vector
-    kernel defers to for anything it does not cover.  ``events`` is an
+    With ``engine="loop"`` (the indexed event loop) the state owns a
+    :class:`MissTracker` and an :class:`EvictionHeap` mirroring the resident
+    set; with ``engine="scan"`` it owns neither.  The heap is built by
+    :meth:`eviction_heap` on the first query that needs it and from then on
+    maintained incrementally by the fetch lifecycle methods below, so
+    policies that never ask for a furthest-next-use victim (Conservative
+    follows MIN's plan) never pay for its per-serve upkeep.  ``"vector"``
+    and ``"auto"`` degrade to ``"loop"`` here: the event loop is the
+    replay/fallback engine the vector kernel defers to for anything it does
+    not cover.  ``events`` is an
     :class:`EventLog` only when ``record_events`` is set.
     """
 
@@ -406,16 +405,11 @@ class _EngineState:
         self.peak_used = self.cache.used_slots
         self.fetches_per_disk: Dict[DiskId, int] = {}
         self.first_look_resident: Dict[int, bool] = {}
-        if engine == "loop":
-            self.index: Optional[SequenceIndex] = SequenceIndex.for_parts(
-                instance.sequence, instance.layout
-            )
-            self.miss_tracker: Optional[MissTracker] = self.index.make_miss_tracker(
-                instance.initial_cache
-            )
-        else:
-            self.index = None
-            self.miss_tracker = None
+        self.miss_tracker: Optional[MissTracker] = (
+            MissTracker(instance.sequence, instance.layout, instance.initial_cache)
+            if engine == "loop"
+            else None
+        )
         self.evictions: Optional[EvictionHeap] = None
 
     def eviction_heap(self) -> EvictionHeap:
@@ -544,7 +538,7 @@ class _EngineState:
             cache=self.cache,
             busy_disks=frozenset(self.in_flight),
             misses=self.miss_tracker,
-            evictions=self.eviction_heap if self.index is not None else None,
+            evictions=self.eviction_heap if self.miss_tracker is not None else None,
         )
 
     def metrics(self) -> SimMetrics:
@@ -593,19 +587,14 @@ class _EngineState:
 def _default_forced_victim(state: _EngineState) -> Optional[BlockId]:
     """Victim for a forced demand fetch: free slot if any, else furthest next use.
 
+    The victim is the policies' own :meth:`PolicyView.furthest_resident`.
     Returns ``None`` both for "use a free slot" and when no victim exists at
     all (cache fully reserved by in-flight fetches); callers distinguish the
     two via ``state.cache.free_slots``.
     """
     if state.cache.free_slots > 0:
         return None
-    if state.index is not None:
-        return state.eviction_heap().best(state.cursor)
-    seq = state.instance.sequence
-    resident = state.cache.resident
-    if not resident:
-        return None
-    return max(resident, key=lambda b: (seq.next_use_from(state.cursor, b), str(b)))
+    return state.view().furthest_resident()
 
 
 # ---------------------------------------------------------------------------------
@@ -907,8 +896,8 @@ def simulate(
     ``metrics.num_demand_fetches``.
 
     ``engine`` selects the implementation: ``"loop"`` (default) runs the
-    event loop over the precomputed
-    :class:`SequenceIndex`/:class:`EvictionHeap`; ``"scan"`` re-derives every
+    event loop over the incremental
+    :class:`MissTracker`/:class:`EvictionHeap`; ``"scan"`` re-derives every
     query by scanning the sequence, exactly as the seed engine did;
     ``"vector"`` runs the numpy struct-of-arrays kernel of
     :mod:`repro.disksim.vector` (falling back to the loop for
@@ -953,10 +942,10 @@ def simulate_with_engine(
         if record_events:
             reason = "event log requested; the vector kernel records none"
         else:
-            result = _vector.simulate_vector(instance, policy)
-            if result is not None:
-                return result, "vector"
-            reason = _vector.ineligibility_reason(instance, policy)
+            outcome = _vector.simulate_vector(instance, policy)
+            if not isinstance(outcome, str):
+                return outcome, "vector"
+            reason = outcome
         engine = "loop"
     state = _EngineState(
         instance, instance.cache_size, engine=engine, record_events=record_events

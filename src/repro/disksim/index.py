@@ -4,16 +4,16 @@ The seed engine answered every derived query of the classical algorithms —
 *"position of the next request whose block is missing"*, *"resident block
 whose next use is furthest away"* — by re-scanning the request sequence at
 each decision point, making a single run O(n²·k).  This module provides the
-structures that turn those queries into amortised O(log k) operations:
-
-* :class:`SequenceIndex` — static per-(sequence, layout) data built once in
-  O(n) and cached across runs: the distinct requested blocks partitioned by
-  disk, and their first-use positions.  (The per-block occurrence lists and
-  the successor/next-use chain live on :class:`RequestSequence` itself.)
+structures that turn those queries into amortised O(log k) operations.
+The static per-sequence data they read — the per-block occurrence lists,
+first uses and the successor/next-use chain — lives on
+:class:`RequestSequence` itself.
 
 * :class:`MissTracker` — dynamic per-run data answering ``next_missing``:
   one lazy min-heap *per disk* over the currently absent blocks, keyed by
-  their next occurrence at the moment they became absent.  The key
+  their next occurrence at the moment they became absent.  Each run
+  partitions the distinct requested blocks by disk as it seeds the heaps,
+  an O(n) pass with nothing kept across runs.  The key
   invariant making laziness sound: the cursor passes a position only by
   *serving* it, which requires the block to be resident — so while a block
   stays absent its stored key cannot be overtaken.  A key only goes stale
@@ -35,7 +35,7 @@ structures that turn those queries into amortised O(log k) operations:
   query of a run that needs it, seeded from the resident set at that
   cursor, so runs whose policy never asks (Conservative) pay nothing.
 
-All three are consulted through :class:`~repro.disksim.executor.PolicyView`;
+Both are consulted through :class:`~repro.disksim.executor.PolicyView`;
 policies never touch them directly.  Belady's MIN
 (:func:`repro.paging.run_paging`) is one pass over an :class:`EvictionHeap`
 of its own, so the engine's forced demand fetches and MIN's replacements
@@ -44,7 +44,6 @@ follow one eviction rule.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from heapq import heappop, heappush
 from typing import AbstractSet, Iterable, List, Optional, Set, Tuple
 
@@ -52,66 +51,7 @@ from .._typing import INFINITY, BlockId, DiskId
 from .disk import DiskLayout
 from .sequence import RequestSequence
 
-__all__ = ["SequenceIndex", "MissTracker", "EvictionHeap"]
-
-
-class SequenceIndex:
-    """Static runtime index of one (sequence, layout) pair.
-
-    Parameters
-    ----------
-    sequence:
-        The request sequence to index.
-    layout:
-        Disk layout; only needed for the per-disk queries of parallel
-        instances (``DiskLayout.single()`` otherwise).
-    """
-
-    __slots__ = ("sequence", "layout", "blocks_by_disk")
-
-    def __init__(self, sequence: RequestSequence, layout: Optional[DiskLayout] = None) -> None:
-        self.sequence = sequence
-        self.layout = layout if layout is not None else DiskLayout.single()
-        num_disks = self.layout.num_disks
-        by_disk: List[List[BlockId]] = [[] for _ in range(num_disks)]
-        if num_disks == 1:
-            by_disk[0] = list(sequence.distinct_blocks)
-        else:
-            for block in sequence.distinct_blocks:
-                by_disk[self.layout.disk_of(block)].append(block)
-        #: Distinct requested blocks, partitioned by the disk they reside on.
-        self.blocks_by_disk: Tuple[Tuple[BlockId, ...], ...] = tuple(
-            tuple(blocks) for blocks in by_disk
-        )
-
-    # -- construction cache ---------------------------------------------------------
-
-    _CACHE: "OrderedDict[Tuple[int, int], Tuple[RequestSequence, Optional[DiskLayout], SequenceIndex]]" = OrderedDict()
-    _CACHE_LIMIT = 32
-
-    @classmethod
-    def for_parts(cls, sequence: RequestSequence, layout: Optional[DiskLayout]) -> "SequenceIndex":
-        """Build (or reuse) the index of ``(sequence, layout)``.
-
-        Sweeps simulate many algorithms over the same instance; the bounded
-        cache (strong references, so the ``id`` keys stay valid) makes the
-        O(n) build a one-time cost per instance rather than per run.
-        """
-        key = (id(sequence), id(layout))
-        cached = cls._CACHE.get(key)
-        if cached is not None and cached[0] is sequence and cached[1] is layout:
-            cls._CACHE.move_to_end(key)
-            return cached[2]
-        index = cls(sequence, layout)
-        cls._CACHE[key] = (sequence, layout, index)
-        while len(cls._CACHE) > cls._CACHE_LIMIT:
-            cls._CACHE.popitem(last=False)
-        return index
-
-    def make_miss_tracker(self, initially_present: Iterable[BlockId]) -> "MissTracker":
-        """A fresh per-run :class:`MissTracker` with everything outside
-        ``initially_present`` absent."""
-        return MissTracker(self, initially_present)
+__all__ = ["MissTracker", "EvictionHeap"]
 
 
 class MissTracker:
@@ -127,30 +67,30 @@ class MissTracker:
 
     __slots__ = ("_sequence", "_layout", "_heaps", "_absent", "_counter")
 
-    def __init__(self, index: SequenceIndex, initially_present: Iterable[BlockId]) -> None:
-        self._sequence = index.sequence
-        self._layout = index.layout
+    def __init__(
+        self,
+        sequence: RequestSequence,
+        layout: DiskLayout,
+        initially_present: Iterable[BlockId],
+    ) -> None:
+        self._sequence = sequence
+        self._layout = layout
         # Entries are (next occurrence, insertion counter, block); the counter
         # avoids comparing raw block ids, which may be of mixed types.
         self._heaps: List[List[Tuple[int, int, BlockId]]] = [
-            [] for _ in range(index.layout.num_disks)
+            [] for _ in range(layout.num_disks)
         ]
         self._absent: Set[BlockId] = set()
         self._counter = 0
-        present = (
-            initially_present
-            if isinstance(initially_present, (set, frozenset))
-            else set(initially_present)
-        )
-        first_use = index.sequence.first_use
-        for disk, blocks in enumerate(index.blocks_by_disk):
-            heap = self._heaps[disk]
-            for block in blocks:
-                if block in present:
-                    continue
-                self._absent.add(block)
-                self._counter += 1
-                heap.append((first_use(block), self._counter, block))
+        present = frozenset(initially_present)
+        first_use = sequence.first_use
+        for block in sequence.distinct_blocks:
+            if block in present:
+                continue
+            self._absent.add(block)
+            self._counter += 1
+            self._heaps[layout.disk_of(block)].append((first_use(block), self._counter, block))
+        for heap in self._heaps:
             heap.sort()
 
     def mark_present(self, block: BlockId) -> None:

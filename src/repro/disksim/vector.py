@@ -13,26 +13,27 @@ costs a handful of vectorized array operations regardless of how many rows
 
 Scope and fallback
 ------------------
-The kernel covers the single-disk native policies whose decision rules are
-pure functions of (resident set, next-use table, cursor): ``Aggressive``,
-``Delay(d)`` and ``Combination`` (resolved to whichever component it
-selects for the instance).  Everything else — parallel-disk
-instances, ``Conservative``, ``DemandFetch``, custom policies, block
-identifiers whose string forms collide — transparently falls back to the
-loop engine, per item, inside :func:`run_batch`.  The produced
+The kernel runs one decision rule, ``Delay(d)``'s, a pure function of
+(resident set, next-use table, cursor).  ``Aggressive`` is ``Delay(0)`` and
+``Combination`` is resolved to whichever of the two it selects for the
+instance, so each row carries just its ``d``.  Everything else —
+parallel-disk instances, ``Conservative``, ``DemandFetch``, custom policies,
+block identifiers whose string forms collide, empty sequences — falls back
+to the loop engine, per item, inside :func:`run_batch`; :func:`_prepare_job`
+is the one eligibility check and names the reason.  The produced
 :class:`~repro.disksim.metrics.SimMetrics` and
 :class:`~repro.disksim.schedule.Schedule` are identical to the loop engine's
-(the vector equivalence suite asserts this byte-for-byte).  The kernel
-records no :class:`~repro.disksim.events.EventLog` (``result.events`` is
-``None``), as materialising one Python event object per serve would defeat
-the point of the kernel; a caller that needs the log passes
-``record_events=True``, which runs the loop engine instead.
+(the scan == loop == vector equivalence battery asserts this byte for
+byte).  The kernel records no :class:`~repro.disksim.events.EventLog`
+(``result.events`` is ``None``), as materialising one Python event object
+per serve would defeat the point of the kernel; a caller that needs the log
+passes ``record_events=True``, which runs the loop engine instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,19 +48,10 @@ if TYPE_CHECKING:  # imported lazily at runtime (executor imports this module)
 __all__ = [
     "VECTOR_FAMILIES",
     "BatchOutcome",
-    "ineligibility_reason",
     "run_batch",
     "simulate_batch",
     "simulate_vector",
 ]
-
-@dataclass(frozen=True)
-class _Plan:
-    """Kernel-executable description of a native single-disk policy."""
-
-    kind: str  # "aggressive" | "delay"
-    d: int = 0
-
 
 #: Registry families whose policies :func:`_resolve_plan` maps to a kernel
 #: plan on a single-disk instance.  The sweep planner's pre-screen reads this
@@ -68,24 +60,22 @@ class _Plan:
 VECTOR_FAMILIES = frozenset({"aggressive", "delay", "combination"})
 
 
-def _resolve_plan(instance: ProblemInstance, policy: Any) -> Optional[_Plan]:
-    """Map ``policy`` to a kernel plan, or ``None`` if the kernel cannot run it.
+def _resolve_plan(instance: ProblemInstance, policy: Any) -> Optional[int]:
+    """The ``d`` of the ``Delay(d)`` rule ``policy`` runs, or ``None`` if the
+    kernel cannot run it.
 
-    Only the exact shipped classes qualify (``type() is`` checks): a subclass
+    Only the exact shipped classes qualify (``type()`` checks): a subclass
     may override ``decide`` arbitrarily, so it falls back to the loop engine.
     ``Combination`` is resolved through :meth:`Combination.select_for` to
     whichever component it runs on ``instance``.
     """
-    from ..algorithms.aggressive import Aggressive
     from ..algorithms.combination import Combination
-    from ..algorithms.delay import Delay
+    from ..algorithms.delay import Aggressive, Delay
 
     if type(policy) is Combination:
         policy = Combination.select_for(instance)
-    if type(policy) is Aggressive:
-        return _Plan(kind="aggressive")
-    if type(policy) is Delay:
-        return _Plan(kind="delay", d=policy.d)
+    if type(policy) in (Aggressive, Delay):
+        return policy.d
     return None
 
 
@@ -110,32 +100,12 @@ def _encode_instance(
     return seq_ids, warm_ids, blocks
 
 
-def ineligibility_reason(instance: ProblemInstance, policy: Any) -> Optional[str]:
-    """Why the vector kernel cannot run this instance/policy, or ``None``.
-
-    Mirrors the eligibility checks of ``_prepare_job`` in order without
-    building the job (and without resetting the policy), so engine-selection
-    provenance — the ``engine_reason`` of a fallen-back
-    :class:`~repro.disksim.executor.SimulationResult` — costs one plan
-    resolution and, at worst, one instance encoding.
-    """
-    if instance.num_disks != 1:
-        return "parallel-disk instance"
-    if instance.num_requests == 0:
-        return "empty request sequence"
-    if _resolve_plan(instance, policy) is None:
-        return f"no vector kernel plan for policy {getattr(policy, 'name', type(policy).__name__)!r}"
-    if _encode_instance(instance) is None:
-        return "ambiguous block identifiers (distinct blocks share a string form)"
-    return None
-
-
 @dataclass
 class _Job:
-    """One kernel row: an encoded instance plus its resolved plan."""
+    """One kernel row: an encoded instance plus the ``d`` of its Delay rule."""
 
     instance: ProblemInstance
-    plan: _Plan
+    d: int
     policy_name: str
     seq_ids: List[int]
     warm_ids: List[int]
@@ -208,9 +178,7 @@ def _run_kernel(
         resident[r, job.warm_ids] = True
     rescount = resident.sum(axis=1).astype(np.int64)
 
-    # Per-row plan parameters.
-    kind_arr = np.array([0 if j.plan.kind == "aggressive" else 1 for j in jobs])
-    d_arr = np.array([j.plan.d for j in jobs], dtype=np.int64)
+    d_arr = np.array([j.d for j in jobs], dtype=np.int64)
     base_rank = np.arange(NB + 1, dtype=np.int64)
 
     time = np.zeros(R, dtype=np.int64)
@@ -230,8 +198,6 @@ def _run_kernel(
 
     sched_chunks: List[Tuple] = []
     act = n_arr > 0
-    has_agg = bool((kind_arr == 0).any())
-    has_del = bool((kind_arr == 1).any())
     max_steps = 8 * N + 64
     steps = 0
     # The hot loop works on full (R, NB+1) matrices with boolean row masks
@@ -251,7 +217,7 @@ def _run_kernel(
             rescount[comp] += 1
             inc[comp] = -1
 
-        # 2) Decision point for idle rows: fetch per the row's plan.
+        # 2) Decision point for idle rows: fetch per the row's Delay(d) rule.
         # tgt = position of the next request to a non-resident block (= n
         # when every remaining request is resident).
         tgt = np.minimum(np.where(resident, BIG, nub).min(axis=1), n_arr)
@@ -267,57 +233,42 @@ def _run_kernel(
                 frows_parts.append(fs_rows)
                 ftgt_parts.append(tgt[fs_rows])
                 fvic_parts.append(np.full(fs_rows.size, -1, dtype=np.int64))
-            full_mask = cand_mask & (rescount >= k_arr)
-            if has_agg:
-                agg_rows = np.nonzero(full_mask & (kind_arr == 0))[0]
-                if agg_rows.size:
-                    key = np.where(resident, nub * MULT + base_rank[None, :], -1)
-                    vid = key.argmax(axis=1)
-                    vic = vid[agg_rows]
-                    ok = nub[agg_rows, vic] > tgt[agg_rows]
-                    frows_parts.append(agg_rows[ok])
-                    ftgt_parts.append(tgt[agg_rows][ok])
-                    fvic_parts.append(vic[ok])
-                    # Aggressive declines exactly when the max resident
-                    # next-use is <= target, so every decline is eligible
-                    # for the chunked serve below.
-                    decl_parts.append(agg_rows[~ok])
-            if has_del:
-                del_rows = np.nonzero(full_mask & (kind_arr == 1))[0]
-                if del_rows.size:
-                    del_tgt = tgt[del_rows]
-                    d_eff = np.minimum(d_arr[del_rows], del_tgt - cursor[del_rows])
-                    jf = cursor[del_rows] + d_eff
-                    # adj[b] = next use of b judged from position jf: blocks
-                    # requested inside the window [cursor, jf) get re-keyed
-                    # by their last in-window occurrence's successor.
-                    adj = nub[del_rows].copy()
-                    maxd = int(d_eff.max())
-                    if maxd > 0:
-                        offs = np.arange(maxd, dtype=np.int64)
-                        valid = offs[None, :] < d_eff[:, None]
-                        wpos = np.where(valid, cursor[del_rows][:, None] + offs[None, :], 0)
-                        wblk = seq2d[del_rows[:, None], wpos]
-                        wnxt = nxt2d[del_rows[:, None], wpos]
-                        sel = valid & (wnxt >= jf[:, None])
-                        ri, ci = np.nonzero(sel)
-                        adj[ri, wblk[ri, ci]] = wnxt[ri, ci]
-                    key = np.where(resident[del_rows], adj * MULT + base_rank[None, :], -1)
-                    vid = key.argmax(axis=1)
-                    pick = np.arange(del_rows.size)
-                    ok = (adj[pick, vid] > del_tgt) & (nub[del_rows, vid] > del_tgt)
-                    frows_parts.append(del_rows[ok])
-                    ftgt_parts.append(del_tgt[ok])
-                    fvic_parts.append(vid[ok])
-                    dd = del_rows[~ok]
-                    if dd.size:
-                        # Delay's decline can also rest on the *adjusted*
-                        # next-use alone; the chunked serve below is only
-                        # sound when the plain max resident next-use is
-                        # already <= target (which then pins every later
-                        # decision in the run to a decline as well).
-                        mv = np.where(resident[dd], nub[dd], np.int64(-1)).max(axis=1)
-                        decl_parts.append(dd[mv <= tgt[dd]])
+            full_rows = np.nonzero(cand_mask & (rescount >= k_arr))[0]
+            if full_rows.size:
+                full_tgt = tgt[full_rows]
+                d_eff = np.minimum(d_arr[full_rows], full_tgt - cursor[full_rows])
+                jf = cursor[full_rows] + d_eff
+                # adj[b] = next use of b judged from position jf: blocks
+                # requested inside the window [cursor, jf) get re-keyed
+                # by their last in-window occurrence's successor.  At
+                # d' = 0 (Aggressive) the window is empty and adj is nub.
+                adj = nub[full_rows]
+                maxd = int(d_eff.max())
+                if maxd > 0:
+                    offs = np.arange(maxd, dtype=np.int64)
+                    valid = offs[None, :] < d_eff[:, None]
+                    wpos = np.where(valid, cursor[full_rows][:, None] + offs[None, :], 0)
+                    wblk = seq2d[full_rows[:, None], wpos]
+                    wnxt = nxt2d[full_rows[:, None], wpos]
+                    sel = valid & (wnxt >= jf[:, None])
+                    ri, ci = np.nonzero(sel)
+                    adj[ri, wblk[ri, ci]] = wnxt[ri, ci]
+                key = np.where(resident[full_rows], adj * MULT + base_rank[None, :], -1)
+                vid = key.argmax(axis=1)
+                pick = np.arange(full_rows.size)
+                ok = (adj[pick, vid] > full_tgt) & (nub[full_rows, vid] > full_tgt)
+                frows_parts.append(full_rows[ok])
+                ftgt_parts.append(full_tgt[ok])
+                fvic_parts.append(vid[ok])
+                dd = full_rows[~ok]
+                if dd.size:
+                    # A decline can also rest on the *adjusted* next-use
+                    # alone (never at d' = 0); the chunked serve below is
+                    # only sound when the plain max resident next-use is
+                    # already <= target (which then pins every later
+                    # decision in the run to a decline as well).
+                    mv = np.where(resident[dd], nub[dd], np.int64(-1)).max(axis=1)
+                    decl_parts.append(dd[mv <= tgt[dd]])
             if frows_parts:
                 frows = np.concatenate(frows_parts)
                 if not frows.size:
@@ -474,16 +425,23 @@ def _run_kernel(
     return results
 
 
-def _prepare_job(instance: ProblemInstance, policy: Any) -> Optional[_Job]:
-    """Build a kernel job for ``(instance, policy)``, or ``None`` to fall back."""
-    if instance.num_disks != 1 or instance.num_requests == 0:
-        return None
-    plan = _resolve_plan(instance, policy)
-    if plan is None:
-        return None
+def _prepare_job(instance: ProblemInstance, policy: Any) -> Union[_Job, str]:
+    """Build a kernel job for ``(instance, policy)``, or say why it falls back.
+
+    This is the kernel's one eligibility check: the returned string is the
+    ``engine_reason`` a fallen-back
+    :class:`~repro.disksim.executor.SimulationResult` records.
+    """
+    if instance.num_disks != 1:
+        return "parallel-disk instance"
+    if instance.num_requests == 0:
+        return "empty request sequence"
+    d = _resolve_plan(instance, policy)
+    if d is None:
+        return f"no vector kernel plan for policy {getattr(policy, 'name', type(policy).__name__)!r}"
     encoded = _encode_instance(instance)
     if encoded is None:
-        return None
+        return "ambiguous block identifiers (distinct blocks share a string form)"
     seq_ids, warm_ids, blocks = encoded
     # reset() resolves the reported name (Combination renames itself to the
     # component it selected), exactly as the loop engine records it.
@@ -491,7 +449,7 @@ def _prepare_job(instance: ProblemInstance, policy: Any) -> Optional[_Job]:
     name = getattr(policy, "name", type(policy).__name__)
     return _Job(
         instance=instance,
-        plan=plan,
+        d=d,
         policy_name=name,
         seq_ids=seq_ids,
         warm_ids=warm_ids,
@@ -515,7 +473,7 @@ def run_batch(
     job_slots: List[int] = []
     for slot, (instance, policy) in enumerate(pairs):
         job = _prepare_job(instance, policy)
-        if job is not None:
+        if isinstance(job, _Job):
             jobs.append(job)
             job_slots.append(slot)
         else:
@@ -560,19 +518,19 @@ def simulate_batch(
 
 def simulate_vector(
     instance: ProblemInstance, policy: Any
-) -> "Optional[SimulationResult]":
-    """Kernel-simulate one instance, or return ``None`` when it is not covered.
+) -> "Union[SimulationResult, str]":
+    """Kernel-simulate one instance, or return why it is not covered.
 
     This is the ``engine="vector"`` entry point used by
-    :func:`repro.disksim.executor.simulate_with_engine`: a ``None`` return
-    tells the dispatcher to fall back to the loop engine without having spent
-    a duplicate simulation.  The returned result carries no event log
-    (``events=None``); schedule and metrics are identical to the loop
-    engine's.
+    :func:`repro.disksim.executor.simulate_with_engine`: a string return is
+    the fallback reason, which tells the dispatcher to run the loop engine
+    without having spent a duplicate simulation.  The returned result
+    carries no event log (``events=None``); schedule and metrics are
+    identical to the loop engine's.
     """
     job = _prepare_job(instance, policy)
-    if job is None:
-        return None
+    if isinstance(job, str):
+        return job
     from .executor import SimulationResult
 
     ((metrics, schedule),) = _run_kernel(np, [job], want_schedules=True)

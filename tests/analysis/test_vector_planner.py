@@ -20,7 +20,7 @@ from repro.analysis.runner import (
     point_cache_key,
     run_experiments,
 )
-from repro.disksim import ineligibility_reason
+from repro.disksim import simulate_with_engine
 
 
 def _spec(**overrides) -> ExperimentSpec:
@@ -146,7 +146,8 @@ def test_prescreen_buckets_exactly_the_families_the_kernel_plans(family):
     the vector planner has a plan for it."""
     spec = family_spec(family)
     units = _plan_execution_units(_pending(_spec(algorithms=(spec,))), 1)
-    planned = ineligibility_reason(random_instance(0), make_algorithm(spec)) is None
+    _result, engine = simulate_with_engine(random_instance(0), make_algorithm(spec), engine="vector")
+    planned = engine == "vector"
     assert {kind for kind, _items in units} == ({"simbatch"} if planned else {"sim"})
 
 

@@ -1,11 +1,18 @@
-"""Indexed engine vs the scan reference: byte-identical results.
+"""One oracle for the three engines: scan == loop == vector, byte for byte.
 
 The indexed engine (``engine="loop"``, the default) must be a pure
-performance transformation of the seed's scan engine: on every instance and
-policy the :class:`Schedule` (every fetch, start time, disk, victim) and the
-:class:`SimMetrics` must match exactly.  These tests sweep well over 200
-deterministic randomized instances — single- and parallel-disk — across all
-policy families, plus a hypothesis property for free-form sequences.
+performance transformation of the seed's scan engine, and the vector kernel
+(``engine="vector"``) one of the loop engine: on every instance and policy
+the :class:`Schedule` (every fetch, start time, disk, victim) and the
+:class:`SimMetrics` must match exactly.  Every case runs all three engines.
+The kernel runs the single-disk Delay family (Aggressive, Delay(d),
+Combination) and must *fall back* to the loop engine, naming why, on
+everything else: Conservative, DemandFetch and every parallel-disk
+instance.  These tests sweep 225 deterministic randomized instances —
+single- and parallel-disk — across all policy families, plus a hypothesis
+property for free-form sequences.  ``test_vector_equivalence.py`` keeps the
+kernel's own API cases (batches, Combination's branches, tie order, run
+records).
 """
 
 from __future__ import annotations
@@ -30,14 +37,16 @@ from repro.disksim import (
     RequestSequence,
     execute_schedule,
     simulate,
+    simulate_with_engine,
 )
 
+# (policy factory, engine the vector request must report) per family.
 SINGLE_DISK_FACTORIES = (
-    lambda seed: Aggressive(),
-    lambda seed: Conservative(),
-    lambda seed: Delay(seed % 11),
-    lambda seed: Combination(),
-    lambda seed: DemandFetch(),
+    (lambda seed: Aggressive(), "vector"),
+    (lambda seed: Conservative(), "loop"),
+    (lambda seed: Delay(seed % 11), "vector"),
+    (lambda seed: Combination(), "vector"),
+    (lambda seed: DemandFetch(), "loop"),
 )
 
 PARALLEL_FACTORIES = (
@@ -48,33 +57,45 @@ PARALLEL_FACTORIES = (
 
 
 def _assert_equivalent(instance, policy_factory, seed):
+    """Run all three engines; return the engine and reason the vector
+    request reported."""
     scan = simulate(instance, policy_factory(seed), engine="scan")
     indexed = simulate(instance, policy_factory(seed), engine="loop")
     assert indexed.schedule == scan.schedule, f"schedules diverge (seed {seed})"
     assert indexed.metrics == scan.metrics, f"metrics diverge (seed {seed})"
+    vector, engine = simulate_with_engine(instance, policy_factory(seed), engine="vector")
+    assert vector.schedule == indexed.schedule, f"schedules diverge (seed {seed}, engine {engine})"
+    assert vector.metrics == indexed.metrics, f"metrics diverge (seed {seed}, engine {engine})"
+    return engine, vector.engine_reason
 
 
 @pytest.mark.parametrize("seed", range(150))
 def test_single_disk_equivalence(seed):
     """150 single-disk instances, two policy families each (rotating)."""
     instance = random_instance(seed)
-    _assert_equivalent(instance, SINGLE_DISK_FACTORIES[seed % 5], seed)
-    _assert_equivalent(instance, SINGLE_DISK_FACTORIES[(seed + 2) % 5], seed)
+    for offset in (0, 2):
+        factory, expected_engine = SINGLE_DISK_FACTORIES[(seed + offset) % 5]
+        engine, _reason = _assert_equivalent(instance, factory, seed)
+        assert engine == expected_engine
 
 
 @pytest.mark.parametrize("seed", range(150, 225))
 def test_parallel_disk_equivalence(seed):
-    """75 parallel-disk instances, two policy families each (rotating)."""
+    """75 parallel-disk instances, two policy families each (rotating); the
+    kernel never claims them and says so."""
     instance = random_instance(seed, parallel=True)
-    _assert_equivalent(instance, PARALLEL_FACTORIES[seed % 3], seed)
-    _assert_equivalent(instance, PARALLEL_FACTORIES[(seed + 1) % 3], seed)
+    for offset in (0, 1):
+        engine, reason = _assert_equivalent(
+            instance, PARALLEL_FACTORIES[(seed + offset) % 3], seed
+        )
+        assert (engine, reason) == ("loop", "parallel-disk instance")
 
 
 class _PastJudgingPolicy:
     """Calls furthest_resident with a from_position *behind* the cursor.
 
     No shipped policy does this, but the PolicyView contract places no
-    precondition on from_position, so both engines must agree on it too.
+    precondition on from_position, so the engines must agree on it too.
     """
 
     name = "past-judging"
@@ -123,5 +144,10 @@ def test_property_equivalence_on_arbitrary_sequences(blocks, cache_size, fetch_t
     instance = ProblemInstance.single_disk(
         RequestSequence(blocks), cache_size=cache_size, fetch_time=fetch_time
     )
-    for policy_factory in (lambda s: Aggressive(), lambda s: Delay(delay), lambda s: DemandFetch()):
+    for policy_factory in (
+        lambda s: Aggressive(),
+        lambda s: Delay(delay),
+        lambda s: Combination(),
+        lambda s: DemandFetch(),
+    ):
         _assert_equivalent(instance, policy_factory, delay)

@@ -1,39 +1,20 @@
-"""Unit tests for the engine's runtime indices (SequenceIndex & friends)."""
+"""Unit tests for the engine's runtime indices (MissTracker, EvictionHeap)."""
 
 from __future__ import annotations
 
 from repro._typing import INFINITY
-from repro.disksim import DiskLayout, EvictionHeap, RequestSequence, SequenceIndex
+from repro.disksim import DiskLayout, EvictionHeap, MissTracker, RequestSequence
 
 
 def _tracker(sequence, present=(), layout=None):
-    return SequenceIndex(sequence, layout).make_miss_tracker(present)
-
-
-class TestSequenceIndex:
-    def test_partitions_blocks_by_disk(self):
-        layout = DiskLayout.partitioned([["a", "b"], ["x"]])
-        index = SequenceIndex(RequestSequence(["a", "x", "b", "a"]), layout)
-        assert sorted(index.blocks_by_disk[0]) == ["a", "b"]
-        assert sorted(index.blocks_by_disk[1]) == ["x"]
-
-    def test_single_disk_collapses_to_one_partition(self):
-        index = SequenceIndex(RequestSequence(["a", "b", "a"]))
-        assert len(index.blocks_by_disk) == 1
-        assert sorted(index.blocks_by_disk[0]) == ["a", "b"]
-
-    def test_empty_sequence(self):
-        index = SequenceIndex(RequestSequence([], allow_empty=True))
-        tracker = index.make_miss_tracker(())
-        assert tracker.next_missing(0) is None
-
-    def test_for_parts_caches_per_identity(self):
-        seq = RequestSequence(["a", "b"])
-        layout = DiskLayout.single()
-        assert SequenceIndex.for_parts(seq, layout) is SequenceIndex.for_parts(seq, layout)
+    return MissTracker(sequence, layout if layout is not None else DiskLayout.single(), present)
 
 
 class TestMissTracker:
+    def test_empty_sequence(self):
+        tracker = _tracker(RequestSequence([], allow_empty=True))
+        assert tracker.next_missing(0) is None
+
     def test_initial_miss_is_first_use(self):
         tracker = _tracker(RequestSequence(["a", "b", "a", "c"]), present=["a"])
         # 'a' is present; the first absent block is b at position 1.

@@ -1,14 +1,15 @@
-"""Vector engine vs the loop engine: byte-identical results.
+"""The vector kernel's own API: batches, fallback rows and run records.
 
 The struct-of-arrays batch engine (``engine="vector"``) must be a pure
-performance transformation of the loop engine, exactly as the loop engine is
-of the scan engine: on every covered instance and policy the
-:class:`SimMetrics` and the :class:`Schedule` — every fetch, start time,
-block and victim — must match exactly, and a :class:`RunRecord` produced
-through the vector path must serialize to the same bytes as the loop path
-(the ``engine`` provenance field is the one permitted difference; these
-tests normalize it before comparing).  Mirrors the 225-instance
-indexed-vs-scan oracle in ``test_engine_equivalence.py``.
+performance transformation of the loop engine: the :class:`SimMetrics` and
+the :class:`Schedule` — every fetch, start time, block and victim — must
+match exactly, and a :class:`RunRecord` produced through the vector path
+must serialize to the same bytes as the loop path (the ``engine``
+provenance field is the one permitted difference; these tests normalize it
+before comparing).  The per-instance scan == loop == vector oracle over 225
+randomized instances is ``test_engine_equivalence.py``; this module covers
+what that oracle does not reach: stacked batches, mixed batches, both of
+Combination's branches, the victim tie order and run records.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import random_instance
 from repro.algorithms import (
@@ -26,7 +25,6 @@ from repro.algorithms import (
     Conservative,
     Delay,
     DemandFetch,
-    ParallelAggressive,
 )
 from repro.algorithms.registry import make_algorithm
 from repro.analysis.runner import evaluate_instances
@@ -36,21 +34,9 @@ from repro.disksim import (
     run_batch,
     simulate,
     simulate_batch,
-    simulate_vector,
     simulate_with_engine,
 )
 from repro.workloads import uniform_random
-
-# The same five single-disk families as the indexed-vs-scan oracle: the
-# kernel natively covers Aggressive/Delay/Combination and must *fall back*
-# (not diverge) on Conservative/DemandFetch.
-SINGLE_DISK_FACTORIES = (
-    lambda seed: Aggressive(),
-    lambda seed: Conservative(),
-    lambda seed: Delay(seed % 11),
-    lambda seed: Combination(),
-    lambda seed: DemandFetch(),
-)
 
 #: Every registered single-disk-capable algorithm spec (two Delay depths,
 #: Combination and the two fallback families).
@@ -62,33 +48,6 @@ ALL_SPECS = (
     "conservative",
     "demand",
 )
-
-
-def _assert_equivalent(instance, policy_factory, seed):
-    loop = simulate(instance, policy_factory(seed), engine="loop")
-    vector, engine = simulate_with_engine(instance, policy_factory(seed), engine="vector")
-    assert vector.schedule == loop.schedule, f"schedules diverge (seed {seed}, engine {engine})"
-    assert vector.metrics == loop.metrics, f"metrics diverge (seed {seed})"
-
-
-@pytest.mark.parametrize("seed", range(150))
-def test_single_disk_equivalence(seed):
-    """150 single-disk instances, two policy families each (rotating)."""
-    instance = random_instance(seed)
-    _assert_equivalent(instance, SINGLE_DISK_FACTORIES[seed % 5], seed)
-    _assert_equivalent(instance, SINGLE_DISK_FACTORIES[(seed + 2) % 5], seed)
-
-
-@pytest.mark.parametrize("seed", range(150, 225, 3))
-def test_parallel_disk_instances_fall_back(seed):
-    """The kernel never claims parallel-disk instances; the fallback matches."""
-    instance = random_instance(seed, parallel=True)
-    assert simulate_vector(instance, ParallelAggressive()) is None
-    result, engine = simulate_with_engine(instance, ParallelAggressive(), engine="vector")
-    assert engine == "loop"
-    reference = simulate(instance, ParallelAggressive(), engine="loop")
-    assert result.schedule == reference.schedule, f"schedules diverge (seed {seed})"
-    assert result.metrics == reference.metrics
 
 
 def test_simulate_batch_matches_serial_simulation():
@@ -177,7 +136,7 @@ def _normalized_json(result_set):
 def test_run_records_byte_identical_across_engines(warm):
     """Acceptance: vector RunRecords == loop RunRecords, byte for byte.
 
-    All seven algorithm specs over warm- and cold-cache instances; the
+    All six algorithm specs over warm- and cold-cache instances; the
     ``engine`` field is the one permitted difference and is normalized on
     both sides before comparing.
     """
@@ -197,22 +156,3 @@ def test_run_records_byte_identical_across_engines(warm):
     engines = {record.engine for record in vector.records}
     assert "vector" in engines  # the covered families really took the kernel
     assert {record.engine for record in loop.records} == {"loop"}
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    blocks=st.lists(st.integers(min_value=0, max_value=9), min_size=3, max_size=40),
-    cache_size=st.integers(min_value=2, max_value=6),
-    fetch_time=st.integers(min_value=1, max_value=7),
-    delay=st.integers(min_value=0, max_value=9),
-)
-def test_property_equivalence_on_arbitrary_sequences(blocks, cache_size, fetch_time, delay):
-    instance = ProblemInstance.single_disk(
-        RequestSequence(blocks), cache_size=cache_size, fetch_time=fetch_time
-    )
-    for policy_factory in (
-        lambda s: Aggressive(),
-        lambda s: Delay(delay),
-        lambda s: Combination(),
-    ):
-        _assert_equivalent(instance, policy_factory, delay)
