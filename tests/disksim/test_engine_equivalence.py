@@ -9,10 +9,10 @@ The kernel runs the single-disk Delay family (Aggressive, Delay(d),
 Combination) and must *fall back* to the loop engine, naming why, on
 everything else: Conservative, DemandFetch and every parallel-disk
 instance.  These tests sweep 225 deterministic randomized instances —
-single- and parallel-disk — across all policy families, plus a hypothesis
-property for free-form sequences.  ``test_vector_equivalence.py`` keeps the
-kernel's own API cases (batches, Combination's branches, tie order, run
-records).
+single- and parallel-disk — with two policy families each, one case per
+instance and family, plus a hypothesis property for free-form sequences.
+``test_vector_equivalence.py`` keeps the kernel's own API cases (batches,
+Combination's branches, tie order, run records).
 """
 
 from __future__ import annotations
@@ -40,20 +40,32 @@ from repro.disksim import (
     simulate_with_engine,
 )
 
-# (policy factory, engine the vector request must report) per family.
-SINGLE_DISK_FACTORIES = (
-    (lambda seed: Aggressive(), "vector"),
-    (lambda seed: Conservative(), "loop"),
-    (lambda seed: Delay(seed % 11), "vector"),
-    (lambda seed: Combination(), "vector"),
-    (lambda seed: DemandFetch(), "loop"),
+# (family, policy factory, engine the vector request must report).
+SINGLE_DISK_FAMILIES = (
+    ("aggressive", lambda seed: Aggressive(), "vector"),
+    ("conservative", lambda seed: Conservative(), "loop"),
+    ("delay", lambda seed: Delay(seed % 11), "vector"),
+    ("combination", lambda seed: Combination(), "vector"),
+    ("demand", lambda seed: DemandFetch(), "loop"),
 )
 
-PARALLEL_FACTORIES = (
-    lambda seed: ParallelAggressive(),
-    lambda seed: ParallelConservative(),
-    lambda seed: DemandFetch(),
+# (family, policy factory); the kernel claims no parallel-disk instance.
+PARALLEL_FAMILIES = (
+    ("parallel-aggressive", lambda seed: ParallelAggressive()),
+    ("parallel-conservative", lambda seed: ParallelConservative()),
+    ("demand", lambda seed: DemandFetch()),
 )
+
+
+def _rotation(seeds, families, offsets):
+    """One case per (seed, family): seed ``s`` draws the families at
+    ``(s + offset) % len(families)`` for each offset."""
+    cases = []
+    for seed in seeds:
+        for offset in offsets:
+            family = families[(seed + offset) % len(families)]
+            cases.append(pytest.param(seed, family, id=f"{seed}-{family[0]}"))
+    return cases
 
 
 def _assert_equivalent(instance, policy_factory, seed):
@@ -69,26 +81,21 @@ def _assert_equivalent(instance, policy_factory, seed):
     return engine, vector.engine_reason
 
 
-@pytest.mark.parametrize("seed", range(150))
-def test_single_disk_equivalence(seed):
+@pytest.mark.parametrize("seed, family", _rotation(range(150), SINGLE_DISK_FAMILIES, (0, 2)))
+def test_single_disk_equivalence(seed, family):
     """150 single-disk instances, two policy families each (rotating)."""
-    instance = random_instance(seed)
-    for offset in (0, 2):
-        factory, expected_engine = SINGLE_DISK_FACTORIES[(seed + offset) % 5]
-        engine, _reason = _assert_equivalent(instance, factory, seed)
-        assert engine == expected_engine
+    _name, factory, expected_engine = family
+    engine, _reason = _assert_equivalent(random_instance(seed), factory, seed)
+    assert engine == expected_engine
 
 
-@pytest.mark.parametrize("seed", range(150, 225))
-def test_parallel_disk_equivalence(seed):
+@pytest.mark.parametrize("seed, family", _rotation(range(150, 225), PARALLEL_FAMILIES, (0, 1)))
+def test_parallel_disk_equivalence(seed, family):
     """75 parallel-disk instances, two policy families each (rotating); the
     kernel never claims them and says so."""
-    instance = random_instance(seed, parallel=True)
-    for offset in (0, 1):
-        engine, reason = _assert_equivalent(
-            instance, PARALLEL_FACTORIES[(seed + offset) % 3], seed
-        )
-        assert (engine, reason) == ("loop", "parallel-disk instance")
+    _name, factory = family
+    engine, reason = _assert_equivalent(random_instance(seed, parallel=True), factory, seed)
+    assert (engine, reason) == ("loop", "parallel-disk instance")
 
 
 class _PastJudgingPolicy:
