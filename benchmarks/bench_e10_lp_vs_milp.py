@@ -16,11 +16,24 @@ pre-optimum-service path re-solved every instance's LP on every run, while
 the batched runner with ``compute_optimum=True`` and a cache directory
 solves each LP once and serves every re-run from the fingerprinted caches.
 The acceptance bar (asserted) is a >= 2x speedup on re-runs.
+
+Part three solves the optima of the ``ratios-lp`` benchmark's instances
+(``zipf:n={80,160},blocks=30``, k=8, F=4, seeds 0-3; the reduced, normalised
+models the optimum service solves) both ways: ``solve_integral``, which fixes
+variables by the relaxation's reduced costs, and one plain ``milp`` call.
+The objectives must be equal (asserted).  The table records how often the
+relaxation's bound ``LB`` was tight (the optimum equals ``ceil(LB)``), the
+share of variables fixed, whether the fallback to the plain MILP ran, and
+both solve times (not asserted).
 """
 
 from __future__ import annotations
 
+import math
 import time
+
+import numpy as np
+from scipy import optimize
 
 from repro.analysis import brute_force_optimal_stall, format_table
 from repro.analysis.runner import ExperimentSpec, run_experiments
@@ -28,6 +41,7 @@ from repro.disksim import DiskLayout, ProblemInstance, RequestSequence, simulate
 from repro.algorithms import make_algorithm
 from repro.lp import (
     SynchronizedLPModel,
+    normalize_instance,
     optimal_parallel_schedule,
     optimal_single_disk,
     solve_integral,
@@ -67,9 +81,10 @@ def test_e10_lp_vs_milp_vs_brute_force(benchmark):
         out = {}
         for label, instance in instances.items():
             model = SynchronizedLPModel(instance)
+            relaxation = solve_relaxation(model)
             out[label] = {
-                "relaxation": solve_relaxation(model),
-                "milp": solve_integral(model),
+                "relaxation": relaxation,
+                "milp": solve_integral(model, relaxation),
                 "optimum": optimal_parallel_schedule(instance),
             }
         return out
@@ -160,3 +175,81 @@ def test_e10b_cached_ratio_sweep_speedup(tmp_path):
         ),
     )
     assert speedup >= 2.0, f"cached ratio sweeps only {speedup:.1f}x faster"
+
+
+SCALE_SEEDS = (0, 1, 2, 3)
+SCALE_SIZES = (80, 160)
+
+
+def _plain_milp(milp, model):
+    """The optimum without fixing: one ``milp`` call over bounds [0, 1]."""
+    A_eq, b_eq = model.equality_system()
+    A_ub, b_ub = model.inequality_system()
+    result = milp(
+        c=model.objective,
+        constraints=[
+            optimize.LinearConstraint(A_eq, b_eq, b_eq),
+            optimize.LinearConstraint(A_ub, -np.inf, b_ub),
+        ],
+        integrality=np.ones(model.num_variables),
+        bounds=optimize.Bounds(0.0, 1.0),
+    )
+    assert result.success
+    return round(result.fun)
+
+
+def test_e10c_fixed_milp_at_benchmark_scale(monkeypatch):
+    """The fixed MILP finds the plain MILP's optimum on ratios-lp's instances."""
+    plain_milp = optimize.milp
+    fixed_per_call = []
+
+    def counting_milp(*args, **kwargs):
+        bounds = kwargs["bounds"]
+        fixed_per_call.append(int(np.sum(bounds.lb > 0) + np.sum(bounds.ub < 1)))
+        return plain_milp(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "milp", counting_milp)
+    rows = []
+    for seed in SCALE_SEEDS:
+        for n in SCALE_SIZES:
+            instance = normalize_instance(
+                build_workload_instance(
+                    f"zipf:n={n},blocks=30,seed={seed}", cache_size=8, fetch_time=4
+                )
+            )
+            model = SynchronizedLPModel(instance, aggregate_never_requested=True)
+            relaxation = solve_relaxation(model)
+            row = {
+                "seed": seed,
+                "n": n,
+                "LB": round(relaxation.objective, 3),
+                "ceil_LB": math.ceil(relaxation.objective - 1e-7),
+                "relaxation_integral": relaxation.is_integral,
+            }
+            if relaxation.is_integral:
+                # The drivers solve no MILP: the relaxation is the optimum.
+                row.update(optimum=round(relaxation.objective), fixed_share="-",
+                           fallback="-", fixed_s="-", plain_s="-")
+                rows.append(row)
+                continue
+            fixed_per_call.clear()
+            started = time.perf_counter()
+            fixed = solve_integral(model, relaxation)
+            fixed_seconds = time.perf_counter() - started
+            started = time.perf_counter()
+            plain = _plain_milp(plain_milp, model)
+            plain_seconds = time.perf_counter() - started
+            assert round(fixed.objective) == plain
+            row.update(
+                optimum=plain,
+                fixed_share=round(fixed_per_call[0] / model.num_variables, 3),
+                fallback=len(fixed_per_call) > 1,
+                fixed_s=round(fixed_seconds, 2),
+                plain_s=round(plain_seconds, 2),
+            )
+            rows.append(row)
+    emit(
+        "E10c: reduced-cost-fixed MILP vs plain MILP on ratios-lp's instances "
+        "(zipf blocks=30, k=8, F=4)",
+        format_table(rows),
+    )

@@ -4,7 +4,9 @@ The Section 3 synchronized LP (:mod:`repro.lp.model` — variables
 ``x(I)``/``f(I,a)``/``e(I,a)`` over fetch intervals, objective
 ``sum_I x(I)(F - |I|)``, and the per-disk schedule extraction), its LP/MILP
 solvers (:mod:`repro.lp.solver`; the exact MILP stands in for the paper's
-Lemma 4 rounding), the two user-facing entry points —
+Lemma 4 rounding, and on one disk fixes the variables the relaxation's
+reduced costs rule out before it branches), the two user-facing entry
+points —
 :func:`optimal_single_disk` (exact single-disk optimum, the denominator of
 every Section 2 approximation ratio) and :func:`optimal_parallel_schedule`
 (the Theorem 4 algorithm) — and the optimum service

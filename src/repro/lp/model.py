@@ -67,17 +67,19 @@ Deviations from the paper (documented substitutions)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from .._typing import BlockId
 from ..disksim.instance import ProblemInstance
 from ..disksim.schedule import IntervalFetch, IntervalSchedule
 from ..errors import ConfigurationError, SolverError
 from .intervals import Interval, interval_structure
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "LPSolution",
@@ -107,6 +109,10 @@ class LPSolution:
     fetches: Dict[Tuple[Interval, BlockId], float]
     evictions: Dict[Tuple[Interval, BlockId], float]
     is_integral: bool
+    #: The relaxation's reduced cost of each variable, in the model's column
+    #: order (:func:`~repro.lp.solver.solve_relaxation`); ``None`` on a MILP
+    #: solution.
+    reduced_costs: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def selected_intervals(self) -> List[Interval]:
         """Intervals with ``x(I) = 1`` (integral solutions), in the canonical order."""
@@ -382,6 +388,8 @@ class SynchronizedLPModel:
     def _assemble(
         rows: List[Tuple[List[int], List[float], float]]
     ) -> Tuple[Optional[sparse.csr_matrix], Optional[np.ndarray]]:
+        from scipy import sparse
+
         if not rows:
             return None, None
         data: List[float] = []
@@ -412,6 +420,8 @@ class SynchronizedLPModel:
         return self._pad(self._A_ub), self._b_ub
 
     def _pad(self, matrix: Optional[sparse.csr_matrix]) -> Optional[sparse.csr_matrix]:
+        from scipy import sparse
+
         if matrix is None:
             return None
         if matrix.shape[1] == self.num_variables:

@@ -85,7 +85,7 @@ def optimal_parallel_schedule(instance: ProblemInstance) -> ParallelOptimum:
     if relaxation.is_integral:
         solution, method_used = relaxation, "lp-integral"
     else:
-        solution, method_used = solve_integral(model), "milp"
+        solution, method_used = solve_integral(model, relaxation), "milp"
 
     schedule = model.extract_schedule(solution)
     solve_seconds = time.perf_counter() - started

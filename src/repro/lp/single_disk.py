@@ -10,7 +10,11 @@ through the same LP as the parallel case (variables
 ``sum_I x(I)(F - |I|)``; see :mod:`repro.lp.model`).  The single-disk
 experiments (E1–E5) use these optima as the denominator of every measured
 approximation ratio.  The relaxation is used when it is integral and the
-exact MILP otherwise (:mod:`repro.lp.solver`).
+exact MILP otherwise (:mod:`repro.lp.solver`).  The MILP gets the
+relaxation, whose reduced costs fix every variable that no schedule of
+stall ``ceil(LB)`` can move before it branches; its answer is kept when its
+stall is at most ``ceil(LB)``, which makes it optimal because stalls are
+integers.
 
 ``reduced=True`` builds the dominance-pruned single-disk model
 (``aggregate_never_requested`` — interchangeable never-requested resident
@@ -78,7 +82,7 @@ def optimal_single_disk(instance: ProblemInstance, *, reduced: bool = False) -> 
     started = time.perf_counter()
     model = SynchronizedLPModel(instance, aggregate_never_requested=reduced)
     relaxation = solve_relaxation(model)
-    solution = relaxation if relaxation.is_integral else solve_integral(model)
+    solution = relaxation if relaxation.is_integral else solve_integral(model, relaxation)
     schedule = model.extract_schedule(solution)
     solve_seconds = time.perf_counter() - started
     execution = execute_interval_schedule(
