@@ -2,7 +2,10 @@
 
 Measures Conservative's elapsed-time ratio on random, looping and F >= k
 workloads.  Expected shape: always <= 2, approaching 2 only when F is large
-relative to the inter-reference distances (the F >= k cyclic scan).
+relative to the inter-reference distances (the F >= k cyclic scan).  The
+ratios are measured on the loop engine; ``engine="auto"`` runs the same
+one-disk instances as a replay of MIN's plan, whose records must equal the
+loop engine's apart from the ``engine`` field.
 """
 
 from __future__ import annotations
@@ -59,3 +62,19 @@ def test_e5_conservative_two_approximation(benchmark):
         )
         assert ratio <= 2.0 + 1e-9
     emit("E5: Conservative 2-approximation", format_table(rows))
+
+
+def _without_engine(record):
+    payload = record.to_json_dict()
+    del payload["engine"]
+    return payload
+
+
+def test_e5_replay_records_equal_the_loop_engine():
+    """The 2-approximation holds on the replay too: its records, the warm
+    F >= k cyclic scans included, are the loop engine's apart from ``engine``."""
+    instances = list(_instances().items())
+    loop = evaluate_instances(instances, ["conservative"]).records
+    replay = evaluate_instances(instances, ["conservative"], engine="auto").records
+    assert [record.engine for record in replay] == ["replay"] * len(instances)
+    assert [_without_engine(r) for r in replay] == [_without_engine(r) for r in loop]

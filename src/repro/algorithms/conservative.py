@@ -17,6 +17,12 @@ furthest-next-use heap).  Each MIN fault yields a planned fetch
 ParallelConservative shares); fetches are issued in fault order whenever the
 disk is idle and the cursor has reached the earliest start position.
 
+On one disk that schedule needs no event loop: :func:`replay` derives it,
+and every metric, from the plan by a recurrence over the faults.
+``simulate_with_engine`` runs it for ``engine="vector"``/``"auto"`` requests
+(reported as engine ``"replay"``); :class:`Conservative` on the event loop
+stays the reference it is tested against.
+
 Conservative has no tunable knobs — MIN's replacement sequence *is* the
 algorithm — so its registry entry (``conservative``) declares an empty
 parameter schema and any ``conservative:key=value`` spec is rejected.
@@ -24,21 +30,25 @@ parameter schema and any ``conservative:key=value`` spec is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from bisect import bisect_left
+from typing import List, NamedTuple, Optional, Tuple
 
 from .._typing import BlockId
 from ..disksim.executor import FetchDecision, PolicyView
 from ..disksim.instance import ProblemInstance
+from ..disksim.metrics import SimMetrics
+from ..disksim.schedule import Schedule, TimedFetch
 from ..paging.base import PagingResult, run_paging
 from .base import PrefetchAlgorithm
 
-__all__ = ["Conservative", "PlannedFetch", "min_plan"]
+__all__ = ["Conservative", "PlannedFetch", "min_plan", "replay"]
 
 
-@dataclass(frozen=True)
-class PlannedFetch:
-    """One precomputed fetch: load ``block``, evict ``victim``, not before ``earliest_pos``."""
+class PlannedFetch(NamedTuple):
+    """One precomputed fetch: load ``block``, evict ``victim``, not before ``earliest_pos``.
+
+    A named tuple, as a plan holds one per MIN fault and is built per run.
+    """
 
     block: BlockId
     victim: Optional[BlockId]
@@ -55,15 +65,86 @@ def min_plan(instance: ProblemInstance, paging_result: PagingResult) -> List[Pla
     the miss, and the fetch may start once that reference is served.  The
     plan is in fault (= sequence) order.
     """
-    plan: List[PlannedFetch] = []
-    for miss_pos, block, victim in paging_result.evictions:
-        earliest = 0
-        if victim is not None:
-            earliest = instance.sequence.previous_use_before(miss_pos, victim) + 1
-        plan.append(
-            PlannedFetch(block=block, victim=victim, earliest_pos=earliest, miss_pos=miss_pos)
+    previous_use_before = instance.sequence.previous_use_before
+    return [
+        PlannedFetch(
+            block,
+            victim,
+            0 if victim is None else previous_use_before(miss_pos, victim) + 1,
+            miss_pos,
         )
-    return plan
+        for miss_pos, block, victim in paging_result.evictions
+    ]
+
+
+def replay(instance: ProblemInstance) -> Tuple[SimMetrics, Schedule]:
+    """Conservative's metrics and schedule on a one-disk ``instance``, from MIN's plan.
+
+    The event loop runs :class:`Conservative` request by request; on one
+    disk its whole run follows from :func:`min_plan` instead.  Let ``A(p)``
+    be ``p`` plus the stall charged at the faults before position ``p``
+    (the time the processor reaches request ``p``).  Fetch ``j`` of the
+    plan, with earliest start ``e_j`` and miss position ``q_j``, starts at
+    ``s_j = max(c_{j-1}, A(e_j))`` and completes at ``c_j = s_j + F``
+    (``c_{-1} = 0``); fault ``q_j`` stalls ``max(0, c_j - A(q_j))``.  A
+    request is a miss exactly when it stalls, and fetch ``j`` is a demand
+    fetch when ``A(q_j) <= s_j`` (the processor already waits at ``q_j``).
+    Only victimless fetches take a new slot, so peak use is the warm set
+    plus their number.
+
+    No guard is needed on one disk, because fetches start in fault order:
+    fetch ``j`` starts no earlier than every earlier fetch has completed,
+    so its victim, resident in MIN's cache at ``q_j``, has arrived, and its
+    block, evicted by an earlier fault or never cached, has left.  So
+    :meth:`Conservative.decide`'s defensive branches never fire, every fetch
+    is issued before its miss is served, and the engine's forced demand
+    fetch never fires either.  The engine battery checks the result against
+    the event loop, schedule and metrics.
+    """
+    result = run_paging(
+        instance.sequence, instance.cache_size, initial_cache=instance.initial_cache
+    )
+    plan = min_plan(instance, result)
+    fetch_time = instance.fetch_time
+    miss_positions = [planned.miss_pos for planned in plan]
+    stall_before = [0]  # stall_before[j]: the stall charged at the first j faults
+    fetches: List[TimedFetch] = []
+    completion = misses = demand = victimless = 0
+    for j, (block, victim, earliest, miss) in enumerate(plan):
+        start = earliest + stall_before[bisect_left(miss_positions, earliest, 0, j)]
+        if start < completion:
+            start = completion
+        completion = start + fetch_time
+        arrival = miss + stall_before[j]
+        stall = completion - arrival
+        if stall > 0:
+            misses += 1
+        else:
+            stall = 0
+        if arrival <= start:
+            demand += 1
+        if victim is None:
+            victimless += 1
+        stall_before.append(stall_before[j] + stall)
+        fetches.append(TimedFetch(start, 0, block, victim))
+    n = instance.num_requests
+    metrics = SimMetrics(
+        num_requests=n,
+        stall_time=stall_before[-1],
+        num_fetches=len(fetches),
+        num_demand_fetches=demand,
+        cache_hits=n - misses,
+        cache_misses=misses,
+        peak_cache_used=len(instance.initial_cache) + victimless,
+        fetches_per_disk={0: len(fetches)} if fetches else {},
+    )
+    schedule = Schedule(
+        fetch_time=fetch_time,
+        num_disks=1,
+        fetches=tuple(fetches),
+        initial_cache=instance.initial_cache,
+    )
+    return metrics, schedule
 
 
 class Conservative(PrefetchAlgorithm):

@@ -16,8 +16,11 @@ for each algorithm:
 Per cell the benchmark reports the loop (indexed event loop) and scan
 throughput of :func:`~repro.disksim.executor.simulate`, plus the batched
 vector throughput of :func:`~repro.disksim.vector.simulate_batch` over
-``batch_size`` same-shape instances, and the derived speedups.  The
-``vector_batch_speedup`` column (vector batch vs the indexed loop) is the
+``batch_size`` same-shape instances, and the derived speedups.  The loop
+and the batch are timed in ``reps`` alternating pairs: the reported seconds
+are the medians of each side, and ``vector_batch_speedup`` (vector batch vs
+the indexed loop) is the median of the per-pair speedups, so one lucky or
+unlucky timing on either side cannot decide a cell.  That column is the
 number the CI perf gate enforces: :func:`gate_failures` checks every cell
 against a stored floor file (``BENCH_engine_floor.json``, beside
 ``BENCH_engine.json``) and the ≥ :data:`GATE_MIN_SPEEDUP` x-loop bar, so
@@ -29,7 +32,8 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from statistics import median
+from typing import Dict, List, Optional, Tuple
 
 from ..algorithms.registry import make_algorithm
 from ..disksim.executor import simulate
@@ -97,25 +101,27 @@ def build_instances(label: str, num_requests: int, count: int) -> List[ProblemIn
     ]
 
 
-def _time_single(instance: ProblemInstance, algorithm_spec: str, engine: str, reps: int) -> float:
-    """Best-of-``reps`` wall time of one ``simulate()`` call."""
-    best = float("inf")
-    for _ in range(reps):
-        algorithm = make_algorithm(algorithm_spec)
-        start = time.perf_counter()
-        simulate(instance, algorithm, engine=engine)
-        best = min(best, time.perf_counter() - start)
-    return best
+def _time_single(instance: ProblemInstance, algorithm_spec: str, engine: str) -> float:
+    """Wall time of one ``simulate()`` call."""
+    algorithm = make_algorithm(algorithm_spec)
+    start = time.perf_counter()
+    simulate(instance, algorithm, engine=engine)
+    return time.perf_counter() - start
 
 
-def _time_batch(instances: List[ProblemInstance], algorithm_spec: str, reps: int) -> float:
-    """Best-of-``reps`` wall time of one ``simulate_batch()`` pass."""
-    best = float("inf")
+def _time_pairs(
+    instances: List[ProblemInstance], algorithm_spec: str, reps: int
+) -> List[Tuple[float, float]]:
+    """``reps`` alternating ``(loop, batch)`` wall times: one loop-engine
+    ``simulate()`` of the first instance, then one ``simulate_batch()`` pass
+    over all of them."""
+    pairs: List[Tuple[float, float]] = []
     for _ in range(reps):
+        loop_seconds = _time_single(instances[0], algorithm_spec, "loop")
         start = time.perf_counter()
         simulate_batch(instances, algorithm_spec)
-        best = min(best, time.perf_counter() - start)
-    return best
+        pairs.append((loop_seconds, time.perf_counter() - start))
+    return pairs
 
 
 def run_engine_benchmark(
@@ -127,9 +133,10 @@ def run_engine_benchmark(
 ) -> Dict[str, object]:
     """Measure every workload x algorithm cell and return the report dict.
 
-    ``include_scan=False`` skips the (slow, quadratic) scan reference rows —
-    the configuration the CI perf gate runs, which only needs the
-    loop-vs-vector comparison.  The report is JSON-ready (rounded floats,
+    Each cell times ``reps`` alternating loop/batch pairs (see the module
+    docstring) and one scan run.  ``include_scan=False`` skips the (slow,
+    quadratic) scan reference rows — the configuration the CI perf gate
+    runs, which only needs the loop-vs-vector comparison.  The report is JSON-ready (rounded floats,
     sorted-key stable) and carries the grid configuration alongside the
     cells so a stored report is self-describing.
     """
@@ -138,13 +145,13 @@ def run_engine_benchmark(
     worst_vector = float("inf")
     for label in WORKLOADS:
         instances = build_instances(label, num_requests, batch_size)
-        single = instances[0]
         for algorithm in ALGORITHMS:
-            loop_seconds = _time_single(single, algorithm, "loop", reps=reps)
-            batch_seconds = _time_batch(instances, algorithm, reps=min(reps, 2))
+            pairs = _time_pairs(instances, algorithm, reps)
+            loop_seconds = median(loop for loop, _ in pairs)
+            batch_seconds = median(batch for _, batch in pairs)
             loop_rps = num_requests / loop_seconds
             vector_rps = batch_size * num_requests / batch_seconds
-            vector_speedup = vector_rps / loop_rps
+            vector_speedup = median(batch_size * loop / batch for loop, batch in pairs)
             cell: Dict[str, object] = {
                 "num_requests": num_requests,
                 "cache_size": _CACHE_SIZE,
@@ -158,7 +165,7 @@ def run_engine_benchmark(
             }
             worst_vector = min(worst_vector, vector_speedup)
             if include_scan:
-                scan_seconds = _time_single(single, algorithm, "scan", reps=1)
+                scan_seconds = _time_single(instances[0], algorithm, "scan")
                 loop_vs_scan = scan_seconds / loop_seconds
                 cell["scan_seconds"] = round(scan_seconds, 6)
                 cell["scan_requests_per_second"] = round(num_requests / scan_seconds, 1)

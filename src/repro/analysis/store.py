@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
-from ..disksim.executor import canonical_engine
-from ..errors import StoreError
+from ..disksim.executor import RECORDED_ENGINES
+from ..errors import ConfigurationError, StoreError
 from ..lp.service import OptimumRecord
 from .results import RunRecord
 
@@ -268,8 +268,9 @@ class RunStore:
         """Records matching the given identity columns (indexed lookups).
 
         ``algorithm`` matches either the resolved name or the spec string;
-        ``engine`` must be a known engine name.  Results come back in
-        deterministic (key) order; corrupt rows are skipped.
+        ``engine`` must be one a record can carry
+        (:data:`~repro.disksim.executor.RECORDED_ENGINES`).  Results come
+        back in deterministic (key) order; corrupt rows are skipped.
         """
         clauses, params = [], []
         if workload is not None:
@@ -282,8 +283,12 @@ class RunStore:
             clauses.append("layout = ?")
             params.append(layout)
         if engine is not None:
+            if engine not in RECORDED_ENGINES:
+                raise ConfigurationError(
+                    f"unknown engine {engine!r}; records carry one of {RECORDED_ENGINES}"
+                )
             clauses.append("engine = ?")
-            params.append(canonical_engine(engine))
+            params.append(engine)
         where = f"WHERE {' AND '.join(clauses)}" if clauses else ""
         with self._guarded():
             rows = self._conn.execute(

@@ -124,8 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--algorithm", "-a", default="aggressive")
     p_sim.add_argument("--engine", default="loop", choices=_ENGINE_CHOICES,
                        help="simulation engine (loop = the indexed event loop; "
-                       "vector = the numpy batch kernel, falling back to loop "
-                       "where uncovered; auto = vector when available)")
+                       "vector and auto both run one-disk conservative as a "
+                       "replay of MIN's plan, aggressive/delay/combination on "
+                       "the numpy batch kernel and everything else on loop)")
     p_sim.add_argument("--gantt", action="store_true",
                        help="print an ASCII Gantt chart (records the event log, "
                        "so the run uses the loop engine)")
@@ -164,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--engine", default="loop", choices=_ENGINE_CHOICES,
                        help="simulation engine; vector/auto let the planner "
                        "stack same-shape points into batched kernel passes "
-                       "(uncovered points fall back to the loop engine)")
+                       "and run one-disk conservative points as a replay of "
+                       "MIN's plan (other points fall back to the loop engine)")
         p.add_argument("--cache-dir", default=None,
                        help="directory for the run store (a single SQLite file, "
                        "runs.sqlite, holding records, optima and sweep manifests)")
@@ -258,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="instances per stacked vector pass (default: "
                                 "the BENCH_engine grid, or the floor file's under --gate)")
     p_bench_engine.add_argument("--reps", type=int, default=3,
-                                help="best-of repetitions per timed cell")
+                                help="alternating loop/batch timing pairs per cell "
+                                "(a cell reports their medians)")
     p_bench_engine.add_argument("--no-scan", action="store_true",
                                 help="skip the (slow, quadratic) scan reference rows")
     p_bench_engine.add_argument("--json", dest="json_path", default=None,

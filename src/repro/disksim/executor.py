@@ -79,6 +79,7 @@ __all__ = [
     "FetchDecision",
     "PolicyView",
     "PrefetchPolicy",
+    "RECORDED_ENGINES",
     "SimulationResult",
     "canonical_engine",
     "simulate",
@@ -90,6 +91,11 @@ __all__ = [
 
 _ENGINES = ("loop", "scan", "vector", "auto")
 
+#: The engines a run can report having run (``simulate_with_engine``'s
+#: second value, ``RunRecord.engine``): ``"auto"`` resolves to one of them,
+#: and a ``"vector"``/``"auto"`` request may run the Conservative replay.
+RECORDED_ENGINES = ("loop", "scan", "vector", "replay")
+
 
 def canonical_engine(engine: str) -> str:
     """Validate an engine name and return it.
@@ -97,7 +103,9 @@ def canonical_engine(engine: str) -> str:
     ``"loop"`` is the indexed event loop, ``"scan"`` the scan-query
     reference implementation, ``"vector"`` the numpy struct-of-arrays batch
     engine and ``"auto"`` picks the fastest applicable engine at run time
-    (vector when the instance/policy is covered, loop otherwise).  Raises
+    (the replay of MIN's plan for one-disk Conservative, vector when the
+    instance/policy is covered, loop otherwise).  ``"replay"`` is a realised
+    engine only, never a name to ask for.  Raises
     :class:`~repro.errors.ConfigurationError` for anything else.
     """
     if engine not in _ENGINES:
@@ -319,13 +327,13 @@ class SimulationResult:
     schedule: Schedule
     metrics: SimMetrics
     #: The run's event log; ``None`` unless the caller asked for it with
-    #: ``record_events=True`` (the vector kernel never records one).
+    #: ``record_events=True`` (the vector kernel and the replay never record one).
     events: Optional[EventLog]
     policy_name: str = ""
-    #: Why the vector kernel was *not* used when the caller asked for
-    #: ``engine="auto"`` or ``engine="vector"`` and the run fell back to the
-    #: loop engine (e.g. ``"parallel-disk instance"``).  ``None`` when the
-    #: requested engine ran, so engine choice is explainable from the result.
+    #: Why the caller's ``engine="auto"`` or ``engine="vector"`` fell back to
+    #: the loop engine (e.g. ``"parallel-disk instance"``).  ``None`` when
+    #: the request ran on the kernel or the replay, so engine choice is
+    #: explainable from the result.
     engine_reason: Optional[str] = None
 
     @property
@@ -375,8 +383,8 @@ class _EngineState:
     policies that never ask for a furthest-next-use victim (Conservative
     follows MIN's plan) never pay for its per-serve upkeep.  ``"vector"``
     and ``"auto"`` degrade to ``"loop"`` here: the event loop is the
-    replay/fallback engine the vector kernel defers to for anything it does
-    not cover.  ``events`` is an
+    fallback engine the vector kernel and the Conservative replay defer to
+    for anything they do not cover.  ``events`` is an
     :class:`EventLog` only when ``record_events`` is set.
     """
 
@@ -899,22 +907,37 @@ def simulate(
     event loop over the incremental
     :class:`MissTracker`/:class:`EvictionHeap`; ``"scan"`` re-derives every
     query by scanning the sequence, exactly as the seed engine did;
-    ``"vector"`` runs the numpy struct-of-arrays kernel of
-    :mod:`repro.disksim.vector` (falling back to the loop for
-    instances/policies it does not cover); ``"auto"`` is
-    vector-when-possible, loop otherwise.  All engines produce identical
-    schedules and metrics — the equivalence suites assert this.
+    ``"vector"`` runs one-disk Conservative as a replay of MIN's plan
+    (:func:`repro.algorithms.conservative.replay`) and the Delay family on
+    the numpy struct-of-arrays kernel of :mod:`repro.disksim.vector`,
+    falling back to the loop for instances/policies neither covers;
+    ``"auto"`` does the same.  All engines produce identical schedules and
+    metrics — the equivalence suites assert this.
 
     ``record_events=True`` also records the run's :class:`EventLog` (the
     Gantt chart, the timeline and the phase breakdown read it); otherwise
     ``result.events`` is ``None`` and the run skips one event object per
-    serve, stall, fetch and eviction.  The vector kernel records no log, so
-    asking for one runs ``"auto"`` and ``"vector"`` on the loop engine.
+    serve, stall, fetch and eviction.  Only the loop engine records a log,
+    so asking for one runs ``"auto"`` and ``"vector"`` on the loop engine.
     """
     result, _ = simulate_with_engine(
         instance, policy, engine=engine, record_events=record_events
     )
     return result
+
+
+def _replays_min_plan(instance: ProblemInstance, policy: PrefetchPolicy) -> bool:
+    """Whether ``policy`` is Conservative on a one-disk ``instance``, whose run
+    :func:`~repro.algorithms.conservative.replay` computes without the loop.
+
+    Only the exact shipped classes qualify (``type()`` checks), as in the
+    vector kernel's plan resolution; ``ParallelConservative`` is the same
+    rule as ``Conservative`` on one disk.
+    """
+    from ..algorithms.conservative import Conservative
+    from ..algorithms.parallel_aggressive import ParallelConservative
+
+    return instance.num_disks == 1 and type(policy) in (Conservative, ParallelConservative)
 
 
 def simulate_with_engine(
@@ -927,21 +950,36 @@ def simulate_with_engine(
     """Like :func:`simulate`, but also report which engine actually ran.
 
     Returns ``(result, actual_engine)`` where ``actual_engine`` is the
-    canonical name of the engine that produced the result (``"loop"``,
-    ``"scan"`` or ``"vector"``) — callers recording provenance (the sweep
+    name of the engine that produced the result (``"loop"``, ``"scan"``,
+    ``"vector"`` or ``"replay"``) — callers recording provenance (the sweep
     runner's :class:`~repro.analysis.results.RunRecord`) need the realised
-    engine, not the requested one, because ``"vector"`` silently falls back
-    to the loop for uncovered instances/policies and ``"auto"`` resolves at
-    run time.
+    engine, not the requested one, because ``"vector"`` runs one-disk
+    Conservative as a replay of MIN's plan and silently falls back to the
+    loop for uncovered instances/policies, and ``"auto"`` resolves at run
+    time.
     """
     engine = canonical_engine(engine)
     reason: Optional[str] = None
     if engine in ("vector", "auto"):
-        from . import vector as _vector
-
         if record_events:
-            reason = "event log requested; the vector kernel records none"
+            reason = "event log requested; only the loop engine records one"
+        elif _replays_min_plan(instance, policy):
+            from ..algorithms.conservative import replay
+
+            metrics, schedule = replay(instance)
+            return (
+                SimulationResult(
+                    instance=instance,
+                    schedule=schedule,
+                    metrics=metrics,
+                    events=None,
+                    policy_name=policy.name,
+                ),
+                "replay",
+            )
         else:
+            from . import vector as _vector
+
             outcome = _vector.simulate_vector(instance, policy)
             if not isinstance(outcome, str):
                 return outcome, "vector"

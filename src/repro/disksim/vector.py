@@ -20,7 +20,10 @@ instance, so each row carries just its ``d``.  Everything else —
 parallel-disk instances, ``Conservative``, ``DemandFetch``, custom policies,
 block identifiers whose string forms collide, empty sequences — falls back
 to the loop engine, per item, inside :func:`run_batch`; :func:`_prepare_job`
-is the one eligibility check and names the reason.  The produced
+is the one eligibility check and names the reason.  (A single-instance
+``engine="vector"``/``"auto"`` request for one-disk Conservative never
+reaches the kernel: ``simulate_with_engine`` runs it as a replay of MIN's
+plan, :func:`repro.algorithms.conservative.replay`.)  The produced
 :class:`~repro.disksim.metrics.SimMetrics` and
 :class:`~repro.disksim.schedule.Schedule` are identical to the loop engine's
 (the scan == loop == vector equivalence battery asserts this byte for

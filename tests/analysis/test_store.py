@@ -223,12 +223,15 @@ class TestEngineColumn:
                     ("a", _record(engine="loop")),
                     ("b", _record(engine="vector")),
                     ("c", _record(engine="vector")),
+                    ("d", _record(engine="replay")),
                 ]
             )
             assert len(store.query_runs(engine="loop")) == 1
             assert len(store.query_runs(engine="vector")) == 2
-            # The retired "indexed" alias is an unknown engine like any other.
-            for unknown in ("indexed", "warp"):
+            assert len(store.query_runs(engine="replay")) == 1
+            # The retired "indexed" alias is an unknown engine like any other,
+            # and "auto" is a request that no record carries.
+            for unknown in ("indexed", "warp", "auto"):
                 with pytest.raises(ConfigurationError, match="unknown engine"):
                     store.query_runs(engine=unknown)
 

@@ -179,7 +179,7 @@ def test_run_experiments_vector_matches_loop_modulo_engine():
         by_algorithm.setdefault(record.algorithm_spec, set()).add(record.engine)
     assert by_algorithm["aggressive"] == {"vector"}
     assert by_algorithm["delay:d=3"] == {"vector"}
-    assert by_algorithm["conservative"] == {"loop"}  # per-point fallback
+    assert by_algorithm["conservative"] == {"replay"}  # per point, MIN's plan replayed
 
 
 def test_auto_prefers_the_vector_engine():

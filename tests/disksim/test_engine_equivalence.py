@@ -1,16 +1,17 @@
-"""One oracle for the three engines: scan == loop == vector, byte for byte.
+"""One oracle for the engines: scan == loop == vector == replay, byte for byte.
 
 The indexed engine (``engine="loop"``, the default) must be a pure
-performance transformation of the seed's scan engine, and the vector kernel
-(``engine="vector"``) one of the loop engine: on every instance and policy
-the :class:`Schedule` (every fetch, start time, disk, victim) and the
-:class:`SimMetrics` must match exactly.  Every case runs all three engines.
-The kernel runs the single-disk Delay family (Aggressive, Delay(d),
-Combination) and must *fall back* to the loop engine, naming why, on
-everything else: Conservative, DemandFetch and every parallel-disk
-instance.  These tests sweep 225 deterministic randomized instances —
-single- and parallel-disk — with two policy families each, one case per
-instance and family, plus a hypothesis property for free-form sequences.
+performance transformation of the seed's scan engine, and whatever an
+``engine="vector"`` request runs one of the loop engine: on every instance
+and policy the :class:`Schedule` (every fetch, start time, disk, victim) and
+the :class:`SimMetrics` must match exactly.  Every case runs all three
+requests.  The kernel runs the single-disk Delay family (Aggressive,
+Delay(d), Combination); one-disk Conservative, in either of its two classes,
+runs as a replay of MIN's plan; everything else — DemandFetch and every
+parallel-disk instance — must *fall back* to the loop engine, naming why.
+These tests sweep 225 deterministic randomized instances — single- and
+parallel-disk — with two policy families each, one case per instance and
+family, plus a hypothesis property for free-form sequences.
 ``test_vector_equivalence.py`` keeps the kernel's own API cases (batches,
 Combination's branches, tie order, run records).
 """
@@ -43,7 +44,8 @@ from repro.disksim import (
 # (family, policy factory, engine the vector request must report).
 SINGLE_DISK_FAMILIES = (
     ("aggressive", lambda seed: Aggressive(), "vector"),
-    ("conservative", lambda seed: Conservative(), "loop"),
+    ("conservative", lambda seed: Conservative(), "replay"),
+    ("parallel-conservative", lambda seed: ParallelConservative(), "replay"),
     ("delay", lambda seed: Delay(seed % 11), "vector"),
     ("combination", lambda seed: Combination(), "vector"),
     ("demand", lambda seed: DemandFetch(), "loop"),
@@ -69,8 +71,8 @@ def _rotation(seeds, families, offsets):
 
 
 def _assert_equivalent(instance, policy_factory, seed):
-    """Run all three engines; return the engine and reason the vector
-    request reported."""
+    """Run the scan and loop engines and a vector request; return the engine
+    and reason the vector request reported."""
     scan = simulate(instance, policy_factory(seed), engine="scan")
     indexed = simulate(instance, policy_factory(seed), engine="loop")
     assert indexed.schedule == scan.schedule, f"schedules diverge (seed {seed})"
@@ -151,10 +153,13 @@ def test_property_equivalence_on_arbitrary_sequences(blocks, cache_size, fetch_t
     instance = ProblemInstance.single_disk(
         RequestSequence(blocks), cache_size=cache_size, fetch_time=fetch_time
     )
-    for policy_factory in (
-        lambda s: Aggressive(),
-        lambda s: Delay(delay),
-        lambda s: Combination(),
-        lambda s: DemandFetch(),
+    for policy_factory, expected_engine in (
+        (lambda s: Aggressive(), "vector"),
+        (lambda s: Delay(delay), "vector"),
+        (lambda s: Combination(), "vector"),
+        (lambda s: Conservative(), "replay"),
+        (lambda s: ParallelConservative(), "replay"),
+        (lambda s: DemandFetch(), "loop"),
     ):
-        _assert_equivalent(instance, policy_factory, delay)
+        engine, _reason = _assert_equivalent(instance, policy_factory, delay)
+        assert engine == expected_engine

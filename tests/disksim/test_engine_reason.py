@@ -2,8 +2,10 @@
 
 When ``engine="auto"``/``"vector"`` falls back to the loop engine, the
 result's ``engine_reason`` — the reason the kernel's one eligibility check
-returns — must say why: the runner logs it, so a sweep that silently ran 10x
-slower than expected is diagnosable from the debug log.
+returns, or the event log the loop alone records — must say why: the runner
+logs it, so a sweep that silently ran 10x slower than expected is
+diagnosable from the debug log.  One-disk Conservative runs as a replay of
+MIN's plan and reports no reason.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from repro.disksim import (
     simulate_with_engine,
 )
 from repro.disksim.vector import VECTOR_FAMILIES
+
+#: Families a one-disk vector request runs as a replay of MIN's plan.
+REPLAY_FAMILIES = frozenset({"conservative", "parallel-conservative"})
 
 
 def test_loop_engine_sets_no_reason():
@@ -43,12 +48,16 @@ def test_auto_on_parallel_instance_reports_reason():
 @pytest.mark.parametrize("family", sorted(ALGORITHM_REGISTRY))
 def test_engine_reason_matches_plan_coverage(family):
     """A family runs on the kernel on a single-disk instance exactly when it
-    is in the exported covered set the sweep planner pre-screens with."""
+    is in the exported covered set the sweep planner pre-screens with; the
+    two Conservative families run as a replay, and the rest on the loop."""
     result, engine = simulate_with_engine(
         random_instance(0), make_algorithm(family_spec(family)), engine="vector"
     )
     if family in VECTOR_FAMILIES:
         assert engine == "vector"
+        assert result.engine_reason is None
+    elif family in REPLAY_FAMILIES:
+        assert engine == "replay"
         assert result.engine_reason is None
     else:
         assert engine == "loop"
@@ -66,9 +75,16 @@ FALLBACK_CASES = {
     ),
     "no-plan": (
         lambda: random_instance(0),
-        "conservative",
+        "demand",
         False,
-        "no vector kernel plan for policy 'conservative'",
+        "no vector kernel plan for policy 'demand[MIN]'",
+    ),
+    # Until ParallelConservative is mended on D >= 2, the replay covers one disk only.
+    "parallel-conservative": (
+        lambda: random_instance(151, parallel=True),
+        "parallel-conservative",
+        False,
+        "parallel-disk instance",
     ),
     "ambiguous-blocks": (
         lambda: ProblemInstance.single_disk(
@@ -90,16 +106,22 @@ FALLBACK_CASES = {
         lambda: random_instance(0),
         "aggressive",
         True,
-        "event log requested; the vector kernel records none",
+        "event log requested; only the loop engine records one",
+    ),
+    "event-log-conservative": (
+        lambda: random_instance(0),
+        "conservative",
+        True,
+        "event log requested; only the loop engine records one",
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
 def test_vector_fallback_names_its_reason_and_matches_loop(case):
-    """Every reason the kernel falls back for: the run reports ``loop`` with
-    that exact reason and the loop engine's schedule and metrics, and a batch
-    row without an event log is labelled ``loop`` too."""
+    """Every reason a vector request falls back for: the run reports
+    ``loop`` with that exact reason and the loop engine's schedule and
+    metrics, and a batch row without an event log is labelled ``loop`` too."""
     build, spec, record_events, reason = FALLBACK_CASES[case]
     instance = build()
     result, engine = simulate_with_engine(

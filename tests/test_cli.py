@@ -565,6 +565,16 @@ class TestBenchCommand:
         assert code == 1
         assert "gate grid mismatch" in captured.err
 
+    def test_simulate_auto_replays_conservative(self, capsys):
+        code = main(
+            ["simulate", "-w", "zipf:n=40,blocks=10,seed=1", "-k", "6", "-F", "3",
+             "-a", "conservative", "--engine", "auto"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "engine: replay (requested auto)" in out
+        assert "stall_time" in out
+
     def test_simulate_engine_axis(self, capsys):
         code = main(
             ["simulate", "-w", "zipf:n=40,blocks=10,seed=1", "-k", "6", "-F", "3",
