@@ -17,14 +17,16 @@ Per cell the benchmark reports the loop (indexed event loop) and scan
 throughput of :func:`~repro.disksim.executor.simulate`, plus the batched
 vector throughput of :func:`~repro.disksim.vector.simulate_batch` over
 ``batch_size`` same-shape instances, and the derived speedups.  The loop
-and the batch are timed in ``reps`` alternating pairs: the reported seconds
-are the medians of each side, and ``vector_batch_speedup`` (vector batch vs
-the indexed loop) is the median of the per-pair speedups, so one lucky or
-unlucky timing on either side cannot decide a cell.  That column is the
-number the CI perf gate enforces: :func:`gate_failures` checks every cell
-against a stored floor file (``BENCH_engine_floor.json``, beside
-``BENCH_engine.json``) and the ≥ :data:`GATE_MIN_SPEEDUP` x-loop bar, so
-hot-path regressions fail loudly instead of silently.
+and the batch are timed in ``reps`` alternating pairs, the first included:
+the reported seconds are the medians of each side, and
+``vector_batch_speedup`` (vector batch vs the indexed loop) is the median
+of the per-pair speedups.  From three pairs up, one lucky or unlucky pair
+cannot decide a cell; with two (CI's ``--reps 2``) the median is the two
+pairs' mean, so an outlier pair still moves the cell by half its effect.
+That column is the number the CI perf gate enforces: :func:`gate_failures`
+checks every cell against a stored floor file (``BENCH_engine_floor.json``,
+beside ``BENCH_engine.json``) and the ≥ :data:`GATE_MIN_SPEEDUP` x-loop
+bar, so hot-path regressions fail loudly instead of silently.
 """
 
 from __future__ import annotations

@@ -381,9 +381,10 @@ def _evaluate_batch(points: Tuple[ExperimentPoint, ...]) -> List[RunRecord]:
 
     The planner (:func:`_plan_execution_units`) only submits batches whose
     points it pre-screened as vector-eligible, but coverage is re-checked
-    per pair inside :func:`~repro.disksim.vector.run_batch`, which falls
-    back to the loop engine for anything the kernel does not handle — each
-    record's ``engine`` field reports what actually ran.  Results come back
+    per pair inside :func:`~repro.disksim.vector.run_batch`, which runs
+    anything the kernel does not handle as an ``engine="auto"`` request
+    would (the Conservative replay or the loop engine) — each record's
+    ``engine`` field reports what actually ran.  Results come back
     in submission (grid) order.
     """
     try:
@@ -468,8 +469,8 @@ def _vector_eligible(point: ExperimentPoint) -> bool:
     """Cheap pre-screen: could the vector kernel cover this point?
 
     Positive answers are re-validated pair-by-pair inside
-    :func:`~repro.disksim.vector.run_batch` (which degrades to the loop
-    engine); a negative answer just routes the point to a run.
+    :func:`~repro.disksim.vector.run_batch` (which degrades to the replay
+    or the loop engine); a negative answer just routes the point to a run.
     """
     if point.disks != 1:
         return False

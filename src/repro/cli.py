@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "the BENCH_engine grid, or the floor file's under --gate)")
     p_bench_engine.add_argument("--reps", type=int, default=3,
                                 help="alternating loop/batch timing pairs per cell "
-                                "(a cell reports their medians)")
+                                "(a cell reports their medians; with 2 pairs, "
+                                "their mean)")
     p_bench_engine.add_argument("--no-scan", action="store_true",
                                 help="skip the (slow, quadratic) scan reference rows")
     p_bench_engine.add_argument("--json", dest="json_path", default=None,

@@ -18,13 +18,13 @@ The kernel runs one decision rule, ``Delay(d)``'s, a pure function of
 ``Combination`` is resolved to whichever of the two it selects for the
 instance, so each row carries just its ``d``.  Everything else —
 parallel-disk instances, ``Conservative``, ``DemandFetch``, custom policies,
-block identifiers whose string forms collide, empty sequences — falls back
-to the loop engine, per item, inside :func:`run_batch`; :func:`_prepare_job`
-is the one eligibility check and names the reason.  (A single-instance
-``engine="vector"``/``"auto"`` request for one-disk Conservative never
-reaches the kernel: ``simulate_with_engine`` runs it as a replay of MIN's
-plan, :func:`repro.algorithms.conservative.replay`.)  The produced
-:class:`~repro.disksim.metrics.SimMetrics` and
+block identifiers whose string forms collide, empty sequences — falls back,
+per item; :func:`_prepare_job` is the one eligibility check and names the
+reason.  A fallen-back item runs as ``simulate_with_engine`` runs an
+``engine="auto"`` request, both inside :func:`run_batch` and for a single
+instance: one-disk Conservative as a replay of MIN's plan
+(:func:`repro.algorithms.conservative.replay`), the rest on the loop
+engine.  The produced :class:`~repro.disksim.metrics.SimMetrics` and
 :class:`~repro.disksim.schedule.Schedule` are identical to the loop engine's
 (the scan == loop == vector equivalence battery asserts this byte for
 byte).  The kernel records no :class:`~repro.disksim.events.EventLog`
@@ -119,8 +119,9 @@ class _Job:
 class BatchOutcome:
     """Result of one batch item: metrics plus provenance of the engine used.
 
-    ``engine`` is ``"vector"`` when the kernel ran the item and ``"loop"``
-    when the item fell back to the loop engine.  ``schedule`` is only
+    ``engine`` is ``"vector"`` when the kernel ran the item, ``"replay"``
+    when it was one-disk Conservative and ``"loop"`` when it fell back to
+    the loop engine.  ``schedule`` is only
     materialised when the batch was run with ``schedules=True`` — decoding
     one :class:`TimedFetch` per fetch costs per-event Python again, so the
     throughput paths leave it off.
@@ -466,10 +467,11 @@ def run_batch(
     """Simulate many ``(instance, policy)`` pairs, batching what the kernel covers.
 
     Kernel-eligible pairs are stacked and advanced together; the rest run
-    through the loop engine one by one.  Outcomes are returned in input
-    order, each labelled with the engine that actually produced it.
+    one by one as an ``engine="auto"`` request runs them (the replay for
+    one-disk Conservative, else the loop engine).  Outcomes are returned in
+    input order, each labelled with the engine that actually produced it.
     """
-    from .executor import simulate
+    from .executor import simulate_with_engine
 
     outcomes: List[Optional[BatchOutcome]] = [None] * len(pairs)
     jobs: List[_Job] = []
@@ -480,11 +482,11 @@ def run_batch(
             jobs.append(job)
             job_slots.append(slot)
         else:
-            result = simulate(instance, policy, engine="loop")
+            result, engine = simulate_with_engine(instance, policy, engine="auto")
             outcomes[slot] = BatchOutcome(
                 metrics=result.metrics,
                 policy_name=result.policy_name,
-                engine="loop",
+                engine=engine,
                 schedule=result.schedule if schedules else None,
             )
     if jobs:

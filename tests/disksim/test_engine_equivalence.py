@@ -11,7 +11,8 @@ runs as a replay of MIN's plan; everything else — DemandFetch and every
 parallel-disk instance — must *fall back* to the loop engine, naming why.
 These tests sweep 225 deterministic randomized instances — single- and
 parallel-disk — with two policy families each, one case per instance and
-family, plus a hypothesis property for free-form sequences.
+family, run ``ParallelConservative`` on every single-disk one besides, and
+add a hypothesis property for free-form sequences.
 ``test_vector_equivalence.py`` keeps the kernel's own API cases (batches,
 Combination's branches, tie order, run records).
 """
@@ -45,10 +46,15 @@ from repro.disksim import (
 SINGLE_DISK_FAMILIES = (
     ("aggressive", lambda seed: Aggressive(), "vector"),
     ("conservative", lambda seed: Conservative(), "replay"),
-    ("parallel-conservative", lambda seed: ParallelConservative(), "replay"),
     ("delay", lambda seed: Delay(seed % 11), "vector"),
     ("combination", lambda seed: Combination(), "vector"),
     ("demand", lambda seed: DemandFetch(), "loop"),
+)
+
+# Conservative's rule on one disk; it runs on every single-disk seed beside
+# the rotation, so each rotating family keeps its 60 seeds.
+ONE_DISK_PARALLEL_CONSERVATIVE = (
+    "parallel-conservative", lambda seed: ParallelConservative(), "replay"
 )
 
 # (family, policy factory); the kernel claims no parallel-disk instance.
@@ -83,9 +89,14 @@ def _assert_equivalent(instance, policy_factory, seed):
     return engine, vector.engine_reason
 
 
-@pytest.mark.parametrize("seed, family", _rotation(range(150), SINGLE_DISK_FAMILIES, (0, 2)))
+@pytest.mark.parametrize(
+    "seed, family",
+    _rotation(range(150), SINGLE_DISK_FAMILIES, (0, 2))
+    + _rotation(range(150), (ONE_DISK_PARALLEL_CONSERVATIVE,), (0,)),
+)
 def test_single_disk_equivalence(seed, family):
-    """150 single-disk instances, two policy families each (rotating)."""
+    """150 single-disk instances, two policy families each (rotating), and
+    ParallelConservative on every one."""
     _name, factory, expected_engine = family
     engine, _reason = _assert_equivalent(random_instance(seed), factory, seed)
     assert engine == expected_engine

@@ -49,10 +49,14 @@ def test_auto_on_parallel_instance_reports_reason():
 def test_engine_reason_matches_plan_coverage(family):
     """A family runs on the kernel on a single-disk instance exactly when it
     is in the exported covered set the sweep planner pre-screens with; the
-    two Conservative families run as a replay, and the rest on the loop."""
+    two Conservative families run as a replay, and the rest on the loop.  A
+    batch row of the same pair reports the same engine."""
+    instance = random_instance(0)
     result, engine = simulate_with_engine(
-        random_instance(0), make_algorithm(family_spec(family)), engine="vector"
+        instance, make_algorithm(family_spec(family)), engine="vector"
     )
+    (outcome,) = run_batch([(instance, make_algorithm(family_spec(family)))])
+    assert outcome.engine == engine
     if family in VECTOR_FAMILIES:
         assert engine == "vector"
         assert result.engine_reason is None

@@ -63,7 +63,8 @@ def test_simulate_batch_matches_serial_simulation():
 
 
 def test_run_batch_mixes_covered_and_fallback_pairs():
-    """Per-pair fallback inside one batch: covered rows vector, the rest loop."""
+    """Per-pair fallback inside one batch: covered rows vector, one-disk
+    Conservative the replay, the rest loop."""
     instance = random_instance(5)
     pairs = [
         (instance, Aggressive()),
@@ -72,7 +73,7 @@ def test_run_batch_mixes_covered_and_fallback_pairs():
         (instance, DemandFetch()),
     ]
     outcomes = run_batch(pairs)
-    assert [o.engine for o in outcomes] == ["vector", "loop", "vector", "loop"]
+    assert [o.engine for o in outcomes] == ["vector", "replay", "vector", "loop"]
     for (inst, policy), outcome in zip(
         [(instance, Aggressive()), (instance, Conservative()),
          (instance, Delay(3)), (instance, DemandFetch())],
