@@ -19,7 +19,7 @@ disk is idle and the cursor has reached the earliest start position.
 
 On one disk that schedule needs no event loop: :func:`replay` derives it,
 and every metric, from the plan by a recurrence over the faults.
-``simulate_with_engine`` runs it for ``engine="vector"``/``"auto"`` requests
+``simulate_with_engine`` runs it for ``engine="auto"`` requests
 (reported as engine ``"replay"``); :class:`Conservative` on the event loop
 stays the reference it is tested against.
 

@@ -522,7 +522,7 @@ def _plan_execution_units(pending, workers: int):
     for item in pending:
         point = item[1]
         engine = canonical_engine(point.engine)
-        if engine in ("vector", "auto") and _vector_eligible(point):
+        if engine == "auto" and _vector_eligible(point):
             buckets.setdefault(_vector_bucket_key(point), []).append(item)
         else:
             loose.append(item)

@@ -1,13 +1,13 @@
-"""The SQLite-backed run store: durable, queryable, concurrent-writer safe.
+"""The SQLite-backed run store: durable and concurrent-writer safe.
 
 :class:`RunStore` is **one** SQLite file that is the shared persistence
 layer of the whole experiment pipeline:
 
 * **Runs** — every :class:`~repro.analysis.results.RunRecord` is stored
-  under its point cache key with the identity columns (workload, algorithm
-  spec, layout, engine, ``k``/``F``/``D``) indexed for querying, and the
-  record body as canonical sorted-key JSON, so the byte-identical emission
-  contract survives.
+  under its point cache key with its identity columns (workload, algorithm
+  spec, layout, engine, ``k``/``F``/``D``), which :meth:`RunStore.stats`
+  aggregates, and the record body as canonical sorted-key JSON, so the
+  byte-identical emission contract survives.
 * **Optima** — :class:`~repro.lp.service.OptimumRecord` s keyed by their
   canonical instance fingerprint; the optimum service reads and writes them
   through the duck-typed ``get_optimum``/``put_optimum`` pair.
@@ -39,8 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
-from ..disksim.executor import RECORDED_ENGINES
-from ..errors import ConfigurationError, StoreError
+from ..errors import StoreError
 from ..lp.service import OptimumRecord
 from .results import RunRecord
 
@@ -70,10 +69,6 @@ CREATE TABLE IF NOT EXISTS runs (
     optimum_solver_key TEXT,
     record     TEXT NOT NULL
 );
-CREATE INDEX IF NOT EXISTS idx_runs_workload  ON runs (workload);
-CREATE INDEX IF NOT EXISTS idx_runs_algorithm ON runs (algorithm_spec);
-CREATE INDEX IF NOT EXISTS idx_runs_layout    ON runs (layout);
-CREATE INDEX IF NOT EXISTS idx_runs_engine    ON runs (engine);
 CREATE TABLE IF NOT EXISTS optima (
     fingerprint TEXT PRIMARY KEY,
     solver_key  TEXT NOT NULL,
@@ -257,51 +252,6 @@ class RunStore:
                 rows,
             )
 
-    def query_runs(
-        self,
-        *,
-        workload: Optional[str] = None,
-        algorithm: Optional[str] = None,
-        layout: Optional[str] = None,
-        engine: Optional[str] = None,
-    ) -> List[RunRecord]:
-        """Records matching the given identity columns (indexed lookups).
-
-        ``algorithm`` matches either the resolved name or the spec string;
-        ``engine`` must be one a record can carry
-        (:data:`~repro.disksim.executor.RECORDED_ENGINES`).  Results come
-        back in deterministic (key) order; corrupt rows are skipped.
-        """
-        clauses, params = [], []
-        if workload is not None:
-            clauses.append("workload = ?")
-            params.append(workload)
-        if algorithm is not None:
-            clauses.append("(algorithm = ? OR algorithm_spec = ?)")
-            params.extend([algorithm, algorithm])
-        if layout is not None:
-            clauses.append("layout = ?")
-            params.append(layout)
-        if engine is not None:
-            if engine not in RECORDED_ENGINES:
-                raise ConfigurationError(
-                    f"unknown engine {engine!r}; records carry one of {RECORDED_ENGINES}"
-                )
-            clauses.append("engine = ?")
-            params.append(engine)
-        where = f"WHERE {' AND '.join(clauses)}" if clauses else ""
-        with self._guarded():
-            rows = self._conn.execute(
-                f"SELECT record FROM runs {where} ORDER BY key", params
-            ).fetchall()
-        records = (_decode_row(RunRecord.from_json_dict, body) for (body,) in rows)
-        return [record for record in records if record is not None]
-
-    def count_runs(self) -> int:
-        """How many run records the store holds."""
-        with self._guarded():
-            return self._conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
-
     # -- optimum records (duck-typed persistence for OptimumService) -------------------
 
     def get_optimum(self, fingerprint: str) -> Optional[OptimumRecord]:
@@ -323,11 +273,6 @@ class RunStore:
                     json.dumps(record.as_json_dict(), sort_keys=True),
                 ),
             )
-
-    def count_optima(self) -> int:
-        """How many optimum records the store holds."""
-        with self._guarded():
-            return self._conn.execute("SELECT COUNT(*) FROM optima").fetchone()[0]
 
     # -- sweep manifest ----------------------------------------------------------------
 

@@ -26,9 +26,6 @@ Commands
 ``lowerbound``— build the Theorem 2 adversarial instance and report
                 Aggressive's measured ratio next to the theoretical bound.
 ``bounds``    — print the Section 2 bound formulas for a (k, F) grid.
-``bench``     — run the repository microbenchmarks; ``bench engine`` measures
-                loop/scan/vector-batch throughput and, with ``--gate``,
-                enforces the stored perf floor (exit 1 on regression).
 ``check``     — run the determinism lint over the package source (or the
                 given paths): seeded RNGs only, no wall clocks in kernel
                 code, ordered fingerprints.  Exit 0 when clean, 1 on any
@@ -43,8 +40,8 @@ API directly (see the examples/ directory).  Parsing is strict: unknown or
 duplicate parameters and uncoercible values exit with a one-line
 configuration error instead of silently running a different experiment.
 So do out-of-range numeric options, unwritable output paths, a cache
-directory that is not a directory, an unreadable perf-gate floor and a
-single-disk algorithm on a multi-disk instance.
+directory that is not a directory and a single-disk algorithm on a
+multi-disk instance.
 
 List-valued options (``--algorithms``, ``--workloads``) are split on ``;``
 when one is present and on ``,`` otherwise — parametrised specs carry
@@ -109,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _ENGINE_CHOICES = ["auto", "loop", "scan", "vector"]
+    _ENGINE_CHOICES = ["auto", "loop", "scan"]
 
     p_sim = sub.add_parser("simulate", help="run one algorithm and print metrics")
     p_sim.add_argument("--workload", "-w", default="zipf:n=200,blocks=50",
@@ -124,9 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--algorithm", "-a", default="aggressive")
     p_sim.add_argument("--engine", default="loop", choices=_ENGINE_CHOICES,
                        help="simulation engine (loop = the indexed event loop; "
-                       "vector and auto both run one-disk conservative as a "
-                       "replay of MIN's plan, aggressive/delay/combination on "
-                       "the numpy batch kernel and everything else on loop)")
+                       "auto runs one-disk conservative as a replay of MIN's "
+                       "plan, aggressive/delay/combination on the numpy batch "
+                       "kernel and everything else on loop)")
     p_sim.add_argument("--gantt", action="store_true",
                        help="print an ASCII Gantt chart (records the event log, "
                        "so the run uses the loop engine)")
@@ -163,10 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execution backend for the grid points "
                        "(auto = serial at workers<=1, process fan-out otherwise)")
         p.add_argument("--engine", default="loop", choices=_ENGINE_CHOICES,
-                       help="simulation engine; vector/auto let the planner "
-                       "stack same-shape points into batched kernel passes "
-                       "and run one-disk conservative points as a replay of "
-                       "MIN's plan (other points fall back to the loop engine)")
+                       help="simulation engine; auto lets the planner stack "
+                       "same-shape points into batched kernel passes and runs "
+                       "one-disk conservative points as a replay of MIN's plan "
+                       "(other points fall back to the loop engine)")
         p.add_argument("--cache-dir", default=None,
                        help="directory for the run store (a single SQLite file, "
                        "runs.sqlite, holding records, optima and sweep manifests)")
@@ -243,37 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="print the Section 2 bound formulas")
     p_bounds.add_argument("--cache-sizes", default="8,16,32,64")
     p_bounds.add_argument("--fetch-times", default="2,4,8,16")
-
-    p_bench = sub.add_parser(
-        "bench", help="run the repository's microbenchmarks"
-    )
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-    p_bench_engine = bench_sub.add_parser(
-        "engine",
-        help="engine throughput benchmark (loop vs scan vs vector batch), "
-        "optionally enforced as a perf gate",
-    )
-    p_bench_engine.add_argument("--num-requests", type=int, default=None,
-                                help="requests per instance (default: the "
-                                "BENCH_engine grid, or the floor file's under --gate)")
-    p_bench_engine.add_argument("--batch-size", type=int, default=None,
-                                help="instances per stacked vector pass (default: "
-                                "the BENCH_engine grid, or the floor file's under --gate)")
-    p_bench_engine.add_argument("--reps", type=int, default=3,
-                                help="alternating loop/batch timing pairs per cell "
-                                "(a cell reports their medians; with 2 pairs, "
-                                "their mean)")
-    p_bench_engine.add_argument("--no-scan", action="store_true",
-                                help="skip the (slow, quadratic) scan reference rows")
-    p_bench_engine.add_argument("--json", dest="json_path", default=None,
-                                help="write the report as JSON to this path")
-    p_bench_engine.add_argument("--gate", action="store_true",
-                                help="enforce the perf gate: exit 1 if any cell's "
-                                "vector-batch throughput is below the stored floor "
-                                "or below 5x the loop engine")
-    p_bench_engine.add_argument("--floor", default=None,
-                                help="gate floor file (default with --gate: "
-                                "./BENCH_engine_floor.json if present)")
 
     p_check = sub.add_parser(
         "check",
@@ -528,45 +494,6 @@ def _cmd_lowerbound(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .analysis import enginebench
-
-    for option, value in (
-        ("--num-requests", args.num_requests),
-        ("--batch-size", args.batch_size),
-        ("--reps", args.reps),
-    ):
-        if value is not None and value < 1:
-            raise ConfigurationError(f"{option} must be at least 1, got {value}")
-    floor = None
-    if args.floor is not None:
-        floor = enginebench.load_floor(args.floor)
-    elif args.gate and Path("BENCH_engine_floor.json").exists():
-        floor = enginebench.load_floor("BENCH_engine_floor.json")
-    # Under --gate the floor file pins the grid it was calibrated on; explicit
-    # options still win so a mismatch fails loudly in gate_failures.
-    pinned = floor or {}
-    num_requests = args.num_requests or pinned.get("num_requests") or enginebench.N_REQUESTS
-    batch_size = args.batch_size or pinned.get("batch_size") or enginebench.BATCH_SIZE
-    report = enginebench.run_engine_benchmark(
-        num_requests=num_requests,
-        batch_size=batch_size,
-        include_scan=not args.no_scan,
-        reps=args.reps,
-    )
-    print(enginebench.format_engine_report(report))
-    if args.json_path:
-        _write_output(args.json_path, "JSON", _json_writer(report))
-    if args.gate:
-        failures = enginebench.gate_failures(report, floor)
-        for failure in failures:
-            print(f"PERF GATE: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print("perf gate passed")
-    return 0
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     from .checks import run_checks
 
@@ -599,7 +526,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "algorithms": _cmd_algorithms,
         "lowerbound": _cmd_lowerbound,
         "bounds": _cmd_bounds,
-        "bench": _cmd_bench,
         "check": _cmd_check,
     }
     try:

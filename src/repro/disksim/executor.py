@@ -79,7 +79,6 @@ __all__ = [
     "FetchDecision",
     "PolicyView",
     "PrefetchPolicy",
-    "RECORDED_ENGINES",
     "SimulationResult",
     "canonical_engine",
     "simulate",
@@ -89,23 +88,18 @@ __all__ = [
 ]
 
 
-_ENGINES = ("loop", "scan", "vector", "auto")
-
-#: The engines a run can report having run (``simulate_with_engine``'s
-#: second value, ``RunRecord.engine``): ``"auto"`` resolves to one of them,
-#: and a ``"vector"``/``"auto"`` request may run the Conservative replay.
-RECORDED_ENGINES = ("loop", "scan", "vector", "replay")
+_ENGINES = ("loop", "scan", "auto")
 
 
 def canonical_engine(engine: str) -> str:
     """Validate an engine name and return it.
 
     ``"loop"`` is the indexed event loop, ``"scan"`` the scan-query
-    reference implementation, ``"vector"`` the numpy struct-of-arrays batch
-    engine and ``"auto"`` picks the fastest applicable engine at run time
-    (the replay of MIN's plan for one-disk Conservative, vector when the
-    instance/policy is covered, loop otherwise).  ``"replay"`` is a realised
-    engine only, never a name to ask for.  Raises
+    reference implementation and ``"auto"`` picks the fastest applicable
+    engine at run time (the replay of MIN's plan for one-disk Conservative,
+    the numpy struct-of-arrays kernel when the instance/policy is covered,
+    loop otherwise).  ``"vector"`` and ``"replay"`` are realised engines
+    only, never names to ask for.  Raises
     :class:`~repro.errors.ConfigurationError` for anything else.
     """
     if engine not in _ENGINES:
@@ -330,10 +324,10 @@ class SimulationResult:
     #: ``record_events=True`` (the vector kernel and the replay never record one).
     events: Optional[EventLog]
     policy_name: str = ""
-    #: Why the caller's ``engine="auto"`` or ``engine="vector"`` fell back to
-    #: the loop engine (e.g. ``"parallel-disk instance"``).  ``None`` when
-    #: the request ran on the kernel or the replay, so engine choice is
-    #: explainable from the result.
+    #: Why the caller's ``engine="auto"`` fell back to the loop engine
+    #: (e.g. ``"parallel-disk instance"``).  ``None`` when the request ran
+    #: on the kernel or the replay, so engine choice is explainable from the
+    #: result.
     engine_reason: Optional[str] = None
 
     @property
@@ -381,11 +375,11 @@ class _EngineState:
     :meth:`eviction_heap` on the first query that needs it and from then on
     maintained incrementally by the fetch lifecycle methods below, so
     policies that never ask for a furthest-next-use victim (Conservative
-    follows MIN's plan) never pay for its per-serve upkeep.  ``"vector"``
-    and ``"auto"`` degrade to ``"loop"`` here: the event loop is the
-    fallback engine the vector kernel and the Conservative replay defer to
-    for anything they do not cover.  ``events`` is an
-    :class:`EventLog` only when ``record_events`` is set.
+    follows MIN's plan) never pay for its per-serve upkeep.  ``"auto"``
+    degrades to ``"loop"`` here: the event loop is the fallback engine the
+    vector kernel and the Conservative replay defer to for anything they do
+    not cover.  ``events`` is an :class:`EventLog` only when
+    ``record_events`` is set.
     """
 
     def __init__(
@@ -397,7 +391,7 @@ class _EngineState:
         record_events: bool = False,
     ) -> None:
         engine = canonical_engine(engine)
-        if engine in ("vector", "auto"):
+        if engine == "auto":
             engine = "loop"
         self.instance = instance
         self.cache = CacheState(capacity, instance.initial_cache)
@@ -907,18 +901,18 @@ def simulate(
     event loop over the incremental
     :class:`MissTracker`/:class:`EvictionHeap`; ``"scan"`` re-derives every
     query by scanning the sequence, exactly as the seed engine did;
-    ``"vector"`` runs one-disk Conservative as a replay of MIN's plan
+    ``"auto"`` runs one-disk Conservative as a replay of MIN's plan
     (:func:`repro.algorithms.conservative.replay`) and the Delay family on
     the numpy struct-of-arrays kernel of :mod:`repro.disksim.vector`,
-    falling back to the loop for instances/policies neither covers;
-    ``"auto"`` does the same.  All engines produce identical schedules and
-    metrics — the equivalence suites assert this.
+    falling back to the loop for instances/policies neither covers.  All
+    engines produce identical schedules and metrics — the equivalence
+    suites assert this.
 
     ``record_events=True`` also records the run's :class:`EventLog` (the
     Gantt chart, the timeline and the phase breakdown read it); otherwise
     ``result.events`` is ``None`` and the run skips one event object per
     serve, stall, fetch and eviction.  Only the loop engine records a log,
-    so asking for one runs ``"auto"`` and ``"vector"`` on the loop engine.
+    so asking for one runs ``"auto"`` on the loop engine.
     """
     result, _ = simulate_with_engine(
         instance, policy, engine=engine, record_events=record_events
@@ -953,14 +947,14 @@ def simulate_with_engine(
     name of the engine that produced the result (``"loop"``, ``"scan"``,
     ``"vector"`` or ``"replay"``) — callers recording provenance (the sweep
     runner's :class:`~repro.analysis.results.RunRecord`) need the realised
-    engine, not the requested one, because ``"vector"`` runs one-disk
-    Conservative as a replay of MIN's plan and silently falls back to the
-    loop for uncovered instances/policies, and ``"auto"`` resolves at run
-    time.
+    engine, not the requested one, because ``"auto"`` resolves at run
+    time: it runs one-disk Conservative as a replay of MIN's plan, the Delay
+    family on the vector kernel and falls back to the loop for uncovered
+    instances/policies.
     """
     engine = canonical_engine(engine)
     reason: Optional[str] = None
-    if engine in ("vector", "auto"):
+    if engine == "auto":
         if record_events:
             reason = "event log requested; only the loop engine records one"
         elif _replays_min_plan(instance, policy):

@@ -1,4 +1,4 @@
-"""Struct-of-arrays batch engine (``engine="vector"``).
+"""Struct-of-arrays batch engine (the ``"vector"`` engine ``"auto"`` picks).
 
 The loop engines (``"loop"``/``"scan"``) dispatch one Python call per event —
 serve, fetch, completion — which caps single-threaded throughput at a few
@@ -526,7 +526,7 @@ def simulate_vector(
 ) -> "Union[SimulationResult, str]":
     """Kernel-simulate one instance, or return why it is not covered.
 
-    This is the ``engine="vector"`` entry point used by
+    This is the kernel entry point an ``engine="auto"`` request takes in
     :func:`repro.disksim.executor.simulate_with_engine`: a string return is
     the fallback reason, which tells the dispatcher to run the loop engine
     without having spent a duplicate simulation.  The returned result

@@ -116,7 +116,7 @@ def compute_optimum_record(instance: ProblemInstance, fingerprint: str) -> Optim
     """
     normalized = normalize_instance(instance)
     if normalized.num_disks == 1:
-        optimum = optimal_single_disk(normalized, reduced=True)
+        optimum = optimal_single_disk(normalized)
         method_used = "single-disk-exact"
         extra_cache_used = 0
     else:

@@ -16,13 +16,14 @@ stall ``ceil(LB)`` can move before it branches; its answer is kept when its
 stall is at most ``ceil(LB)``, which makes it optimal because stalls are
 integers.
 
-``reduced=True`` builds the dominance-pruned single-disk model
+The driver builds the dominance-pruned single-disk model
 (``aggregate_never_requested`` — interchangeable never-requested resident
 blocks share one aggregated eviction budget), which shrinks cold-instance
 models by roughly the cache-size factor without changing the optimum; the
-equivalence is property-tested against the full model.  The wall-clock cost
-of build + solve + extraction is recorded on the returned execution's
-metrics (``SimMetrics.solve_seconds``).
+equivalence is property-tested against the full model, which
+:func:`repro.lp.parallel.optimal_parallel_schedule` solves on one disk.
+The wall-clock cost of build + solve + extraction is recorded on the
+returned execution's metrics (``SimMetrics.solve_seconds``).
 """
 
 from __future__ import annotations
@@ -66,12 +67,12 @@ class SingleDiskOptimum:
         return self.solution.charged_stall(self.instance.fetch_time)
 
 
-def optimal_single_disk(instance: ProblemInstance, *, reduced: bool = False) -> SingleDiskOptimum:
+def optimal_single_disk(instance: ProblemInstance) -> SingleDiskOptimum:
     """Compute an optimal single-disk schedule for ``instance``.
 
-    ``reduced=True`` uses the dominance-pruned model (same optimum, smaller
-    LP — see the module docstring).  Raises :class:`ConfigurationError` if
-    the instance uses more than one disk; use
+    Solves the dominance-pruned model (same optimum as the full model,
+    smaller LP — see the module docstring).  Raises
+    :class:`ConfigurationError` if the instance uses more than one disk; use
     :func:`repro.lp.parallel.optimal_parallel_schedule` for the multi-disk
     problem.
     """
@@ -80,7 +81,7 @@ def optimal_single_disk(instance: ProblemInstance, *, reduced: bool = False) -> 
             f"optimal_single_disk needs a single-disk instance, got D={instance.num_disks}"
         )
     started = time.perf_counter()
-    model = SynchronizedLPModel(instance, aggregate_never_requested=reduced)
+    model = SynchronizedLPModel(instance, aggregate_never_requested=True)
     relaxation = solve_relaxation(model)
     solution = relaxation if relaxation.is_integral else solve_integral(model, relaxation)
     schedule = model.extract_schedule(solution)

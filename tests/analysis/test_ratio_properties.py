@@ -134,7 +134,7 @@ class TestSerialParallelOptima:
         run = run_experiments(spec, cache_dir=tmp_path)
         assert run.optimum_requests == 1
         with RunStore(store_path_for(tmp_path)) as store:
-            assert store.count_optima() == 1
+            assert store.stats()["optima"] == 1
         solve_times = {r.optimum_solve_seconds for r in run}
         assert len(solve_times) == 1  # all four records carry the one solve
 

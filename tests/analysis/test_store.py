@@ -132,14 +132,14 @@ class TestRunPersistence:
             store.put_runs([("k1", record)])
             assert store.get_run("k1") == record
             assert store.get_run("missing") is None
-            assert store.count_runs() == 1
+            assert store.stats()["runs"] == 1
 
     def test_upsert_replaces(self, tmp_path):
         with RunStore(tmp_path / "s.sqlite") as store:
             store.put_runs([("k", _record())])
             upgraded = _record(optimal_stall=1, optimal_elapsed=12)
             store.put_runs([("k", upgraded)])
-            assert store.count_runs() == 1
+            assert store.stats()["runs"] == 1
             assert store.get_run("k") == upgraded
 
     def test_non_database_file_raises_a_clean_store_error(self, tmp_path):
@@ -165,7 +165,7 @@ class TestRunPersistence:
     def test_one_corrupt_field_reads_as_a_record_or_a_miss(
         self, tmp_path_factory, target, raw
     ):
-        """Property: no field value makes a read raise; query_runs skips misses."""
+        """Property: no field value makes a read raise."""
         table, field = target
         body = _RUN_BODY if table == "runs" else _OPTIMUM.as_json_dict()
         with RunStore(tmp_path_factory.mktemp("corrupt") / "s.sqlite") as store:
@@ -179,27 +179,6 @@ class TestRunPersistence:
             optimum = store.get_optimum(_OPTIMUM.fingerprint)
             assert run is None or isinstance(run, RunRecord)
             assert optimum is None or isinstance(optimum, OptimumRecord)
-            assert len(store.query_runs()) == (0 if run is None else 1)
-
-    def test_indexed_queries_by_identity_columns(self, tmp_path):
-        with RunStore(tmp_path / "s.sqlite") as store:
-            store.put_runs(
-                [
-                    ("a", _record(workload="w1", algorithm_spec="aggressive")),
-                    ("b", _record(workload="w1", algorithm_spec="delay:d=2",
-                                  algorithm="delay(2)")),
-                    ("c", _record(workload="w2", algorithm_spec="aggressive",
-                                  layout="partitioned", disks=2)),
-                ]
-            )
-            assert len(store.query_runs(workload="w1")) == 2
-            assert len(store.query_runs(algorithm="aggressive")) == 2
-            # Resolved name and spec string both address the record.
-            assert len(store.query_runs(algorithm="delay(2)")) == 1
-            assert len(store.query_runs(algorithm="delay:d=2")) == 1
-            assert len(store.query_runs(layout="partitioned")) == 1
-            assert len(store.query_runs(workload="w1", algorithm="delay:d=2")) == 1
-            assert len(store.query_runs()) == 3
 
     def test_optimum_round_trip(self, tmp_path):
         record = OptimumRecord(
@@ -210,31 +189,10 @@ class TestRunPersistence:
             store.put_optimum(record)
             assert store.get_optimum("f1") == record
             assert store.get_optimum("f2") is None
-            assert store.count_optima() == 1
+            assert store.stats()["optima"] == 1
 
 
 class TestEngineColumn:
-    def test_query_runs_engine_filter_and_alias(self, tmp_path):
-        from repro.errors import ConfigurationError
-
-        with RunStore(tmp_path / "s.sqlite") as store:
-            store.put_runs(
-                [
-                    ("a", _record(engine="loop")),
-                    ("b", _record(engine="vector")),
-                    ("c", _record(engine="vector")),
-                    ("d", _record(engine="replay")),
-                ]
-            )
-            assert len(store.query_runs(engine="loop")) == 1
-            assert len(store.query_runs(engine="vector")) == 2
-            assert len(store.query_runs(engine="replay")) == 1
-            # The retired "indexed" alias is an unknown engine like any other,
-            # and "auto" is a request that no record carries.
-            for unknown in ("indexed", "warp", "auto"):
-                with pytest.raises(ConfigurationError, match="unknown engine"):
-                    store.query_runs(engine=unknown)
-
     def test_stats_reports_per_engine_counts(self, tmp_path):
         path = tmp_path / "s.sqlite"
         with RunStore(path) as store:
@@ -243,12 +201,14 @@ class TestEngineColumn:
                     ("a", _record(engine="loop")),
                     ("b", _record(engine="vector")),
                     ("c", _record(engine="vector")),
+                    ("d", _record(engine="replay")),
                 ]
             )
         with RunStore(path) as store:
             stats = store.stats()
             assert stats["runs_engine_loop"] == 1
             assert stats["runs_engine_vector"] == 2
+            assert stats["runs_engine_replay"] == 1
             assert "runs_engine_scan" not in stats
 
 
@@ -311,7 +271,7 @@ class TestSweepManifest:
             assert outcome["sweeps_removed"] == 1
             assert store.stats()["sweeps"] == 0
             # The records themselves are the cache; gc never drops them.
-            assert store.count_runs() == 2
+            assert store.stats()["runs"] == 2
 
 
 class TestResume:
@@ -469,7 +429,7 @@ class TestConcurrentWriters:
         with RunStore(store_path_for(tmp_path)) as store:
             # The two grids overlap on 8 of 12 point keys; the store holds
             # the union exactly once per key.
-            assert store.count_runs() == 12
+            assert store.stats()["runs"] == 12
             assert store.stats()["sweeps"] == 2
         # And the warmed store serves both grids without re-simulation.
         rerun = run_experiments(disjointish, cache_dir=tmp_path)
@@ -491,4 +451,4 @@ class TestStoreBackedOptimumService:
             reader = OptimumService(store=store)
             assert reader.optimum(instance) == record
             assert reader.solves == 0
-            assert store.count_optima() == 1
+            assert store.stats()["optima"] == 1

@@ -31,7 +31,7 @@ def _spec(**overrides) -> ExperimentSpec:
         fetch_times=(3,),
         algorithms=("aggressive",),
         seeds=tuple(range(10)),
-        engine="vector",
+        engine="auto",
     )
     base.update(overrides)
     return ExperimentSpec(**base)
@@ -63,7 +63,7 @@ def _pending(spec):
         unique=True,
     ),
     num_seeds=st.integers(min_value=1, max_value=12),
-    engine=st.sampled_from(["vector", "auto", "loop"]),
+    engine=st.sampled_from(["auto", "loop"]),
     workers=st.integers(min_value=1, max_value=4),
 )
 def test_every_pending_point_lands_in_exactly_one_unit(
@@ -146,7 +146,7 @@ def test_prescreen_buckets_exactly_the_families_the_kernel_plans(family):
     the vector planner has a plan for it."""
     spec = family_spec(family)
     units = _plan_execution_units(_pending(_spec(algorithms=(spec,))), 1)
-    _result, engine = simulate_with_engine(random_instance(0), make_algorithm(spec), engine="vector")
+    _result, engine = simulate_with_engine(random_instance(0), make_algorithm(spec), engine="auto")
     planned = engine == "vector"
     assert {kind for kind, _items in units} == ({"simbatch"} if planned else {"sim"})
 
@@ -172,7 +172,7 @@ def test_run_experiments_vector_matches_loop_modulo_engine():
         seeds=tuple(range(9)),
     )
     loop = run_experiments(_spec(engine="loop", **grid))
-    vector = run_experiments(_spec(engine="vector", **grid))
+    vector = run_experiments(_spec(engine="auto", **grid))
     assert _normalized(vector) == _normalized(loop)
     by_algorithm = {}
     for record in vector.records:

@@ -2,7 +2,7 @@
 
 The indexed engine (``engine="loop"``, the default) must be a pure
 performance transformation of the seed's scan engine, and whatever an
-``engine="vector"`` request runs one of the loop engine: on every instance
+``engine="auto"`` request runs one of the loop engine: on every instance
 and policy the :class:`Schedule` (every fetch, start time, disk, victim) and
 the :class:`SimMetrics` must match exactly.  Every case runs all three
 requests.  The kernel runs the single-disk Delay family (Aggressive,
@@ -42,7 +42,7 @@ from repro.disksim import (
     simulate_with_engine,
 )
 
-# (family, policy factory, engine the vector request must report).
+# (family, policy factory, engine the auto request must report).
 SINGLE_DISK_FAMILIES = (
     ("aggressive", lambda seed: Aggressive(), "vector"),
     ("conservative", lambda seed: Conservative(), "replay"),
@@ -77,16 +77,16 @@ def _rotation(seeds, families, offsets):
 
 
 def _assert_equivalent(instance, policy_factory, seed):
-    """Run the scan and loop engines and a vector request; return the engine
-    and reason the vector request reported."""
+    """Run the scan and loop engines and an auto request; return the engine
+    and reason the auto request reported."""
     scan = simulate(instance, policy_factory(seed), engine="scan")
     indexed = simulate(instance, policy_factory(seed), engine="loop")
     assert indexed.schedule == scan.schedule, f"schedules diverge (seed {seed})"
     assert indexed.metrics == scan.metrics, f"metrics diverge (seed {seed})"
-    vector, engine = simulate_with_engine(instance, policy_factory(seed), engine="vector")
-    assert vector.schedule == indexed.schedule, f"schedules diverge (seed {seed}, engine {engine})"
-    assert vector.metrics == indexed.metrics, f"metrics diverge (seed {seed}, engine {engine})"
-    return engine, vector.engine_reason
+    auto, engine = simulate_with_engine(instance, policy_factory(seed), engine="auto")
+    assert auto.schedule == indexed.schedule, f"schedules diverge (seed {seed}, engine {engine})"
+    assert auto.metrics == indexed.metrics, f"metrics diverge (seed {seed}, engine {engine})"
+    return engine, auto.engine_reason
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """Engine auto-selection is explainable: the fallback reason is reported.
 
-When ``engine="auto"``/``"vector"`` falls back to the loop engine, the
+When ``engine="auto"`` falls back to the loop engine, the
 result's ``engine_reason`` — the reason the kernel's one eligibility check
 returns, or the event log the loop alone records — must say why: the runner
 logs it, so a sweep that silently ran 10x slower than expected is
@@ -24,7 +24,7 @@ from repro.disksim import (
 )
 from repro.disksim.vector import VECTOR_FAMILIES
 
-#: Families a one-disk vector request runs as a replay of MIN's plan.
+#: Families a one-disk auto request runs as a replay of MIN's plan.
 REPLAY_FAMILIES = frozenset({"conservative", "parallel-conservative"})
 
 
@@ -53,7 +53,7 @@ def test_engine_reason_matches_plan_coverage(family):
     batch row of the same pair reports the same engine."""
     instance = random_instance(0)
     result, engine = simulate_with_engine(
-        instance, make_algorithm(family_spec(family)), engine="vector"
+        instance, make_algorithm(family_spec(family)), engine="auto"
     )
     (outcome,) = run_batch([(instance, make_algorithm(family_spec(family)))])
     assert outcome.engine == engine
@@ -123,13 +123,13 @@ FALLBACK_CASES = {
 
 @pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
 def test_vector_fallback_names_its_reason_and_matches_loop(case):
-    """Every reason a vector request falls back for: the run reports
+    """Every reason an auto request falls back for: the run reports
     ``loop`` with that exact reason and the loop engine's schedule and
     metrics, and a batch row without an event log is labelled ``loop`` too."""
     build, spec, record_events, reason = FALLBACK_CASES[case]
     instance = build()
     result, engine = simulate_with_engine(
-        instance, make_algorithm(spec), engine="vector", record_events=record_events
+        instance, make_algorithm(spec), engine="auto", record_events=record_events
     )
     assert engine == "loop"
     assert result.engine_reason == reason

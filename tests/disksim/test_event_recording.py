@@ -107,18 +107,17 @@ def test_recording_changes_nothing_and_log_matches_reference(parallel, spec):
     assert _log_digest(logs) == REFERENCE_LOGS[(parallel, spec)]
 
 
-def test_record_events_runs_auto_and_vector_on_the_loop_engine():
+def test_record_events_runs_auto_on_the_loop_engine():
     instance = _instance(0, parallel=False)
     plain, plain_engine = simulate_with_engine(
         instance, make_algorithm("aggressive"), engine="auto"
     )
-    for engine in ("auto", "vector"):
-        result, ran = simulate_with_engine(
-            instance, make_algorithm("aggressive"), engine=engine, record_events=True
-        )
-        assert ran == "loop" and result.engine_reason is not None
-        assert result.events is not None and len(result.events) > 0
-        assert (result.schedule, result.metrics) == (plain.schedule, plain.metrics)
+    result, ran = simulate_with_engine(
+        instance, make_algorithm("aggressive"), engine="auto", record_events=True
+    )
+    assert ran == "loop" and result.engine_reason is not None
+    assert result.events is not None and len(result.events) > 0
+    assert (result.schedule, result.metrics) == (plain.schedule, plain.metrics)
     assert plain_engine == "vector" and plain.events is None
 
 

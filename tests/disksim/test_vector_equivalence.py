@@ -1,9 +1,10 @@
 """The vector kernel's own API: batches, fallback rows and run records.
 
-The struct-of-arrays batch engine (``engine="vector"``) must be a pure
-performance transformation of the loop engine: the :class:`SimMetrics` and
-the :class:`Schedule` — every fetch, start time, block and victim — must
-match exactly, and a :class:`RunRecord` produced through the vector path
+The struct-of-arrays batch engine (``"vector"``, which ``engine="auto"``
+picks for the Delay family) must be a pure performance transformation of
+the loop engine: the :class:`SimMetrics` and the :class:`Schedule` — every
+fetch, start time, block and victim — must match exactly, and a
+:class:`RunRecord` produced through the vector path
 must serialize to the same bytes as the loop path (the ``engine``
 provenance field is the one permitted difference; these tests normalize it
 before comparing).  The per-instance scan == loop == vector oracle over 225
@@ -97,7 +98,7 @@ def test_combination_runs_on_the_kernel_as_its_selected_component(
     )
     selected = Combination.select_for(instance)
     assert type(selected) is component
-    vector, engine = simulate_with_engine(instance, Combination(), engine="vector")
+    vector, engine = simulate_with_engine(instance, Combination(), engine="auto")
     assert engine == "vector"
     loop = simulate(instance, Combination(), engine="loop")
     assert vector.schedule == loop.schedule
@@ -115,7 +116,7 @@ def test_kernel_breaks_victim_ties_in_the_engine_order(spec):
     instance = ProblemInstance.single_disk(
         sequence, cache_size=6, fetch_time=3, initial_cache=warm
     )
-    vector, engine = simulate_with_engine(instance, make_algorithm(spec), engine="vector")
+    vector, engine = simulate_with_engine(instance, make_algorithm(spec), engine="auto")
     assert engine == "vector"
     loop = simulate(instance, make_algorithm(spec), engine="loop")
     assert vector.schedule == loop.schedule
@@ -152,7 +153,7 @@ def test_run_records_byte_identical_across_engines(warm):
             )
         labeled.append((f"inst{seed}", instance))
     loop = evaluate_instances(labeled, ALL_SPECS, engine="loop")
-    vector = evaluate_instances(labeled, ALL_SPECS, engine="vector")
+    vector = evaluate_instances(labeled, ALL_SPECS, engine="auto")
     assert _normalized_json(vector) == _normalized_json(loop)
     engines = {record.engine for record in vector.records}
     assert "vector" in engines  # the covered families really took the kernel

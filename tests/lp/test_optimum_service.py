@@ -180,14 +180,16 @@ class TestReducedModel:
     def test_reduced_and_full_model_certify_the_same_optimum(
         self, seed, n, blocks, k, fetch_time, warm_count
     ):
-        """Property: the dominance-pruned model never changes the optimum."""
+        """Property: the dominance-pruned model never changes the optimum.
+
+        ``optimal_parallel_schedule`` solves the full model on one disk."""
         sequence = zipf(n, blocks, seed=seed, prefix=f"rm{seed}_")
         warm = [f"warm{i}" for i in range(min(warm_count, k))]
         instance = ProblemInstance.single_disk(
             sequence, cache_size=k, fetch_time=fetch_time, initial_cache=warm
         )
-        full = optimal_single_disk(instance, reduced=False)
-        pruned = optimal_single_disk(instance, reduced=True)
+        full = optimal_parallel_schedule(instance)
+        pruned = optimal_single_disk(instance)
         assert pruned.stall_time == full.stall_time
         assert pruned.elapsed_time == full.elapsed_time
 

@@ -100,7 +100,9 @@ class TestReducedCostFixing:
         brute = brute_force_optimal_stall(instance).stall_time
         assert fixed.objective == _plain_milp_objective(model) == brute
 
-        optimum = optimal_single_disk(instance, reduced=reduced)
+        # On one disk the parallel driver solves the full model.
+        driver = optimal_single_disk if reduced else optimal_parallel_schedule
+        optimum = driver(instance)
         assert optimum.stall_time == optimum.charged_stall == brute
 
     def test_a_fractional_relaxation_fixes_variables_in_one_solve(self, monkeypatch):

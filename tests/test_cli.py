@@ -72,6 +72,10 @@ class TestCommands:
                  "--method", "milp"],
                 "--method milp",
             ),
+            (["sweep", "--engine", "vector"], "vector"),
+            (["ratios", "--engine", "vector"], "vector"),
+            (["simulate", "--engine", "vector"], "vector"),
+            (["bench", "engine"], "bench"),
         ],
     )
     def test_removed_commands_and_choices_are_rejected(self, capsys, argv, rejected):
@@ -400,9 +404,6 @@ class TestCommands:
             ),
             ["bounds", "--cache-sizes", "x"],
             ["bounds", "--fetch-times", "4,y"],
-            ["bench", "engine", "--no-scan", "--reps", "0"],
-            ["bench", "engine", "--no-scan", "--num-requests", "0"],
-            ["bench", "engine", "--no-scan", "--batch-size", "0"],
             ["simulate", "-w", "zipf:n=40", "-D", "0"],
             ["simulate", "-w", "zipf:n=40", "-k", "4", "-F", "2", "-D", "-1"],
             ["simulate", "-w", "zipf:n=30", "-a", "delay:3"],
@@ -459,11 +460,6 @@ class TestCommands:
             ),
             ["store", "stats", "--cache-dir", "{store}", "--json", "{dir}"],
             ["store", "stats", "--cache-dir", "{store}", "--json", "{dir}/missing/s.json"],
-            ["bench", "engine", "--no-scan", "--reps", "1", "--num-requests", "60",
-             "--batch-size", "2", "--json", "{dir}"],
-            ["bench", "engine", "--gate", "--no-scan", "--floor", "{dir}/missing.json"],
-            ["bench", "engine", "--gate", "--no-scan", "--floor", "{file}"],
-            ["bench", "engine", "--gate", "--no-scan", "--floor", "{list_json}"],
         ],
     )
     def test_bad_paths_exit_cleanly(self, capsys, tmp_path, monkeypatch, command):
@@ -474,12 +470,8 @@ class TestCommands:
 
         monkeypatch.setattr("time.sleep", no_polling)
         (tmp_path / "file").write_text("not json\n")
-        (tmp_path / "list.json").write_text("[1, 2]\n")
         RunStore(store_path_for(tmp_path / "store")).close()
-        paths = {
-            "file": tmp_path / "file", "dir": tmp_path, "store": tmp_path / "store",
-            "list_json": tmp_path / "list.json",
-        }
+        paths = {"file": tmp_path / "file", "dir": tmp_path, "store": tmp_path / "store"}
         code = main([arg.format(**paths) for arg in command])
         captured = capsys.readouterr()
         assert code == 2
@@ -488,83 +480,7 @@ class TestCommands:
         assert "Traceback" not in captured.err
 
 
-class TestBenchCommand:
-    def test_bench_engine_writes_report_json(self, capsys, tmp_path):
-        import json as json_module
-
-        out = tmp_path / "report.json"
-        code = main(
-            ["bench", "engine", "--num-requests", "300", "--batch-size", "8",
-             "--reps", "1", "--no-scan", "--json", str(out)]
-        )
-        captured = capsys.readouterr().out
-        assert code == 0
-        assert "vector[B=8]" in captured
-        assert "worst vector-batch speedup" in captured
-        report = json_module.loads(out.read_text())
-        assert report["benchmark"] == "engine-throughput"
-        assert report["num_requests"] == 300 and report["batch_size"] == 8
-        cell = report["results"]["zipf-hot/aggressive"]
-        assert cell["vector_batch_requests_per_second"] > 0
-        assert "scan_seconds" not in cell  # --no-scan skips the reference rows
-
-    def test_bench_engine_gate_passes_against_a_loose_floor(self, capsys, tmp_path):
-        import json as json_module
-
-        floor = tmp_path / "floor.json"
-        floor.write_text(json_module.dumps({
-            "gate": "engine-vector-perf",
-            "num_requests": 300,
-            "batch_size": 8,
-            "min_vector_batch_requests_per_second": 1.0,
-            "min_vector_batch_speedup": 0.01,
-        }))
-        code = main(
-            ["bench", "engine", "--reps", "1", "--no-scan",
-             "--gate", "--floor", str(floor)]
-        )
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "perf gate passed" in captured.out
-
-    def test_bench_engine_gate_fails_loudly_below_the_floor(self, capsys, tmp_path):
-        import json as json_module
-
-        floor = tmp_path / "floor.json"
-        floor.write_text(json_module.dumps({
-            "gate": "engine-vector-perf",
-            "num_requests": 300,
-            "batch_size": 8,
-            "min_vector_batch_requests_per_second": 1e15,
-            "min_vector_batch_speedup": 0.01,
-        }))
-        code = main(
-            ["bench", "engine", "--reps", "1", "--no-scan",
-             "--gate", "--floor", str(floor)]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "PERF GATE:" in captured.err
-        assert "below the floor" in captured.err
-
-    def test_bench_engine_gate_reports_grid_mismatch(self, capsys, tmp_path):
-        import json as json_module
-
-        floor = tmp_path / "floor.json"
-        floor.write_text(json_module.dumps({
-            "gate": "engine-vector-perf",
-            "num_requests": 999,
-            "min_vector_batch_requests_per_second": 1.0,
-            "min_vector_batch_speedup": 0.01,
-        }))
-        code = main(
-            ["bench", "engine", "--num-requests", "300", "--batch-size", "8",
-             "--reps", "1", "--no-scan", "--gate", "--floor", str(floor)]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "gate grid mismatch" in captured.err
-
+class TestEngineAxis:
     def test_simulate_auto_replays_conservative(self, capsys):
         code = main(
             ["simulate", "-w", "zipf:n=40,blocks=10,seed=1", "-k", "6", "-F", "3",
@@ -578,7 +494,7 @@ class TestBenchCommand:
     def test_simulate_engine_axis(self, capsys):
         code = main(
             ["simulate", "-w", "zipf:n=40,blocks=10,seed=1", "-k", "6", "-F", "3",
-             "-a", "aggressive", "--engine", "vector"]
+             "-a", "aggressive", "--engine", "auto"]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -587,16 +503,16 @@ class TestBenchCommand:
     def test_sweep_engine_axis_matches_loop(self, capsys, tmp_path):
         seeds = ",".join(str(i) for i in range(10))
         loop_json = tmp_path / "loop.json"
-        vector_json = tmp_path / "vector.json"
+        auto_json = tmp_path / "auto.json"
         base = ["sweep", "-w", "zipf:n=40,blocks=10", "-k", "6", "-F", "3",
                 "-a", "aggressive", "--seeds", seeds]
         assert main(base + ["--engine", "loop", "--json", str(loop_json)]) == 0
-        assert main(base + ["--engine", "vector", "--json", str(vector_json)]) == 0
+        assert main(base + ["--engine", "auto", "--json", str(auto_json)]) == 0
         capsys.readouterr()
         loop_text = loop_json.read_text()
-        vector_text = vector_json.read_text()
-        assert '"vector"' in vector_text
-        assert vector_text.replace('"vector"', '"loop"') == loop_text
+        auto_text = auto_json.read_text()
+        assert '"vector"' in auto_text
+        assert auto_text.replace('"vector"', '"loop"') == loop_text
 
 
 class TestSweepWatch:
