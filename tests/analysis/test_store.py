@@ -191,6 +191,54 @@ class TestRunPersistence:
             assert store.get_optimum("f2") is None
             assert store.stats()["optima"] == 1
 
+    def test_stats_aggregates_the_identity_columns(self, tmp_path):
+        with RunStore(tmp_path / "s.sqlite") as store:
+            store.put_runs(
+                [
+                    ("a", _record(workload="w1", algorithm_spec="aggressive")),
+                    ("b", _record(workload="w1", algorithm_spec="delay:d=2",
+                                  algorithm="delay(2)", optimal_stall=1,
+                                  optimal_elapsed=11)),
+                    ("c", _record(workload="w2", algorithm_spec="aggressive",
+                                  layout="partitioned", disks=2)),
+                ]
+            )
+            stats = store.stats()
+        assert stats["runs"] == 3
+        assert stats["distinct_workloads"] == 2
+        # Counted by spec string: "delay(2)" is the resolved name of one spec.
+        assert stats["distinct_algorithms"] == 2
+        assert stats["runs_with_optimum"] == 1
+
+    def test_store_that_still_carries_the_query_indexes_reads_and_writes(self, tmp_path):
+        """Stores written before the run query API went keep its four
+        ``idx_runs_*`` indexes on unchanged columns; they open, take new
+        rows through the positional INSERT and serve them as before."""
+        path = tmp_path / "s.sqlite"
+        with RunStore(path) as store:
+            store.put_runs([("old", _record(engine="vector"))])
+            store._conn.executescript(
+                "CREATE INDEX idx_runs_workload ON runs (workload);"
+                "CREATE INDEX idx_runs_algorithm ON runs (algorithm_spec);"
+                "CREATE INDEX idx_runs_layout ON runs (layout);"
+                "CREATE INDEX idx_runs_engine ON runs (engine);"
+            )
+        fresh = _record(workload="w2", engine="replay")
+        with RunStore(path) as store:
+            store.put_runs([("new", fresh)])
+            assert store.get_run("old") == _record(engine="vector")
+            assert store.get_run("new") == fresh
+            stats = store.stats()
+            assert stats["runs"] == 2
+            assert (stats["runs_engine_vector"], stats["runs_engine_replay"]) == (1, 1)
+            indexes = {
+                name for (name,) in store._conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'index' "
+                    "AND name LIKE 'idx_runs_%'"
+                )
+            }
+        assert len(indexes) == 4
+
 
 class TestEngineColumn:
     def test_stats_reports_per_engine_counts(self, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import Aggressive, Conservative, DemandFetch
+from repro.analysis.runner import ExperimentSpec
 from repro.disksim import (
     FetchDecision,
     IntervalFetch,
@@ -17,7 +18,7 @@ from repro.disksim import (
     execute_schedule,
     simulate,
 )
-from repro.errors import InvalidScheduleError, PolicyError
+from repro.errors import ConfigurationError, InvalidScheduleError, PolicyError
 from repro.workloads import single_disk_example
 
 
@@ -85,6 +86,19 @@ class TestSimulate:
     def test_peak_cache_never_exceeds_capacity(self, small_cold_instance):
         result = simulate(small_cold_instance, Aggressive())
         assert result.metrics.peak_cache_used <= small_cold_instance.cache_size
+
+    @pytest.mark.parametrize("engine", ["vector", "replay", "indexed"])
+    def test_only_loop_scan_and_auto_can_be_requested(self, small_cold_instance, engine):
+        """``vector`` and ``replay`` label the engine that ran; a request
+        for either, or for the retired ``indexed`` alias, is refused by the
+        simulator and by an experiment grid alike."""
+        with pytest.raises(ConfigurationError, match="unknown engine"):
+            simulate(small_cold_instance, Aggressive(), engine=engine)
+        with pytest.raises(ConfigurationError, match="unknown engine"):
+            ExperimentSpec(
+                name="engines", workloads=("zipf:n=20,blocks=6",), cache_sizes=(4,),
+                fetch_times=(3,), algorithms=("aggressive",), engine=engine,
+            )
 
 
 class TestExecuteSchedule:

@@ -193,6 +193,12 @@ class TestReducedModel:
         assert pruned.stall_time == full.stall_time
         assert pruned.elapsed_time == full.elapsed_time
 
+    def test_single_disk_driver_has_no_model_switch(self):
+        """``optimal_single_disk`` always solves the reduced model; the full
+        one-disk model is reached through ``optimal_parallel_schedule``."""
+        with pytest.raises(TypeError, match="reduced"):
+            optimal_single_disk(_instance(3), reduced=False)
+
     def test_reduced_model_is_smaller_on_cold_instances(self):
         instance = _instance(12, n=30, blocks=10, k=6)
         full = SynchronizedLPModel(instance)

@@ -126,6 +126,32 @@ def test_gate_below_the_floor_prints_one_line_per_failing_cell(bench, tiny_floor
     assert not bench.REPORT_PATH.exists()
 
 
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--num-requests", "300"],
+        ["--batch-size", "8"],
+        ["--reps", "1"],
+        ["--no-scan"],
+        ["--json", "report.json"],
+        ["--floor", "floor.json"],
+    ],
+    ids=lambda option: option[0],
+)
+def test_options_beyond_gate_and_out_are_rejected(bench, monkeypatch, capsys, option):
+    """The grid and the bars come only from the floor file: an option that
+    would vary them, or name another report path, exits 2 before timing."""
+
+    def must_not_time(*_args):
+        raise AssertionError("timed a cell despite a bad option")
+
+    monkeypatch.setattr(bench, "_time_pairs", must_not_time)
+    with pytest.raises(SystemExit) as exit_info:
+        bench.main(["--gate", *option])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+
+
 def test_gate_measures_the_grid_the_floor_file_names(bench, monkeypatch, tmp_path):
     """The committed floor file sets the grid and the bars, whatever the
     working directory; the gate times 2 pairs per cell."""
